@@ -53,7 +53,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--coloring-budget", type=int, default=64)
         p.add_argument("--enum-budget", type=int, default=10**5)
         p.add_argument("--json", metavar="OUT", help="write the certificate here")
-        p.add_argument("--threads", type=int, default=1, help="worker cap")
 
     p_solve = sub.add_parser("solve", help="run the solver")
     add_solve_flags(p_solve, force_oracle=False)
@@ -118,8 +117,6 @@ def _emit_json(doc: dict, out_path: str | None) -> None:
 def _cmd_solve(args: argparse.Namespace, force_oracle: bool) -> int:
     if args.k < 0 or args.d < 0:
         raise SystemExit2("k and d must be nonnegative")
-    if args.threads < 1:
-        raise SystemExit2("--threads must be at least 1")
     g = _read_graph(args.graph)
     cfg = SolveConfig(
         mode="oracle" if force_oracle else args.mode,

@@ -17,8 +17,7 @@ import itertools
 import random
 from dataclasses import dataclass
 from functools import lru_cache
-from math import comb
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .graph import Path, SpDag, hamming_distance
 
@@ -91,13 +90,8 @@ def build_hash_family(
     if mode == SEEDED:
         if budget < 1:
             raise ValueError("budget must be positive")
-        members = tuple(
-            tuple(
-                random.Random(seed * 1_000_003 + idx).randint(1, s)
-                for _ in range(m)
-            )
-            for idx in range(budget)
-        )
+        rngs = [random.Random(seed * 1_000_003 + idx) for idx in range(budget)]
+        members = tuple(tuple(rng.randint(1, s) for _ in range(m)) for rng in rngs)
         return HashFamily(m=m, num_colors=s, mode=SEEDED, seed=seed, members=members)
     if mode != EXHAUSTIVE:
         raise ValueError(f"unknown family mode {mode!r}")
@@ -365,73 +359,62 @@ class BypassTables:
         return result
 
 
-def minimal_bypass_table(
-    dag: SpDag,
-    center: Path,
-    coloring: dict[int, int],
-    num_colors: int,
-    max_size: int,
-) -> dict[tuple[int, int], frozenset[int]]:
-    """All (window, color set) pairs admitting a minimal colorful bypass."""
-    tables = BypassTables(dag, center, coloring, num_colors, max_size)
-    out: dict[tuple[int, int], frozenset[int]] = {}
-    for (i, j), w in tables._window_masks.items():
-        masks = {
-            w | detour
-            for detour in tables._detours.get((i, j), ())
-            if not detour & w and (w | detour).bit_count() <= max_size
-        }
-        if masks:
-            out[(i, j)] = frozenset(masks)
-    return out
-
-
-def bypass_table(
-    dag: SpDag,
-    center: Path,
-    coloring: dict[int, int],
-    num_colors: int,
-    max_size: int,
-) -> tuple[list[frozenset[int]], tuple[int, ...]]:
-    """Prefix-confined bypass table and the realizable color sets."""
-    tables = BypassTables(dag, center, coloring, num_colors, max_size)
-    bp = [frozenset()] + [frozenset(s) for s in tables._bp[1:]]
-    return bp, tables.realizable_sets
-
-
-def reconstruct_path(
-    dag: SpDag,
-    center: Path,
-    coloring: dict[int, int],
-    mask: int,
-    num_colors: int,
-    max_size: int,
-) -> Path:
-    """Path realizing the given color set (requires it to be realizable)."""
-    tables = BypassTables(dag, center, coloring, num_colors, max_size)
-    return tables.reconstruct(mask)
-
-
 def select_dissimilar_color_sets(
-    realizables: Sequence[int], r: int, d: int
+    masks: Sequence[int], r: int, d: int
 ) -> list[int] | None:
-    """r realizable color sets with pairwise symmetric difference >= d."""
-    sets = list(realizables)
+    """The first r masks, in input order, whose pairwise XOR popcount is >= d.
+
+    This is the one selection kernel of the package: the ball search picks
+    color sets with it and the oracle picks arc-set masks of whole paths.
+    It returns the lexicographically first r-subset of positions that is
+    pairwise >= d apart, as masks in input order, or None if there is none.
+    At d == 0 or r == 1 the first mask repeated r times answers.
+
+    The search is a bitset branch and bound in the style of BBMC (San
+    Segundo et al., 2011): candidates are an int bitset over positions,
+    taken lowest first, and a branch is cut when the chosen sets plus the
+    remaining candidates cannot reach r.  Row i, the later positions at
+    distance >= d from position i, is built the first time i is chosen.
+    """
+    if r == 0:
+        return []
+    if not masks:
+        return None
+    if d == 0 or r == 1:
+        return [masks[0]] * r
+    n = len(masks)
+    rows: dict[int, int] = {}
     chosen: list[int] = []
 
-    def backtrack(start: int) -> bool:
+    def row(i: int) -> int:
+        bits = rows.get(i)
+        if bits is None:
+            mi = masks[i]
+            bits = 0
+            for j in range(i + 1, n):
+                if (mi ^ masks[j]).bit_count() >= d:
+                    bits |= 1 << j
+            rows[i] = bits
+        return bits
+
+    def extend(cand: int) -> bool:
         if len(chosen) == r:
             return True
-        for idx in range(start, len(sets)):
-            c = sets[idx]
-            if all((c ^ prev).bit_count() >= d for prev in chosen):
-                chosen.append(c)
-                if backtrack(idx if d == 0 else idx + 1):
-                    return True
-                chosen.pop()
+        while cand:
+            if len(chosen) + cand.bit_count() < r:
+                return False
+            low = cand & -cand
+            cand ^= low
+            i = low.bit_length() - 1
+            chosen.append(i)
+            if extend(cand & row(i)):
+                return True
+            chosen.pop()
         return False
 
-    return list(chosen) if backtrack(0) else None
+    if not extend((1 << n) - 1):
+        return None
+    return [masks[i] for i in chosen]
 
 
 def ball_search(

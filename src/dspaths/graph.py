@@ -218,14 +218,6 @@ class SpDag:
     def n(self) -> int:
         return self.base.n
 
-    @property
-    def topo(self) -> tuple[int, ...]:
-        return tuple(range(1, self.n + 1))
-
-    def prefix_index(self, v: int) -> int:
-        """Position of v in the topological order (identity after renumbering)."""
-        return v
-
     @cached_property
     def arc_by_id(self) -> dict[int, Arc]:
         return {a.id: a for a in self.base.arcs}

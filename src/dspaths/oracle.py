@@ -1,9 +1,13 @@
 """Exact brute-force reference implementations.
 
-These enumerate the full solution space of a shortest-path DAG and decide
-instances by clique search over the pairwise-distance graph.  They are the
-ground truth for the equivalence tests and back the hybrid solver mode.
-Exactness matters here; speed is secondary.
+These enumerate every s-t path of a shortest-path DAG and decide instances
+over that catalog.  The selection step, k paths whose arc sets are pairwise
+>= d apart, is the same kernel the ball search uses
+(``colorcode.select_dissimilar_color_sets``) run on the paths' arc-set
+masks, so a certificate is the first k paths in catalog order that are
+pairwise >= d apart.  They are the ground truth for the equivalence tests
+and back the oracle and hybrid solver modes.  Exactness matters here;
+speed is secondary.
 """
 
 from __future__ import annotations
@@ -12,7 +16,7 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .colorcode import MinimalBypass
+from .colorcode import MinimalBypass, select_dissimilar_color_sets
 from .graph import Path, SpDag, hamming_distance
 
 
@@ -42,30 +46,34 @@ def count_st_paths(dag: SpDag, cap: int | None = None) -> int:
 
 
 def enumerate_st_paths(dag: SpDag, budget: int = 10**5) -> PathCatalog:
-    """Depth-first enumeration in arc-id order, stopping at the budget."""
+    """Depth-first enumeration in arc-id order, stopping at the budget.
+
+    The walk keeps an explicit stack of outgoing-arc iterators, so its
+    depth is not bounded by the interpreter's recursion limit.
+    """
     if budget < 1:
         raise ValueError("budget must be positive")
-    paths: list[Path] = []
+    # s == t makes the empty path the only s-t path.
+    paths: list[Path] = [Path(())] if dag.n == 1 else []
     truncated = False
     prefix: list[int] = []
-
-    def dfs(v: int) -> bool:
-        nonlocal truncated
-        if v == dag.n:
-            if len(paths) >= budget:
-                truncated = True
-                return False
-            paths.append(Path(tuple(prefix)))
-            return True
-        for arc in dag.outgoing[v]:
-            prefix.append(arc.id)
-            ok = dfs(arc.head)
-            prefix.pop()
-            if not ok:
-                return False
-        return True
-
-    dfs(1)
+    stack = [] if dag.n == 1 else [iter(dag.outgoing[1])]
+    while stack:
+        arc = next(stack[-1], None)
+        if arc is None:
+            stack.pop()
+            if prefix:
+                prefix.pop()
+            continue
+        prefix.append(arc.id)
+        if arc.head != dag.n:
+            stack.append(iter(dag.outgoing[arc.head]))
+            continue
+        if len(paths) >= budget:
+            truncated = True
+            break
+        paths.append(Path(tuple(prefix)))
+        prefix.pop()
     return PathCatalog(
         paths=tuple(paths), count=count_st_paths(dag), truncated=truncated
     )
@@ -76,57 +84,15 @@ def _require_complete(catalog: PathCatalog) -> None:
         raise OracleBudgetError("instance too large for oracle")
 
 
-def _pair_distances(paths: Sequence[Path]) -> list[list[int]]:
-    masks = []
-    id_to_bit: dict[int, int] = {}
-    for p in paths:
-        m = 0
-        for aid in p.arc_set:
-            bit = id_to_bit.setdefault(aid, len(id_to_bit))
-            m |= 1 << bit
-        masks.append(m)
-    n = len(paths)
-    dist = [[0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            d = (masks[i] ^ masks[j]).bit_count()
-            dist[i][j] = dist[j][i] = d
-    return dist
+def _select_paths(paths: Sequence[Path], k: int, d: int) -> list[Path] | None:
+    """First k paths in catalog order pairwise >= d apart, via the kernel.
 
-
-def _find_clique(adj: list[set[int]], k: int) -> list[int] | None:
-    """First k-clique by branch and bound over bitmask adjacency,
-    vertices ordered by descending degree."""
-    n = len(adj)
-    if k == 0:
-        return []
-    if k > n:
-        return None
-    order = sorted(range(n), key=lambda v: (-len(adj[v]), v))
-    pos = {v: i for i, v in enumerate(order)}
-    masks = [0] * n
-    for v in range(n):
-        m = 0
-        for w in adj[v]:
-            m |= 1 << pos[w]
-        masks[pos[v]] = m
-
-    def extend(clique: list[int], cand: int) -> list[int] | None:
-        if len(clique) == k:
-            return clique
-        while cand:
-            if len(clique) + cand.bit_count() < k:
-                return None
-            bit = cand & -cand
-            cand ^= bit
-            v = bit.bit_length() - 1
-            found = extend(clique + [v], cand & masks[v])
-            if found is not None:
-                return found
-        return None
-
-    found = extend([], (1 << n) - 1)
-    return [order[v] for v in found] if found is not None else None
+    Distinct s-t paths of a DAG have distinct arc sets, so mapping each
+    chosen mask back to its path is one-to-one.
+    """
+    by_mask = {sum(1 << aid for aid in p.arcs): p for p in paths}
+    chosen = select_dissimilar_color_sets(list(by_mask), k, d)
+    return None if chosen is None else [by_mask[m] for m in chosen]
 
 
 def brute_farthest(
@@ -150,18 +116,7 @@ def brute_ball(
     catalog = enumerate_st_paths(dag, budget)
     _require_complete(catalog)
     ball = [p for p in catalog.paths if hamming_distance(p, center) <= q]
-    if d == 0:
-        # Repetition is allowed at d = 0; the center is always in its ball.
-        return [center] * r if ball else None
-    dist = _pair_distances(ball)
-    adj = [
-        {j for j in range(len(ball)) if j != i and dist[i][j] >= d}
-        for i in range(len(ball))
-    ]
-    clique = _find_clique(adj, r)
-    if clique is None:
-        return None
-    return [ball[i] for i in clique]
+    return _select_paths(ball, r, d)
 
 
 def brute_solve(
@@ -175,17 +130,7 @@ def brute_solve(
         return []
     catalog = enumerate_st_paths(dag, budget)
     _require_complete(catalog)
-    if not catalog.paths:
-        return None
-    if d == 0:
-        return [catalog.paths[0]] * k
-    dist = _pair_distances(catalog.paths)
-    n = len(catalog.paths)
-    adj = [{j for j in range(n) if j != i and dist[i][j] >= d} for i in range(n)]
-    clique = _find_clique(adj, k)
-    if clique is None:
-        return None
-    return [catalog.paths[i] for i in clique]
+    return _select_paths(catalog.paths, k, d)
 
 
 def brute_max_min(dag: SpDag, k: int, budget: int = 10**5) -> float:
@@ -196,17 +141,12 @@ def brute_max_min(dag: SpDag, k: int, budget: int = 10**5) -> float:
         return math.inf if catalog.paths else -math.inf
     if len(catalog.paths) < k:
         return -math.inf
-    dist = _pair_distances(catalog.paths)
-    n = len(catalog.paths)
-    values = sorted({dist[i][j] for i in range(n) for j in range(i + 1, n)})
-    best = -math.inf
-    for d in values:
-        adj = [{j for j in range(n) if j != i and dist[i][j] >= d} for i in range(n)]
-        if _find_clique(adj, k) is not None:
-            best = d
-        else:
-            break
-    return best
+    # Feasibility is antitone in d and distinct paths are >= 1 apart, so
+    # the last d that still selects k paths is the max-min distance.
+    d = 1
+    while _select_paths(catalog.paths, k, d + 1) is not None:
+        d += 1
+    return d
 
 
 def minimal_bypass_decomposition(

@@ -59,6 +59,13 @@ def triangle() -> ArcWeightedDigraph:
     return parse_graph(TRIANGLE_TEXT)
 
 
+def unit_chain(n_arcs: int) -> ArcWeightedDigraph:
+    """s = 1 -> 2 -> ... -> n_arcs + 1 = t with unit weights."""
+    n = n_arcs + 1
+    arcs = "".join(f"a {v} {v + 1} 1\n" for v in range(1, n))
+    return parse_graph(f"p dsp {n} {n_arcs}\ns 1\nt {n}\n{arcs}")
+
+
 def random_layered_dag(seed: int, max_arcs: int = 12) -> SpDag:
     """Small random shortest-path DAG, deterministic per seed."""
     rng = random.Random(seed)

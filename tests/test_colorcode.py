@@ -11,10 +11,7 @@ from dspaths.colorcode import (
     FamilyConstructionError,
     ball_search,
     build_hash_family,
-    bypass_table,
     coloring_from_member,
-    minimal_bypass_table,
-    reconstruct_path,
     select_dissimilar_color_sets,
 )
 from dspaths.graph import Path, build_sp_dag, hamming_distance, parse_graph
@@ -69,6 +66,10 @@ class TestHashFamily:
         assert fam1.members == fam2.members
         assert all(1 <= c <= 6 for m in fam1.members for c in m)
 
+    def test_seeded_members_not_constant(self):
+        fam = build_hash_family(20, 6, SEEDED, seed=3, budget=10)
+        assert all(len(set(m)) > 1 for m in fam.members)
+
     def test_deterministic_per_seed(self):
         assert build_hash_family(6, 2, seed=1) == build_hash_family(6, 2, seed=1)
 
@@ -81,8 +82,16 @@ class TestHashFamily:
 
 class TestBypassTables:
     def test_minimal_table_diamond(self, diamond_dag, upper):
-        mbp = minimal_bypass_table(diamond_dag, upper, DIAMOND_COLORS, 4, 4)
-        assert mbp == {(1, 3): frozenset({mask(1, 2, 3, 4)})}
+        tables = BypassTables(diamond_dag, upper, DIAMOND_COLORS, 4, 4)
+        assert tables.mbp(1, 3, mask(1, 2, 3, 4))
+        others = [
+            (i, j, c)
+            for i in range(1, tables.ell)
+            for j in range(i + 1, tables.ell + 1)
+            for c in range(1 << 4)
+            if (i, j, c) != (1, 3, mask(1, 2, 3, 4)) and tables.mbp(i, j, c)
+        ]
+        assert others == []
 
     def test_minimal_empty_set_false(self, diamond_dag, upper):
         tables = BypassTables(diamond_dag, upper, DIAMOND_COLORS, 4, 4)
@@ -94,31 +103,30 @@ class TestBypassTables:
         assert not tables.mbp(1, 3, mask(1, 2, 3))
 
     def test_bp_base_cases(self, diamond_dag, upper):
-        bp, _ = bypass_table(diamond_dag, upper, DIAMOND_COLORS, 4, 4)
-        assert 0 in bp[1]
-        assert mask(1) not in bp[1]
+        tables = BypassTables(diamond_dag, upper, DIAMOND_COLORS, 4, 4)
+        assert tables.bp(1, 0)
+        assert not tables.bp(1, mask(1))
 
     def test_realizables_diamond(self, diamond_dag, upper):
-        _, realizable = bypass_table(diamond_dag, upper, DIAMOND_COLORS, 4, 4)
-        assert realizable == (0, mask(1, 2, 3, 4))
+        tables = BypassTables(diamond_dag, upper, DIAMOND_COLORS, 4, 4)
+        assert tables.realizable_sets == (0, mask(1, 2, 3, 4))
 
     def test_realizables_capped_by_q(self, diamond_dag, upper):
-        _, realizable = bypass_table(diamond_dag, upper, DIAMOND_COLORS, 4, 3)
-        assert realizable == (0,)
+        tables = BypassTables(diamond_dag, upper, DIAMOND_COLORS, 4, 3)
+        assert tables.realizable_sets == (0,)
 
     def test_reconstruct_empty_is_center(self, diamond_dag, upper):
-        got = reconstruct_path(diamond_dag, upper, DIAMOND_COLORS, 0, 4, 4)
-        assert got == upper
+        tables = BypassTables(diamond_dag, upper, DIAMOND_COLORS, 4, 4)
+        assert tables.reconstruct(0) == upper
 
     def test_reconstruct_full_is_lower(self, diamond_dag, upper, lower):
-        got = reconstruct_path(
-            diamond_dag, upper, DIAMOND_COLORS, mask(1, 2, 3, 4), 4, 4
-        )
-        assert got == lower
+        tables = BypassTables(diamond_dag, upper, DIAMOND_COLORS, 4, 4)
+        assert tables.reconstruct(mask(1, 2, 3, 4)) == lower
 
     def test_reconstruct_unrealizable_raises(self, diamond_dag, upper):
+        tables = BypassTables(diamond_dag, upper, DIAMOND_COLORS, 4, 4)
         with pytest.raises(ValueError, match="not realizable"):
-            reconstruct_path(diamond_dag, upper, DIAMOND_COLORS, mask(1), 4, 4)
+            tables.reconstruct(mask(1))
 
     @pytest.mark.parametrize("seed", range(25))
     def test_reconstruct_all_realizables_on_grids(self, seed):
@@ -170,6 +178,28 @@ class TestSelect:
 
     def test_empty_realizables(self):
         assert select_dissimilar_color_sets([], 1, 0) is None
+
+    def test_matches_first_combination(self):
+        # Reference: the first r-subset in itertools.combinations order
+        # (lexicographic in input positions) whose pairs are all >= d.
+        rng = random.Random(2402)
+        for _ in range(200):
+            bits = rng.randint(1, 10)
+            masks = [rng.getrandbits(bits) for _ in range(rng.randint(0, 14))]
+            r = rng.randint(2, 4)
+            d = rng.randint(1, 6)
+            expected = next(
+                (
+                    list(sub)
+                    for sub in itertools.combinations(masks, r)
+                    if all(
+                        (a ^ b).bit_count() >= d
+                        for a, b in itertools.combinations(sub, 2)
+                    )
+                ),
+                None,
+            )
+            assert select_dissimilar_color_sets(masks, r, d) == expected, (masks, r, d)
 
 
 class TestBallSearch:

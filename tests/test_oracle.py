@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from conftest import random_layered_dag
+from conftest import random_layered_dag, unit_chain
 from dspaths.generators import gen_grid
 from dspaths.graph import Path, build_sp_dag, hamming_distance, parse_graph
 from dspaths.oracle import (
@@ -58,6 +58,11 @@ class TestEnumerate:
         assert len(catalog.paths) == 1 and catalog.truncated
         assert catalog.count == 2
 
+    def test_source_is_sink(self):
+        dag = build_sp_dag(parse_graph("p dsp 2 1\ns 1\nt 1\na 1 2 1\n"))
+        catalog = enumerate_st_paths(dag)
+        assert catalog.paths == (Path(()),) and catalog.count == 1
+
     def test_count_saturates(self, chain_dag):
         assert count_st_paths(chain_dag) == 8
         assert count_st_paths(chain_dag, cap=3) == 3
@@ -87,6 +92,11 @@ class TestBruteSolve:
         dag = build_sp_dag(parse_graph("p dsp 2 1\ns 1\nt 2\na 1 2 1\n"))
         found = brute_solve(dag, 3, 0)
         assert found is not None and len(found) == 3
+
+    def test_long_chain(self):
+        # deeper than the interpreter's default recursion limit
+        found = brute_solve(build_sp_dag(unit_chain(1500)), 1, 0)
+        assert found is not None and found[0].arcs == tuple(range(1500))
 
     def test_budget_error(self, diamond_dag):
         with pytest.raises(OracleBudgetError, match="too large"):

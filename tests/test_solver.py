@@ -3,7 +3,8 @@ import random
 
 import pytest
 
-from conftest import random_layered_dag
+from conftest import random_layered_dag, unit_chain
+from dspaths.generators import gen_layered
 from dspaths.graph import (
     Path,
     build_sp_dag,
@@ -104,6 +105,18 @@ class TestSolve:
             ok, report = verify_certificate(g, res.certificate, k, d)
             assert ok, report
 
+    @pytest.mark.parametrize("seed", (7, 73))
+    def test_seeded_family_matches_oracle(self, seed):
+        # m = 34 > 16, so the ball search colors with a seeded family
+        g = gen_layered(4, 4, 0.6, seed)
+        dag = build_sp_dag(g)
+        assert dag.base.m == 34
+        res = solve(g, 3, 4, FPT)
+        assert res.decision == "yes"
+        assert brute_solve(dag, 3, 4) is not None
+        ok, report = verify_certificate(g, res.certificate, 3, 4)
+        assert ok, report
+
     @pytest.mark.parametrize("seed", range(12))
     def test_ball_partition_soundness(self, seed):
         # with an incomplete greedy phase, strict balls partition the
@@ -162,6 +175,11 @@ class TestHybrid:
     def test_hybrid_falls_back_to_fpt(self, diamond):
         res = solve(diamond, 2, 4, SolveConfig(mode="hybrid", enumeration_budget=1))
         assert res.decision == "yes"
+
+    def test_long_chain_default_mode(self):
+        res = solve(unit_chain(1500), 1, 0)
+        assert res.decision == "yes"
+        assert res.certificate.paths[0].arcs == tuple(range(1500))
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
