@@ -1,22 +1,24 @@
-"""Command-line front end: solve, oracle, gen, verify.
+"""Command-line front end: solve, gen, verify.
 
 Exit codes are the machine contract: 0 yes / verified, 1 no / rejected,
 2 usage or input errors, 3 probabilistic no, 4 instance too large for the
-oracle.  JSON goes to stdout (or --json FILE); diagnostics go to stderr.
+oracle, 5 internal error (an unexpected exception; the message names its
+type).  JSON goes to stdout (or --json FILE); diagnostics go to stderr.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path as FsPath
 
 from . import generators
-from .graph import GraphParseError, NoShortestPathError, format_graph, parse_graph
+from .graph import format_graph, parse_graph
 from .oracle import OracleBudgetError
 from .solver import (
-    CertificateError,
+    MODES,
     SolveConfig,
     certificate_from_json_dict,
     result_to_json_dict,
@@ -29,8 +31,10 @@ EXIT_NO = 1
 EXIT_ERROR = 2
 EXIT_PROBABILISTIC_NO = 3
 EXIT_TOO_LARGE = 4
+EXIT_INTERNAL = 5
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="dspaths",
@@ -41,24 +45,15 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_solve_flags(p: argparse.ArgumentParser, force_oracle: bool) -> None:
-        p.add_argument("-g", "--graph", required=True, help="graph file")
-        p.add_argument("-k", type=int, required=True, help="number of paths")
-        p.add_argument("-d", type=int, required=True, help="pairwise distance bound")
-        if not force_oracle:
-            p.add_argument(
-                "--mode", choices=("fpt", "oracle", "hybrid"), default="hybrid"
-            )
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--coloring-budget", type=int, default=64)
-        p.add_argument("--enum-budget", type=int, default=10**5)
-        p.add_argument("--json", metavar="OUT", help="write the certificate here")
-
     p_solve = sub.add_parser("solve", help="run the solver")
-    add_solve_flags(p_solve, force_oracle=False)
-
-    p_oracle = sub.add_parser("oracle", help="run the exact brute-force solver")
-    add_solve_flags(p_oracle, force_oracle=True)
+    p_solve.add_argument("-g", "--graph", required=True, help="graph file")
+    p_solve.add_argument("-k", type=int, required=True, help="number of paths")
+    p_solve.add_argument("-d", type=int, required=True, help="pairwise distance bound")
+    p_solve.add_argument("--mode", choices=MODES, default="hybrid")
+    p_solve.add_argument("--seed", type=int, default=0)
+    p_solve.add_argument("--coloring-budget", type=int, default=64)
+    p_solve.add_argument("--enum-budget", type=int, default=10**5)
+    p_solve.add_argument("--json", metavar="OUT", help="write the certificate here")
 
     p_gen = sub.add_parser("gen", help="generate an instance")
     gen_sub = p_gen.add_subparsers(dest="family", required=True)
@@ -114,20 +109,18 @@ def _emit_json(doc: dict, out_path: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _cmd_solve(args: argparse.Namespace, force_oracle: bool) -> int:
+def _cmd_solve(args: argparse.Namespace) -> int:
     if args.k < 0 or args.d < 0:
         raise SystemExit2("k and d must be nonnegative")
     g = _read_graph(args.graph)
     cfg = SolveConfig(
-        mode="oracle" if force_oracle else args.mode,
+        mode=args.mode,
         seed=args.seed,
         coloring_budget=args.coloring_budget,
         enumeration_budget=args.enum_budget,
     )
     try:
         result = solve(g, args.k, args.d, cfg)
-    except NoShortestPathError as exc:
-        raise SystemExit2(str(exc))
     except OracleBudgetError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_TOO_LARGE
@@ -214,17 +207,18 @@ def run_cli(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         if args.command == "solve":
-            return _cmd_solve(args, force_oracle=False)
-        if args.command == "oracle":
-            return _cmd_solve(args, force_oracle=True)
+            return _cmd_solve(args)
         if args.command == "gen":
             return _cmd_gen(args)
         if args.command == "verify":
             return _cmd_verify(args)
         raise SystemExit2(f"unknown command {args.command!r}")
-    except (SystemExit2, GraphParseError, CertificateError, generators.GeneratorError, ValueError) as exc:
+    except (SystemExit2, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
+    except Exception as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 def main() -> None:

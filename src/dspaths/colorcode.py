@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
 
-from .graph import Path, SpDag, hamming_distance
+from .graph import Arc, Path, SpDag, hamming_distance
 
 EXHAUSTIVE = "exhaustive-verified"
 SEEDED = "seeded-monte-carlo"
@@ -29,7 +29,7 @@ _EXHAUSTIVE_MAX_UNIVERSE = 16
 
 
 class FamilyConstructionError(RuntimeError):
-    """Family construction failed to converge or is out of range."""
+    """Exhaustive-verified construction found no perfect family."""
 
 
 @dataclass(frozen=True)
@@ -72,37 +72,27 @@ def _rainbow(member: tuple[int, ...], subset: tuple[int, ...]) -> bool:
 
 
 @lru_cache(maxsize=None)
-def build_hash_family(
-    m: int,
-    s: int,
-    mode: str = EXHAUSTIVE,
-    seed: int = 0,
-    budget: int = 64,
-) -> HashFamily:
+def build_hash_family(m: int, s: int, seed: int = 0, budget: int = 64) -> HashFamily:
     """Construct a family of colorings of [m] with s colors.
 
-    Exhaustive-verified mode accumulates seeded random colorings until all
-    s-subsets are rainbow under some member, prunes the family greedily,
-    and then re-verifies the rainbow property exhaustively.
+    The regime follows from (m, s).  At s == m the identity coloring is the
+    one member.  Where ``exhaustive_family_feasible(m, s)`` holds, seeded
+    random colorings accumulate until all s-subsets are rainbow under some
+    member; the family is pruned greedily and then re-verified
+    exhaustively.  Otherwise the family is ``budget`` seeded pseudo-random
+    colorings, and perfection is only probabilistic.
     """
     if not 1 <= s <= m:
         raise ValueError("need 1 <= s <= m")
-    if mode == SEEDED:
+    if s == m:
+        member = tuple(range(1, m + 1))
+        return HashFamily(m=m, num_colors=s, mode=EXHAUSTIVE, seed=seed, members=(member,))
+    if not exhaustive_family_feasible(m, s):
         if budget < 1:
             raise ValueError("budget must be positive")
         rngs = [random.Random(seed * 1_000_003 + idx) for idx in range(budget)]
         members = tuple(tuple(rng.randint(1, s) for _ in range(m)) for rng in rngs)
         return HashFamily(m=m, num_colors=s, mode=SEEDED, seed=seed, members=members)
-    if mode != EXHAUSTIVE:
-        raise ValueError(f"unknown family mode {mode!r}")
-    if s == m:
-        member = tuple(range(1, m + 1))
-        return HashFamily(m=m, num_colors=s, mode=EXHAUSTIVE, seed=seed, members=(member,))
-    if m > _EXHAUSTIVE_MAX_UNIVERSE:
-        raise FamilyConstructionError(
-            f"exhaustive-verified mode supports universes up to "
-            f"{_EXHAUSTIVE_MAX_UNIVERSE} positions, got {m}"
-        )
 
     subsets = list(itertools.combinations(range(m), s))
     uncovered = set(subsets)
@@ -151,6 +141,12 @@ class BypassTables:
     window spans positions i..j; ``bp(i, mask)`` decides any mask-colorful
     bypass confined to the center prefix up to position i.  Only masks with
     at most ``max_size`` colors are populated.
+
+    Every entry keeps a back-pointer to the step that first built it: the
+    smallest-id arc for a detour mask, the component (j, window, detour)
+    for a prefix mask, or None when the mask is inherited from position
+    i - 1.  ``reconstruct`` replays these pointers, so the rules for a
+    colorful bypass are applied once, while the tables are filled.
     """
 
     def __init__(
@@ -172,7 +168,7 @@ class BypassTables:
         self.ell = len(self.cverts)
         self.center_set = frozenset(self.cverts)
         self._window_masks = self._compute_window_masks()
-        self._reach_cache: dict[int, dict[int, set[int]]] = {}
+        self._reach = {i: self._detour_reach(i) for i in range(1, self.ell)}
         self._detours = self._compute_detours()
         self._bp = self._compute_bp()
 
@@ -195,50 +191,46 @@ class BypassTables:
                 masks[(i, p + 1)] = mask
         return masks
 
-    def _detour_reach(self, i: int) -> dict[int, set[int]]:
-        """Masks of colorful start->v paths avoiding center vertices, for
-        non-center v above the window start c_i."""
-        cached = self._reach_cache.get(i)
-        if cached is not None:
-            return cached
+    def _extend(
+        self, reach: dict[int, dict[int, Arc]], start: int, v: int, limit: int
+    ) -> dict[int, Arc]:
+        """Masks of colorful start->v paths with fewer than ``limit`` colors
+        (a single arc from start always counts), each mapped to the
+        smallest-id arc into v that builds it."""
+        acc: dict[int, Arc] = {}
+        for arc in self.dag.incoming[v]:
+            bit = self._arc_bit(arc.id)
+            if arc.tail == start:
+                acc.setdefault(bit, arc)
+            elif arc.tail in reach:
+                for mask in reach[arc.tail]:
+                    ext = mask | bit
+                    if ext != mask and ext.bit_count() < limit:
+                        acc.setdefault(ext, arc)
+        return acc
+
+    def _detour_reach(self, i: int) -> dict[int, dict[int, Arc]]:
+        """``_extend`` tables of every non-center v above the window start
+        c_i, for paths that avoid center vertices."""
         start = self.cverts[i - 1]
-        cap = self.max_size - 1  # a window has at least one arc
-        reach: dict[int, set[int]] = {}
+        reach: dict[int, dict[int, Arc]] = {}
         for v in range(start + 1, self.dag.n + 1):
             if v in self.center_set:
                 continue
-            acc: set[int] = set()
-            for arc in self.dag.incoming[v]:
-                bit = self._arc_bit(arc.id)
-                if arc.tail == start:
-                    acc.add(bit)
-                elif arc.tail in reach:
-                    for mask in reach[arc.tail]:
-                        ext = mask | bit
-                        if ext != mask and ext.bit_count() <= cap:
-                            acc.add(ext)
+            # a window has at least one arc, so a detour has < max_size colors
+            acc = self._extend(reach, start, v, self.max_size)
             if acc:
                 reach[v] = acc
-        self._reach_cache[i] = reach
         return reach
 
-    def _compute_detours(self) -> dict[tuple[int, int], set[int]]:
-        detours: dict[tuple[int, int], set[int]] = {}
+    def _compute_detours(self) -> dict[tuple[int, int], dict[int, Arc]]:
+        detours: dict[tuple[int, int], dict[int, Arc]] = {}
         for i in range(1, self.ell):
             start = self.cverts[i - 1]
-            reach = self._detour_reach(i)
             for j in range(i + 1, self.ell + 1):
-                target = self.cverts[j - 1]
-                acc: set[int] = set()
-                for arc in self.dag.incoming[target]:
-                    bit = self._arc_bit(arc.id)
-                    if arc.tail == start:
-                        acc.add(bit)
-                    elif arc.tail in reach:
-                        for mask in reach[arc.tail]:
-                            ext = mask | bit
-                            if ext != mask and ext.bit_count() < self.max_size + (j - i):
-                                acc.add(ext)
+                acc = self._extend(
+                    self._reach[i], start, self.cverts[j - 1], self.max_size + (j - i)
+                )
                 if acc:
                     detours[(i, j)] = acc
         return detours
@@ -252,16 +244,18 @@ class BypassTables:
             return False
         return (mask & ~w) in self._detours.get((i, j), ())
 
-    def _compute_bp(self) -> list[set[int]]:
-        bp: list[set[int]] = [set() for _ in range(self.ell + 1)]
-        bp[1] = {0}
+    def _compute_bp(self) -> list[dict[int, tuple[int, int, int] | None]]:
+        bp: list[dict[int, tuple[int, int, int] | None]] = [
+            {} for _ in range(self.ell + 1)
+        ]
+        bp[1] = {0: None}
         for pos in range(2, self.ell + 1):
-            cur = set(bp[pos - 1])
+            cur = dict.fromkeys(bp[pos - 1])
             for j in range(1, pos):
                 w = self._window_masks.get((j, pos))
                 if w is None:
                     continue
-                for detour in self._detours.get((j, pos), ()):
+                for detour in sorted(self._detours.get((j, pos), ())):
                     if detour & w:
                         continue
                     comp = w | detour
@@ -272,7 +266,7 @@ class BypassTables:
                             continue
                         full = rest | comp
                         if full.bit_count() <= self.max_size:
-                            cur.add(full)
+                            cur.setdefault(full, (j, w, detour))
             bp[pos] = cur
         return bp
 
@@ -285,65 +279,28 @@ class BypassTables:
 
     # -- reconstruction ----------------------------------------------------
 
-    def _trace_detour(self, i: int, j: int, mask: int) -> list[int]:
-        """Arc ids of the mask-colorful detour from window start to end,
-        smallest arc id preferred at each backward step."""
-        reach = self._detour_reach(i)
-        start = self.cverts[i - 1]
-        arcs_rev: list[int] = []
-        v = self.cverts[j - 1]
-        remaining = mask
-        while True:
-            for arc in self.dag.incoming[v]:
-                bit = self._arc_bit(arc.id)
-                if not remaining & bit:
-                    continue
-                rest = remaining & ~bit
-                if arc.tail == start and rest == 0:
-                    arcs_rev.append(arc.id)
-                    return list(reversed(arcs_rev))
-                if arc.tail in reach and rest in reach[arc.tail]:
-                    arcs_rev.append(arc.id)
-                    v = arc.tail
-                    remaining = rest
-                    break
-            else:  # pragma: no cover - table guarantees a detour
-                raise AssertionError("detour traceback failed")
-
     def reconstruct(self, mask: int) -> Path:
         """Path whose bypass against the center is mask-colorful."""
         if mask not in self._bp[self.ell]:
             raise ValueError("color set is not realizable")
-        components: list[tuple[int, int, int, int]] = []
+        bypass_arcs: set[int] = set()
         pos, cur = self.ell, mask
         while cur:
-            if pos > 1 and cur in self._bp[pos - 1]:
+            step = self._bp[pos][cur]
+            if step is None:
                 pos -= 1
                 continue
-            found = None
-            for j in range(1, pos):
-                w = self._window_masks.get((j, pos))
-                if w is None or (cur & w) != w:
-                    continue
-                for detour in sorted(self._detours.get((j, pos), ())):
-                    if detour & w or (cur & detour) != detour:
-                        continue
-                    rest = cur & ~(w | detour)
-                    if rest in self._bp[j]:
-                        found = (j, pos, w, detour)
-                        break
-                if found:
-                    break
-            assert found is not None, "bp table inconsistent"
-            components.append(found)
-            j, _, w, detour = found
+            j, w, detour = step
             cur &= ~(w | detour)
+            bypass_arcs.update(self.center.arcs[j - 1 : pos - 1])
+            start = self.cverts[j - 1]
+            arc = self._detours[(j, pos)][detour]
+            while arc.tail != start:
+                bypass_arcs.add(arc.id)
+                detour &= ~self._arc_bit(arc.id)
+                arc = self._reach[j][arc.tail][detour]
+            bypass_arcs.add(arc.id)
             pos = j
-
-        bypass_arcs: set[int] = set()
-        for j, pos2, _, detour in components:
-            bypass_arcs.update(self.center.arcs[j - 1 : pos2 - 1])
-            bypass_arcs.update(self._trace_detour(j, pos2, detour))
         assert len(bypass_arcs) == mask.bit_count()
 
         path_arcs = set(self.center.arc_set) ^ bypass_arcs
@@ -424,8 +381,6 @@ def ball_search(
     r: int,
     d: int,
     *,
-    family: HashFamily | None = None,
-    family_mode: str = EXHAUSTIVE,
     seed: int = 0,
     coloring_budget: int = 64,
 ) -> list[Path] | None:
@@ -445,13 +400,7 @@ def ball_search(
 
     arc_ids = sorted(a.id for a in dag.base.arcs)
     m = len(arc_ids)
-    s = q * r
-    if family is None:
-        if s >= m:
-            family = build_hash_family(m, m, EXHAUSTIVE, seed)
-            s = m
-        else:
-            family = build_hash_family(m, s, family_mode, seed, coloring_budget)
+    family = build_hash_family(m, min(q * r, m), seed, coloring_budget)
 
     for member in family.members:
         coloring = coloring_from_member(arc_ids, member)

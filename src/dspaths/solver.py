@@ -1,7 +1,7 @@
 """Full decision pipeline: greedy farthest-path phase, ball partition,
 composition enumeration, certificate assembly and verification.
 
-The greedy phase asks for each new path to be very far (threshold_base
+The greedy phase asks for each new path to be very far (THRESHOLD_BASE
 raised to a decreasing power, times d) from the previous ones.  If it
 stalls before k paths, every shortest path lies in a strict ball around
 exactly one greedy path and paths in different balls are automatically d
@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 from . import oracle as oracle_mod
-from .colorcode import EXHAUSTIVE, SEEDED, ball_search, exhaustive_family_feasible
+from .colorcode import ball_search, exhaustive_family_feasible
 from .farthest import farthest_path
 from .graph import (
     ArcWeightedDigraph,
@@ -30,6 +30,7 @@ from .graph import (
 )
 
 MODES = ("fpt", "oracle", "hybrid")
+THRESHOLD_BASE = 3
 
 
 class CertificateError(ValueError):
@@ -42,15 +43,12 @@ class SolveConfig:
     seed: int = 0
     coloring_budget: int = 64
     enumeration_budget: int = 10**5
-    threshold_base: int = 3
 
     def validate(self) -> None:
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}")
         if self.coloring_budget <= 0 or self.enumeration_budget <= 0:
             raise ValueError("budgets must be positive")
-        if self.threshold_base < 3:
-            raise ValueError("threshold_base must be at least 3")
 
 
 @dataclass(frozen=True)
@@ -88,20 +86,19 @@ class SolveResult:
         return self.decision == "yes"
 
 
-def greedy_phase(dag: SpDag, k: int, d: int, cfg: SolveConfig) -> GreedyOutcome:
-    """Collect up to k paths, the i-th at distance >= base^(k-i) * d from
-    all previous ones; stops at the first failure."""
-    base = cfg.threshold_base
+def greedy_phase(dag: SpDag, k: int, d: int) -> GreedyOutcome:
+    """Collect up to k paths, the i-th at distance >= THRESHOLD_BASE^(k-i) * d
+    from all previous ones; stops at the first failure."""
     paths: list[Path] = []
     for i in range(1, k + 1):
-        threshold = 0 if i == 1 else base ** (k - i) * d
+        threshold = 0 if i == 1 else THRESHOLD_BASE ** (k - i) * d
         found = farthest_path(dag, paths, threshold)
         if found is None:
             break
         paths.append(found)
     outcome = GreedyOutcome(paths=tuple(paths), complete=len(paths) == k)
     assert all(
-        hamming_distance(paths[i], paths[j]) >= base ** (k - (j + 1)) * d
+        hamming_distance(paths[i], paths[j]) >= THRESHOLD_BASE ** (k - (j + 1)) * d
         for j in range(len(paths))
         for i in range(j)
     )
@@ -186,13 +183,13 @@ def solve(
             return finish("no", None)
         return finish("yes", _make_certificate(g, k, d, found))
 
-    greedy = greedy_phase(dag, k, d, cfg)
+    greedy = greedy_phase(dag, k, d)
     greedy_count = len(greedy.paths)
     if greedy.complete:
         return finish("yes", _make_certificate(g, k, d, greedy.paths))
 
     kp = len(greedy.paths)
-    radius = cfg.threshold_base ** (k - kp - 1) * d - 1
+    radius = THRESHOLD_BASE ** (k - kp - 1) * d - 1
     m = dag.base.m
     memo: dict[tuple[int, int], list[Path] | None] = {}
     min_failed: dict[int, int] = {}
@@ -204,22 +201,19 @@ def solve(
             return None
         key = (i, r)
         if key not in memo:
-            s = radius * r
-            exhaustive = exhaustive_family_feasible(m, s)
             found = ball_search(
                 dag,
                 greedy.paths[i],
                 radius,
                 r,
                 d,
-                family_mode=EXHAUSTIVE if exhaustive else SEEDED,
                 seed=cfg.seed,
                 coloring_budget=cfg.coloring_budget,
             )
             memo[key] = found
             if found is None:
                 min_failed[i] = min(min_failed.get(i, math.inf), r)
-                if not exhaustive:
+                if not exhaustive_family_feasible(m, radius * r):
                     seeded_failure = True
         return memo[key]
 

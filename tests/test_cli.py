@@ -1,7 +1,20 @@
+import json
+
 import pytest
 
+import dspaths.cli
 from conftest import DIAMOND_TEXT
-from dspaths.cli import EXIT_ERROR, EXIT_NO, EXIT_TOO_LARGE, EXIT_YES, run_cli
+from dspaths.cli import (
+    EXIT_ERROR,
+    EXIT_INTERNAL,
+    EXIT_NO,
+    EXIT_PROBABILISTIC_NO,
+    EXIT_TOO_LARGE,
+    EXIT_YES,
+    run_cli,
+)
+from dspaths.graph import parse_graph
+from dspaths.solver import SolveResult, SolveStats
 
 
 @pytest.fixture
@@ -30,7 +43,7 @@ def test_negative_k(diamond_file):
 
 
 def test_oracle_over_budget(diamond_file):
-    argv = ["oracle", "-g", diamond_file, "-k", "2", "-d", "4", "--enum-budget", "1"]
+    argv = ["solve", "-g", diamond_file, "-k", "2", "-d", "4", "--mode", "oracle", "--enum-budget", "1"]
     assert run_cli(argv) == EXIT_TOO_LARGE
 
 
@@ -41,3 +54,45 @@ def test_solve_json_verifies(diamond_file, tmp_path, mode):
     assert run_cli(argv) == EXIT_YES
     argv = ["verify", "-g", diamond_file, "-c", cert, "-k", "2", "-d", "4"]
     assert run_cli(argv) == EXIT_YES
+
+
+@pytest.mark.parametrize("exc", (RuntimeError("boom"), RecursionError("too deep")))
+def test_internal_error(diamond_file, monkeypatch, capsys, exc):
+    def fail(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr(dspaths.cli, "solve", fail)
+    assert run_cli(["solve", "-g", diamond_file, "-k", "2", "-d", "4"]) == EXIT_INTERNAL
+    assert f"internal error: {type(exc).__name__}: {exc}" in capsys.readouterr().err
+
+
+def test_probabilistic_no(diamond_file, monkeypatch, tmp_path):
+    stats = SolveStats(greedy_paths=1, compositions_tried=1, elapsed_ms=0)
+    result = SolveResult(
+        decision="probabilistic_no", certificate=None, mode="fpt", seed=0, stats=stats
+    )
+    monkeypatch.setattr(dspaths.cli, "solve", lambda *args: result)
+    out = tmp_path / "out.json"
+    argv = ["solve", "-g", diamond_file, "-k", "2", "-d", "4", "--mode", "fpt", "--json", str(out)]
+    assert run_cli(argv) == EXIT_PROBABILISTIC_NO
+    assert json.loads(out.read_text())["decision"] == "probabilistic_no"
+
+
+@pytest.mark.parametrize(
+    "args",
+    (
+        ["grid", "--width", "3", "--height", "2"],
+        ["layered", "--layers", "3", "--width", "2", "--seed", "5"],
+        ["binpack", "--items", "1,2,3", "--bins", "2"],
+    ),
+)
+def test_gen_round_trip(tmp_path, args):
+    graph = tmp_path / "g.txt"
+    assert run_cli(["gen", *args, "-o", str(graph)]) == EXIT_YES
+    parse_graph(graph.read_text())
+    sidecar = json.loads(graph.with_suffix(".json").read_text())
+    k, d = sidecar["ask_k"], sidecar["ask_d"]
+    assert isinstance(k, int) and isinstance(d, int)
+    if args[0] == "binpack":
+        argv = ["solve", "-g", str(graph), "-k", str(k), "-d", str(d)]
+        assert run_cli(argv) == EXIT_YES

@@ -8,7 +8,6 @@ from dspaths.colorcode import (
     EXHAUSTIVE,
     SEEDED,
     BypassTables,
-    FamilyConstructionError,
     ball_search,
     build_hash_family,
     coloring_from_member,
@@ -55,19 +54,22 @@ class TestHashFamily:
                     len({m[i] for i in sub}) == size for m in fam.members
                 )
 
-    def test_exhaustive_rejects_large_universe(self):
-        with pytest.raises(FamilyConstructionError, match="universes up to"):
-            build_hash_family(17, 4)
+    def test_regime_follows_from_universe_and_colors(self):
+        assert build_hash_family(16, 4).mode == EXHAUSTIVE
+        assert build_hash_family(17, 4).mode == SEEDED
+        identity = build_hash_family(17, 17)
+        assert identity.mode == EXHAUSTIVE
+        assert identity.members == (tuple(range(1, 18)),)
 
     def test_seeded_mode_budget_and_determinism(self):
-        fam1 = build_hash_family(20, 6, SEEDED, seed=3, budget=10)
-        fam2 = build_hash_family(20, 6, SEEDED, seed=3, budget=10)
+        fam1 = build_hash_family(20, 6, seed=3, budget=10)
+        fam2 = build_hash_family(20, 6, seed=3, budget=10)
         assert len(fam1.members) == 10
         assert fam1.members == fam2.members
         assert all(1 <= c <= 6 for m in fam1.members for c in m)
 
     def test_seeded_members_not_constant(self):
-        fam = build_hash_family(20, 6, SEEDED, seed=3, budget=10)
+        fam = build_hash_family(20, 6, seed=3, budget=10)
         assert all(len(set(m)) > 1 for m in fam.members)
 
     def test_deterministic_per_seed(self):

@@ -4,7 +4,7 @@ import random
 import pytest
 
 from conftest import random_layered_dag, unit_chain
-from dspaths.generators import gen_layered
+from dspaths.generators import BinPackingInstance, gen_binpack, gen_layered
 from dspaths.graph import (
     Path,
     build_sp_dag,
@@ -33,20 +33,20 @@ def dag_to_graph(dag):
 
 class TestGreedy:
     def test_single_path_needed(self, diamond_dag):
-        out = greedy_phase(diamond_dag, 1, 7, FPT)
+        out = greedy_phase(diamond_dag, 1, 7)
         assert out.complete and len(out.paths) == 1
 
     def test_diamond_complete(self, diamond_dag):
-        out = greedy_phase(diamond_dag, 2, 2, FPT)
+        out = greedy_phase(diamond_dag, 2, 2)
         assert out.complete
         assert hamming_distance(out.paths[0], out.paths[1]) == 4
 
     def test_diamond_incomplete(self, diamond_dag):
-        out = greedy_phase(diamond_dag, 2, 5, FPT)
+        out = greedy_phase(diamond_dag, 2, 5)
         assert not out.complete and len(out.paths) == 1
 
     def test_first_path_deterministic(self, diamond_dag):
-        assert greedy_phase(diamond_dag, 1, 0, FPT).paths[0].arcs == (0, 2)
+        assert greedy_phase(diamond_dag, 1, 0).paths[0].arcs == (0, 2)
 
 
 class TestSolve:
@@ -117,6 +117,38 @@ class TestSolve:
         ok, report = verify_certificate(g, res.certificate, 3, 4)
         assert ok, report
 
+    # Certificates of three instances that take the ball-search route
+    # (the greedy phase stops after one path): bin-packing (1,2,3) in 2
+    # bins at its own ask, colored by the identity; gen_layered(4, 4, 0.6, s)
+    # at k=3, d=4 with the identity (s=0, m=14) and a seeded family
+    # (s=7, m=34).  Any change to the tables, the selection order or the
+    # reconstruction shows here.
+    BALL_CERTIFICATES = {
+        "binpack": [
+            [4, 0, 1, 2, 3, 5, 16, 12, 13, 14, 15, 17, 28, 24, 25, 26, 27, 29,
+             50, 46, 47, 48, 49, 51, 70, 66, 67, 68, 69, 71],
+            [10, 6, 7, 8, 9, 11, 22, 18, 19, 20, 21, 23, 34, 30, 31, 32, 33, 35,
+             56, 52, 53, 54, 55, 57, 70, 66, 67, 68, 69, 71],
+            [10, 6, 7, 8, 9, 11, 16, 12, 13, 14, 15, 17, 37, 36, 40, 38, 39, 41,
+             61, 58, 59, 60, 62, 63, 76, 72, 73, 74, 75, 77],
+            [4, 0, 1, 2, 3, 5, 22, 18, 19, 20, 21, 23, 37, 36, 44, 42, 43, 45,
+             61, 58, 59, 60, 64, 65, 82, 78, 79, 80, 81, 83],
+        ],
+        "layered0": [[0, 8, 10, 18, 28], [0, 9, 15, 18, 28], [0, 9, 16, 22, 27]],
+        "layered7": [[0, 3, 16, 31, 38], [1, 7, 16, 31, 38], [0, 6, 25, 31, 38]],
+    }
+
+    @pytest.mark.parametrize("name", sorted(BALL_CERTIFICATES))
+    def test_ball_search_certificates_pinned(self, name):
+        if name == "binpack":
+            inst = gen_binpack(BinPackingInstance(items=(1, 2, 3), bins=2, capacity=3))
+            g, k, d = inst.graph, inst.ask_k, inst.ask_d
+        else:
+            g, k, d = gen_layered(4, 4, 0.6, int(name.removeprefix("layered"))), 3, 4
+        res = solve(g, k, d, FPT)
+        assert res.decision == "yes" and res.stats.greedy_paths == 1
+        assert [list(p.arcs) for p in res.certificate.paths] == self.BALL_CERTIFICATES[name]
+
     @pytest.mark.parametrize("seed", range(12))
     def test_ball_partition_soundness(self, seed):
         # with an incomplete greedy phase, strict balls partition the
@@ -126,7 +158,7 @@ class TestSolve:
             dag = random_layered_dag(seed * 211 + attempt + 17)
             k = rng.randint(2, 3)
             d = rng.randint(1, 4)
-            greedy = greedy_phase(dag, k, d, FPT)
+            greedy = greedy_phase(dag, k, d)
             if greedy.complete:
                 continue
             kp = len(greedy.paths)
@@ -184,8 +216,6 @@ class TestHybrid:
     def test_config_validation(self):
         with pytest.raises(ValueError):
             SolveConfig(mode="nope").validate()
-        with pytest.raises(ValueError):
-            SolveConfig(threshold_base=2).validate()
         with pytest.raises(ValueError):
             SolveConfig(coloring_budget=0).validate()
 
