@@ -31,6 +31,7 @@ from .graph import (
     graph_hash,
     hamming_distance,
     parse_graph,
+    shortest_distances,
 )
 from .oracle import (
     OracleBudgetError,

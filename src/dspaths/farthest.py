@@ -1,20 +1,29 @@
-"""Demand-vector dynamic program: find a shortest path whose arc-set
+"""Farthest-path dynamic program: find a shortest path whose arc-set
 Hamming distance to each of r reference paths is at least q.
 
-States are (vertex, capped demand vector); demands start at q, are reduced
-by per-arc label vectors, and are clamped at 0 (a negative residual demand
-is vacuously satisfied).  Results are deterministic: traceback prefers the
-smallest arc id.
+Each arc carries a label vector (one component per reference) whose sums
+along an s-v path telescope to the path's prefix distances.  Labels are
+nonnegative, so capping a sum at q commutes with adding further labels:
+one forward pass over the SP-DAG in topological order keeps, at each
+vertex, only the maximal capped label sums of the s-v paths.  A vertex v
+reaches a demand vector gamma <= q exactly when one of its maximal sums
+is >= gamma in every component.  This is the multicriteria labeling
+method (Hansen 1980; Martins 1984).  Results are deterministic: traceback
+prefers the smallest arc id.
 """
 
 from __future__ import annotations
 
+from itertools import accumulate, repeat
+from operator import add
 from typing import Sequence
 
 from .graph import Path, SpDag
 
+Vector = tuple[int, ...]
 
-def arc_label_vector(dag: SpDag, refs: Sequence[Path], arc_id: int) -> tuple[int, ...]:
+
+def arc_label_vector(dag: SpDag, refs: Sequence[Path], arc_id: int) -> Vector:
     """Per-reference demand decrement of one arc.
 
     For arc e = (v_i, v_j), component k is the size of the symmetric
@@ -23,36 +32,35 @@ def arc_label_vector(dag: SpDag, refs: Sequence[Path], arc_id: int) -> tuple[int
     """
     if arc_id not in dag.arc_by_id:
         raise ValueError(f"arc {arc_id} not in dag")
-    idx = _RefIndex(dag, refs)
-    return idx.label(arc_id)
+    return _labels(dag, refs)[arc_id]
 
 
-class _RefIndex:
-    """Prefix counts of reference-path arcs by head position."""
+def _labels(dag: SpDag, refs: Sequence[Path]) -> dict[int, Vector]:
+    """Label vectors of every arc, from one prefix count of reference-arc
+    heads per reference."""
+    arcs = dag.base.arcs
+    columns = []
+    for ref in refs:
+        heads = [0] * (dag.n + 1)
+        for aid in ref.arcs:
+            heads[dag.arc_by_id[aid].head] += 1
+        cnt = list(accumulate(heads))
+        mem = ref.arc_set
+        columns.append(
+            [cnt[a.head] - cnt[a.tail] + (-1 if a.id in mem else 1) for a in arcs]
+        )
+    rows = zip(*columns) if columns else repeat(())
+    return {a.id: row for a, row in zip(arcs, rows)}
 
-    def __init__(self, dag: SpDag, refs: Sequence[Path]):
-        self.dag = dag
-        self.refs = list(refs)
-        n = dag.n
-        self.prefix: list[list[int]] = []
-        self.member: list[frozenset[int]] = []
-        for ref in self.refs:
-            cnt = [0] * (n + 1)
-            for aid in ref.arcs:
-                cnt[dag.arc_by_id[aid].head] += 1
-            for v in range(1, n + 1):
-                cnt[v] += cnt[v - 1]
-            self.prefix.append(cnt)
-            self.member.append(ref.arc_set)
 
-    def label(self, arc_id: int) -> tuple[int, ...]:
-        arc = self.dag.arc_by_id[arc_id]
-        i, j = arc.tail, arc.head
-        out = []
-        for cnt, mem in zip(self.prefix, self.member):
-            in_window = cnt[j] - cnt[i]
-            out.append(in_window - 1 if arc_id in mem else in_window + 1)
-        return tuple(out)
+def _maximal(vectors: list[Vector]) -> list[Vector]:
+    """The nondominated vectors.  In descending lexicographic order no
+    vector is dominated by a later one, so one scan suffices."""
+    kept: list[Vector] = []
+    for vec in sorted(set(vectors), reverse=True):
+        if not any(all(k >= x for k, x in zip(top, vec)) for top in kept):
+            kept.append(vec)
+    return kept
 
 
 def _lex_smallest_path(dag: SpDag) -> Path:
@@ -72,75 +80,36 @@ def farthest_path(dag: SpDag, refs: Sequence[Path], q: int) -> Path | None:
     or None if none exists.
     """
     r = len(refs)
-    if r == 0:
-        return _lex_smallest_path(dag)
-    if q == 0:
+    if r == 0 or q == 0:
         return _lex_smallest_path(dag)
 
-    idx = _RefIndex(dag, refs)
-    labels: dict[int, tuple[int, ...]] = {
-        a.id: idx.label(a.id) for a in dag.base.arcs
-    }
+    labels = _labels(dag, refs)
+    cap = (q,) * r
+    front: list[list[Vector]] = [[] for _ in range(dag.n + 1)]
+    front[1] = [(0,) * r]
+    for v in range(2, dag.n + 1):
+        # componentwise min(q, x + l) over every arc into v and every
+        # maximal sum at its tail
+        front[v] = _maximal([
+            tuple(map(min, map(add, vec, labels[arc.id]), cap))
+            for arc in dag.incoming[v]
+            for vec in front[arc.tail]
+        ])
 
-    # State key: vertex index and demand vector in mixed radix base (q + 1).
-    radix = q + 1
+    def reaches(v: int, gamma: Vector) -> bool:
+        return any(all(x >= g for x, g in zip(vec, gamma)) for vec in front[v])
 
-    def key(v: int, gamma: tuple[int, ...]) -> int:
-        k = v
-        for component in gamma:
-            k = k * radix + component
-        return k
-
-    memo: dict[int, bool] = {}
-
-    def evaluate(root_v: int, root_gamma: tuple[int, ...]) -> bool:
-        root_key = key(root_v, root_gamma)
-        if root_key in memo:
-            return memo[root_key]
-        stack: list[tuple[int, tuple[int, ...]]] = [(root_v, root_gamma)]
-        while stack:
-            v, gamma = stack[-1]
-            kk = key(v, gamma)
-            if kk in memo:
-                stack.pop()
-                continue
-            if v == 1:
-                memo[kk] = all(c == 0 for c in gamma)
-                stack.pop()
-                continue
-            unresolved: list[tuple[int, tuple[int, ...]]] = []
-            result = False
-            for arc in dag.incoming[v]:
-                lab = labels[arc.id]
-                prev = tuple(max(0, g - l) for g, l in zip(gamma, lab))
-                val = memo.get(key(arc.tail, prev))
-                if val:
-                    result = True
-                    break
-                if val is None:
-                    unresolved.append((arc.tail, prev))
-            if result:
-                memo[kk] = True
-                stack.pop()
-            elif unresolved:
-                stack.extend(unresolved)
-            else:
-                memo[kk] = False
-                stack.pop()
-        return memo[root_key]
-
-    target = tuple([q] * r)
-    if not evaluate(dag.n, target):
+    if not reaches(dag.n, cap):
         return None
 
     # Traceback, smallest arc id first.
     arcs_rev: list[int] = []
-    v, gamma = dag.n, target
+    v, gamma = dag.n, cap
     while v != 1:
         for arc in dag.incoming[v]:
             lab = labels[arc.id]
             prev = tuple(max(0, g - l) for g, l in zip(gamma, lab))
-            if evaluate(arc.tail, prev):
+            if reaches(arc.tail, prev):
                 arcs_rev.append(arc.id)
                 v, gamma = arc.tail, prev
                 break
@@ -156,7 +125,7 @@ def farthest_path(dag: SpDag, refs: Sequence[Path], q: int) -> Path | None:
 def _check_prefix_decomposition(
     dag: SpDag,
     refs: Sequence[Path],
-    labels: dict[int, tuple[int, ...]],
+    labels: dict[int, Vector],
     path: Path,
 ) -> bool:
     """Debug check: prefix distances telescope through the arc labels."""

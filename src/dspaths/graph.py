@@ -255,11 +255,10 @@ class SpDag:
             return False
         return verts[-1] == self.n and len(set(verts)) == len(verts)
 
-    def path_weight(self, p: Path) -> int:
-        return sum(self.arc_by_id[aid].weight for aid in p.arcs)
 
-
-def _dijkstra(g: ArcWeightedDigraph) -> list[int | None]:
+def shortest_distances(g: ArcWeightedDigraph) -> list[int | None]:
+    """Dijkstra from g.s: ``dist[v]`` is the shortest s-v distance, or None
+    if v is unreachable (index 0 is unused)."""
     out: list[list[Arc]] = [[] for _ in range(g.n + 1)]
     for a in g.arcs:
         out[a.tail].append(a)
@@ -283,7 +282,7 @@ def build_sp_dag(g: ArcWeightedDigraph) -> SpDag:
     vertices on some tight s-t chain; the s-t paths of the result are
     exactly the shortest s-t paths of g.
     """
-    dist = _dijkstra(g)
+    dist = shortest_distances(g)
     if dist[g.t] is None:
         raise NoShortestPathError("no shortest path exists")
 

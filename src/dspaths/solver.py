@@ -20,13 +20,14 @@ from . import oracle as oracle_mod
 from .colorcode import ball_search, exhaustive_family_feasible
 from .farthest import farthest_path
 from .graph import (
+    Arc,
     ArcWeightedDigraph,
-    NoShortestPathError,
     Path,
     SpDag,
     build_sp_dag,
     graph_hash,
     hamming_distance,
+    shortest_distances,
 )
 
 MODES = ("fpt", "oracle", "hybrid")
@@ -237,16 +238,22 @@ def verify_certificate(
     g: ArcWeightedDigraph, cert: Certificate, k: int, d: int
 ) -> tuple[bool, str | None]:
     """Check a certificate independently: k paths, each a shortest s-t path
-    of g, pairwise Hamming distances >= d.  Reports the first violation."""
+    of g, pairwise Hamming distances >= d.  Reports the first violation.
+
+    One Dijkstra on g gives dist(t); a path is shortest when it chains
+    from s to t over arcs of g without repeating a vertex and weighs
+    dist(t).  No SP-DAG is built, so the check shares no code with the
+    solver's preprocessing.
+    """
     _validate_certificate_shape(cert)
     if len(cert.paths) != k:
         return False, f"expected {k} paths, got {len(cert.paths)}"
-    try:
-        dag = build_sp_dag(g)
-    except NoShortestPathError:
+    best = shortest_distances(g)[g.t]
+    if best is None:
         return (True, None) if k == 0 else (False, "graph has no s-t path")
+    arc_by_id = {a.id: a for a in g.arcs}
     for i, p in enumerate(cert.paths, start=1):
-        if not dag.is_st_path(p):
+        if not _is_shortest_st_path(g, arc_by_id, best, p):
             return False, f"path {i} not a shortest path"
     for i in range(k):
         for j in range(i + 1, k):
@@ -254,6 +261,20 @@ def verify_certificate(
             if dist < d:
                 return False, f"pair ({i + 1},{j + 1}) distance {dist} < {d}"
     return True, None
+
+
+def _is_shortest_st_path(
+    g: ArcWeightedDigraph, arc_by_id: dict[int, Arc], best: int, p: Path
+) -> bool:
+    v, weight, seen = g.s, 0, {g.s}
+    for aid in p.arcs:
+        arc = arc_by_id.get(aid)
+        if arc is None or arc.tail != v or arc.head in seen:
+            return False
+        v = arc.head
+        seen.add(v)
+        weight += arc.weight
+    return v == g.t and weight == best
 
 
 def _validate_certificate_shape(cert: Certificate) -> None:

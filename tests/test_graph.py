@@ -106,7 +106,7 @@ class TestBuildSpDag:
         assert not catalog.truncated
         assert {p.arcs for p in catalog.paths} == shortest
         for p in catalog.paths:
-            assert dag.path_weight(p) == best
+            assert sum(dag.arc_by_id[a].weight for a in p.arcs) == best
 
 
 class TestHamming:

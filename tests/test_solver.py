@@ -243,6 +243,21 @@ class TestVerify:
         ok, report = verify_certificate(diamond, cert, 1, 0)
         assert not ok and report == "path 1 not a shortest path"
 
+    def test_longer_st_path_rejected(self, triangle):
+        # arc 2 = (1, 3) of weight 3 chains from s to t; the shortest weighs 2
+        cert = Certificate(
+            k=1, d=0, paths=(Path((2,)),), pairwise=((0,),), graph_hash=""
+        )
+        ok, report = verify_certificate(triangle, cert, 1, 0)
+        assert not ok and report == "path 1 not a shortest path"
+
+    def test_path_stopping_before_t_rejected(self, diamond):
+        cert = Certificate(
+            k=1, d=0, paths=(Path((0,)),), pairwise=((0,),), graph_hash=""
+        )
+        ok, report = verify_certificate(diamond, cert, 1, 0)
+        assert not ok and report == "path 1 not a shortest path"
+
     def test_wrong_count(self, diamond):
         cert = Certificate(k=2, d=0, paths=(), pairwise=(), graph_hash="")
         ok, report = verify_certificate(diamond, cert, 2, 0)
