@@ -1,9 +1,13 @@
 import itertools
 import random
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_layered_dag
+from dspaths import colorcode
 from dspaths.colorcode import (
     EXHAUSTIVE,
     SEEDED,
@@ -24,6 +28,66 @@ def mask(*colors):
     for c in colors:
         out |= 1 << (c - 1)
     return out
+
+
+def reference_select(masks, r, d):
+    """The selection kernel with every row built by a per-pair loop: the
+    bitset branch and bound that the bit-parallel rows must reproduce."""
+    if r == 0:
+        return []
+    if not masks:
+        return None
+    if d == 0 or r == 1:
+        return [masks[0]] * r
+    n = len(masks)
+    rows = {}
+    chosen = []
+
+    def row(i):
+        bits = rows.get(i)
+        if bits is None:
+            mi = masks[i]
+            bits = 0
+            for j in range(i + 1, n):
+                if (mi ^ masks[j]).bit_count() >= d:
+                    bits |= 1 << j
+            rows[i] = bits
+        return bits
+
+    def extend(cand):
+        if len(chosen) == r:
+            return True
+        while cand:
+            if len(chosen) + cand.bit_count() < r:
+                return False
+            low = cand & -cand
+            cand ^= low
+            i = low.bit_length() - 1
+            chosen.append(i)
+            if extend(cand & row(i)):
+                return True
+            chosen.pop()
+        return False
+
+    if not extend((1 << n) - 1):
+        return None
+    return [masks[i] for i in chosen]
+
+
+def random_selection_case(rng):
+    """Masks over up to 130 bits with zero and repeated masks and spread
+    popcounts, plus r in 0..5 and d in 0..width + 2."""
+    width = rng.randint(0, 130)
+    n = rng.randint(0, 150)
+    pool = [0]
+    for _ in range(rng.randint(1, 40)):
+        ones = rng.randint(0, width)
+        pool.append(sum(1 << b for b in rng.sample(range(width), ones)))
+    if rng.random() < 0.5:
+        masks = [rng.choice(pool) for _ in range(n)]
+    else:
+        masks = [rng.getrandbits(width) if width else 0 for _ in range(n)]
+    return masks, rng.randint(0, 5), rng.randint(0, width + 2)
 
 
 class TestHashFamily:
@@ -202,6 +266,48 @@ class TestSelect:
                 None,
             )
             assert select_dissimilar_color_sets(masks, r, d) == expected, (masks, r, d)
+
+    @pytest.mark.parametrize(
+        "sliced_min", [colorcode._SLICED_ROWS_MIN, 0], ids=["shipped", "sliced"]
+    )
+    def test_matches_reference(self, monkeypatch, sliced_min):
+        # "shipped" keeps the size rule, so these short lists use the loop;
+        # "sliced" builds every row bit-parallel.
+        monkeypatch.setattr(colorcode, "_SLICED_ROWS_MIN", sliced_min)
+        rng = random.Random(6)
+        for _ in range(300):
+            masks, r, d = random_selection_case(rng)
+            expected = reference_select(masks, r, d)
+            assert select_dissimilar_color_sets(masks, r, d) == expected, (masks, r, d)
+
+    def test_sliced_rows_past_the_size_rule(self):
+        # 2,100 masks, so the shipped rule takes the bit-parallel rows; at
+        # 70 bits the last of a mask's nine bytes is partly used.
+        rng = random.Random(11)
+        masks = [rng.getrandbits(70) for _ in range(2100)]
+        assert len(masks) >= colorcode._SLICED_ROWS_MIN
+        for r, d in [(2, 0), (2, 52), (3, 43), (5, 40), (4, 42), (6, 38), (3, 71)]:
+            expected = reference_select(masks, r, d)
+            assert select_dissimilar_color_sets(masks, r, d) == expected, (r, d)
+
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(
+        st.integers(0, 130).flatmap(
+            lambda width: st.tuples(
+                st.lists(
+                    st.one_of(st.just(0), st.integers(0, (1 << width) - 1)),
+                    max_size=40,
+                ),
+                st.integers(0, 5),
+                st.integers(0, width + 2),
+            )
+        )
+    )
+    def test_sliced_rows_property(self, case):
+        masks, r, d = case
+        with mock.patch.object(colorcode, "_SLICED_ROWS_MIN", 0):
+            got = select_dissimilar_color_sets(masks, r, d)
+        assert got == reference_select(masks, r, d)
 
 
 class TestBallSearch:

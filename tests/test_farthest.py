@@ -3,7 +3,7 @@ import random
 import pytest
 
 from conftest import random_layered_dag
-from dspaths.farthest import arc_label_vector, farthest_path
+from dspaths.farthest import _labels, arc_label_vector, farthest_path
 from dspaths.generators import gen_grid, gen_layered
 from dspaths.graph import Path, build_sp_dag, hamming_distance, parse_graph
 from dspaths.oracle import brute_farthest, enumerate_st_paths
@@ -24,7 +24,7 @@ a 4 5 1
 def unclamped_reference(dag, refs, q):
     """The demand DP with the strict convention: any negative residual
     demand makes a state false.  Used to show what clamping fixes."""
-    labels = {a.id: arc_label_vector(dag, refs, a.id) for a in dag.base.arcs}
+    labels = _labels(dag, refs)
     memo = {}
 
     def rec(v, gamma):

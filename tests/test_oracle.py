@@ -4,7 +4,7 @@ import random
 import pytest
 
 from conftest import random_layered_dag, unit_chain
-from dspaths.generators import gen_grid
+from dspaths.generators import BinPackingInstance, gen_binpack, gen_grid
 from dspaths.graph import Path, build_sp_dag, hamming_distance, parse_graph
 from dspaths.oracle import (
     OracleBudgetError,
@@ -35,6 +35,59 @@ a 7 9 1
 a 8 10 1
 a 9 10 1
 """
+
+
+def _binpack(items, bins):
+    return gen_binpack(BinPackingInstance(items, bins, sum(items) // bins)).graph
+
+
+# Certificates recorded while every selection row was built by a per-pair
+# loop: (graph, k, d, path count, arc lists).  The first and last catalogs
+# are past the kernel's size rule, so their rows are built bit-parallel.
+ORACLE_PINNED = {
+    "binpack111_3": (
+        lambda: _binpack((1, 1, 1), 3),
+        6,
+        24,
+        10125,
+        [
+            [0, 1, 6, 7, 12, 13, 18, 19, 24, 25, 34, 35, 44, 45],
+            [0, 1, 8, 9, 14, 15, 20, 21, 26, 27, 36, 37, 46, 47],
+            [2, 3, 6, 7, 14, 15, 22, 23, 28, 29, 38, 39, 48, 49],
+            [2, 3, 10, 11, 16, 17, 18, 19, 26, 27, 40, 41, 50, 51],
+            [4, 5, 8, 9, 16, 17, 22, 23, 30, 31, 34, 35, 52, 53],
+            [4, 5, 10, 11, 12, 13, 20, 21, 32, 33, 42, 43, 48, 49],
+        ],
+    ),
+    "binpack1111_2": (
+        lambda: _binpack((1, 1, 1, 1), 2),
+        4,
+        40,
+        1024,
+        [
+            [2, 0, 1, 3, 10, 8, 9, 11, 18, 16, 17, 19,
+             32, 30, 31, 33, 53, 52, 54, 55, 67, 66, 68, 69],
+            [2, 0, 1, 3, 14, 12, 13, 15, 25, 24, 26, 27,
+             39, 38, 40, 41, 46, 44, 45, 47, 60, 58, 59, 61],
+            [6, 4, 5, 7, 10, 8, 9, 11, 25, 24, 28, 29,
+             39, 38, 42, 43, 50, 48, 49, 51, 64, 62, 63, 65],
+            [6, 4, 5, 7, 14, 12, 13, 15, 22, 20, 21, 23,
+             36, 34, 35, 37, 53, 52, 56, 57, 67, 66, 70, 71],
+        ],
+    ),
+    "grid7": (
+        lambda: gen_grid(7, 7),
+        4,
+        6,
+        3432,
+        [
+            [0, 2, 4, 6, 8, 10, 12, 14, 29, 44, 59, 74, 89, 104],
+            [0, 2, 4, 6, 8, 10, 13, 28, 42, 44, 59, 74, 89, 104],
+            [0, 2, 4, 6, 8, 10, 13, 28, 43, 58, 72, 74, 89, 104],
+            [0, 2, 4, 6, 8, 10, 13, 28, 43, 58, 73, 88, 102, 104],
+        ],
+    ),
+}
 
 
 @pytest.fixture
@@ -101,6 +154,19 @@ class TestBruteSolve:
     def test_budget_error(self, diamond_dag):
         with pytest.raises(OracleBudgetError, match="too large"):
             brute_solve(diamond_dag, 2, 4, budget=1)
+
+    @pytest.mark.parametrize("name", list(ORACLE_PINNED))
+    def test_certificates_pinned(self, name):
+        build, k, d, count, expected = ORACLE_PINNED[name]
+        dag = build_sp_dag(build())
+        assert count_st_paths(dag) == count
+        found = brute_solve(dag, k, d)
+        assert found is not None
+        assert [list(p.arcs) for p in found] == expected
+
+    def test_binpack_222_2_no(self):
+        # (2, 2, 2) does not pack into two bins of 3: no 4 paths 48 apart
+        assert brute_solve(build_sp_dag(_binpack((2, 2, 2), 2)), 4, 48) is None
 
 
 class TestBruteFarthest:
