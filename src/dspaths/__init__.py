@@ -1,6 +1,11 @@
 """Library and CLI for deciding whether a weighted digraph has k shortest
-s-t paths with pairwise arc-set Hamming distance at least d, with an exact
-brute-force oracle and hard-instance generators."""
+s-t paths with pairwise arc-set Hamming distance at least d.
+
+``solve`` runs the paper's pipeline (shortest-path DAG, greedy farthest
+paths, color-coded ball search) or the exact path-enumeration engine of
+``oracle``; ``verify_certificate`` checks a "yes" independently; the
+generators build grid, layered and bin-packing hardness instances.
+"""
 
 from .colorcode import (
     EXHAUSTIVE,
@@ -10,14 +15,13 @@ from .colorcode import (
     build_hash_family,
     select_dissimilar_color_sets,
 )
-from .farthest import arc_label_vector, farthest_path
+from .farthest import farthest_path
 from .generators import (
     BinPackingInstance,
     GeneratedInstance,
     gen_binpack,
     gen_grid,
     gen_layered,
-    validate_path_decomposition,
 )
 from .graph import (
     Arc,
@@ -36,12 +40,8 @@ from .graph import (
 from .oracle import (
     OracleBudgetError,
     PathCatalog,
-    brute_ball,
-    brute_farthest,
-    brute_max_min,
     brute_solve,
     enumerate_st_paths,
-    minimal_bypass_decomposition,
 )
 from .solver import (
     Certificate,

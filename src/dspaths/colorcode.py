@@ -33,14 +33,6 @@ class FamilyConstructionError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class MinimalBypass:
-    """One minimal component: its arcs and the center window it replaces."""
-
-    arcs: frozenset[int]
-    window: tuple[int, int]  # (divergence vertex, reconvergence vertex)
-
-
-@dataclass(frozen=True)
 class HashFamily:
     """Colorings of universe positions 0..m-1 with colors 1..num_colors.
 
@@ -52,7 +44,6 @@ class HashFamily:
     m: int
     num_colors: int
     mode: str
-    seed: int
     members: tuple[tuple[int, ...], ...]
 
 
@@ -86,13 +77,13 @@ def build_hash_family(m: int, s: int, seed: int = 0, budget: int = 64) -> HashFa
         raise ValueError("need 1 <= s <= m")
     if s == m:
         member = tuple(range(1, m + 1))
-        return HashFamily(m=m, num_colors=s, mode=EXHAUSTIVE, seed=seed, members=(member,))
+        return HashFamily(m=m, num_colors=s, mode=EXHAUSTIVE, members=(member,))
     if not exhaustive_family_feasible(m, s):
         if budget < 1:
             raise ValueError("budget must be positive")
         rngs = [random.Random(seed * 1_000_003 + idx) for idx in range(budget)]
         members = tuple(tuple(rng.randint(1, s) for _ in range(m)) for rng in rngs)
-        return HashFamily(m=m, num_colors=s, mode=SEEDED, seed=seed, members=members)
+        return HashFamily(m=m, num_colors=s, mode=SEEDED, members=members)
 
     subsets = list(itertools.combinations(range(m), s))
     uncovered = set(subsets)
@@ -126,7 +117,7 @@ def build_hash_family(m: int, s: int, seed: int = 0, budget: int = 64) -> HashFa
     for sub in subsets:
         if not any(_rainbow(member, sub) for member in members):
             raise FamilyConstructionError("verification failed")  # pragma: no cover
-    return HashFamily(m=m, num_colors=s, mode=EXHAUSTIVE, seed=seed, members=members)
+    return HashFamily(m=m, num_colors=s, mode=EXHAUSTIVE, members=members)
 
 
 def coloring_from_member(arc_ids: Sequence[int], member: Sequence[int]) -> dict[int, int]:
@@ -154,13 +145,11 @@ class BypassTables:
         dag: SpDag,
         center: Path,
         coloring: dict[int, int],
-        num_colors: int,
         max_size: int,
     ):
         self.dag = dag
         self.center = center
         self.coloring = coloring
-        self.num_colors = num_colors
         self.max_size = max_size
         self.cverts = dag.path_vertices(center)
         if self.cverts[-1] != dag.n:
@@ -504,7 +493,7 @@ def ball_search(
 
     for member in family.members:
         coloring = coloring_from_member(arc_ids, member)
-        tables = BypassTables(dag, center, coloring, family.num_colors, q)
+        tables = BypassTables(dag, center, coloring, q)
         chosen = select_dissimilar_color_sets(tables.realizable_sets, r, d)
         if chosen is None:
             continue

@@ -23,21 +23,14 @@ from .graph import Path, SpDag
 Vector = tuple[int, ...]
 
 
-def arc_label_vector(dag: SpDag, refs: Sequence[Path], arc_id: int) -> Vector:
-    """Per-reference demand decrement of one arc.
+def _labels(dag: SpDag, refs: Sequence[Path]) -> dict[int, Vector]:
+    """Label vectors of every arc, from one prefix count of reference-arc
+    heads per reference.
 
     For arc e = (v_i, v_j), component k is the size of the symmetric
     difference between {e} and the arcs of reference k whose head lies in
     topological positions i+1..j.
     """
-    if arc_id not in dag.arc_by_id:
-        raise ValueError(f"arc {arc_id} not in dag")
-    return _labels(dag, refs)[arc_id]
-
-
-def _labels(dag: SpDag, refs: Sequence[Path]) -> dict[int, Vector]:
-    """Label vectors of every arc, from one prefix count of reference-arc
-    heads per reference."""
     arcs = dag.base.arcs
     columns = []
     for ref in refs:

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .graph import WEIGHT_SCALE, Arc, ArcWeightedDigraph
 
@@ -255,29 +255,6 @@ def gen_binpack(inst: BinPackingInstance) -> GeneratedInstance:
         meta=meta,
         decomposition=tuple(tuple(sorted(bag)) for bag in bags),
     )
-
-
-def validate_path_decomposition(
-    g: ArcWeightedDigraph, bags: Sequence[Iterable[int]]
-) -> tuple[bool, int]:
-    """Check bag contiguity per vertex and arc coverage; returns (ok, width)."""
-    bag_sets = [set(bag) for bag in bags]
-    width = max((len(bag) for bag in bag_sets), default=0) - 1
-    first: dict[int, int] = {}
-    last: dict[int, int] = {}
-    for idx, bag in enumerate(bag_sets):
-        for v in bag:
-            first.setdefault(v, idx)
-            last[v] = idx
-    for v in range(1, g.n + 1):
-        if v not in first:
-            return False, width
-        if any(v not in bag_sets[i] for i in range(first[v], last[v] + 1)):
-            return False, width
-    for arc in g.arcs:
-        if not any(arc.tail in bag and arc.head in bag for bag in bag_sets):
-            return False, width
-    return True, width
 
 
 def sidecar_dict(inst: GeneratedInstance) -> dict:

@@ -292,31 +292,22 @@ def build_sp_dag(g: ArcWeightedDigraph) -> SpDag:
         if dist[a.tail] is not None and dist[a.head] == dist[a.tail] + a.weight
     ]
 
-    # Vertices must be reachable from s and co-reachable to t over tight arcs.
-    fwd = {g.s}
-    stack = [g.s]
-    out_adj: dict[int, list[int]] = {}
+    # Dijkstra reaches each vertex over a tight arc, so every vertex with a
+    # distance is reachable from s over tight arcs; the live vertices are
+    # the ones that also reach t over tight arcs.  A tight arc into a live
+    # vertex has a live tail.
     in_adj: dict[int, list[int]] = {}
     for a in tight:
-        out_adj.setdefault(a.tail, []).append(a.head)
         in_adj.setdefault(a.head, []).append(a.tail)
-    while stack:
-        v = stack.pop()
-        for w in out_adj.get(v, ()):
-            if w not in fwd:
-                fwd.add(w)
-                stack.append(w)
-    bwd = {g.t}
+    alive = {g.t}
     stack = [g.t]
     while stack:
         v = stack.pop()
         for w in in_adj.get(v, ()):
-            if w not in bwd:
-                bwd.add(w)
+            if w not in alive:
+                alive.add(w)
                 stack.append(w)
-
-    alive = fwd & bwd
-    surviving = [a for a in tight if a.tail in alive and a.head in alive]
+    surviving = [a for a in tight if a.head in alive]
 
     # Positive weights make dist strictly increase along tight arcs, so
     # ordering by (dist, original id) is a topological order with s first

@@ -82,10 +82,6 @@ class SolveResult:
     seed: int
     stats: SolveStats
 
-    @property
-    def is_yes(self) -> bool:
-        return self.decision == "yes"
-
 
 def greedy_phase(dag: SpDag, k: int, d: int) -> GreedyOutcome:
     """Collect up to k paths, the i-th at distance >= THRESHOLD_BASE^(k-i) * d

@@ -66,6 +66,28 @@ def unit_chain(n_arcs: int) -> ArcWeightedDigraph:
     return parse_graph(f"p dsp {n} {n_arcs}\ns 1\nt {n}\n{arcs}")
 
 
+def parallel_routes(routes: int, length: int, diamonds: int) -> ArcWeightedDigraph:
+    """`routes` unit-weight s-t routes that share only s = 1 and t = 2.
+
+    Each route opens with `diamonds` unit diamonds in series and continues
+    as a unit chain, so each of its 2**diamonds paths has `length` arcs.
+    """
+    assert length > 2 * diamonds
+    pairs: list[tuple[int, int]] = []
+    n = 2
+    for _ in range(routes):
+        v = 1
+        for _ in range(diamonds):
+            pairs += [(v, n + 1), (v, n + 2), (n + 1, n + 3), (n + 2, n + 3)]
+            v = n = n + 3
+        for _ in range(length - 2 * diamonds - 1):
+            pairs.append((v, n + 1))
+            v = n = n + 1
+        pairs.append((v, 2))
+    arcs = tuple(Arc(i, u, v, WEIGHT_SCALE) for i, (u, v) in enumerate(pairs))
+    return ArcWeightedDigraph(n=n, arcs=arcs, s=1, t=2)
+
+
 def random_layered_dag(seed: int, max_arcs: int = 12) -> SpDag:
     """Small random shortest-path DAG, deterministic per seed."""
     rng = random.Random(seed)

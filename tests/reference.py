@@ -1,0 +1,116 @@
+"""Exact references the tests compare the package against.
+
+Each one enumerates every s-t path of a shortest-path DAG (or scans one
+pair of paths, or a whole decomposition) and answers by brute force.
+They are small and obviously correct; speed does not matter here.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from typing import Iterable, Sequence
+
+from dspaths.graph import ArcWeightedDigraph, Path, SpDag, hamming_distance
+from dspaths.oracle import _require_complete, _select_paths, enumerate_st_paths
+
+
+@dataclass(frozen=True)
+class MinimalBypass:
+    """One minimal component: its arcs and the center window it replaces."""
+
+    arcs: frozenset[int]
+    window: tuple[int, int]  # (divergence vertex, reconvergence vertex)
+
+
+def brute_farthest(
+    dag: SpDag, refs: Sequence[Path], q: int, budget: int = 10**5
+) -> Path | None:
+    """First catalog path at distance >= q from every reference path."""
+    catalog = enumerate_st_paths(dag, budget)
+    _require_complete(catalog)
+    for p in catalog.paths:
+        if all(hamming_distance(p, ref) >= q for ref in refs):
+            return p
+    return None
+
+
+def brute_ball(
+    dag: SpDag, center: Path, q: int, r: int, d: int, budget: int = 10**5
+) -> list[Path] | None:
+    """r paths within distance q of center, pairwise at distance >= d."""
+    if r == 0:
+        return []
+    catalog = enumerate_st_paths(dag, budget)
+    _require_complete(catalog)
+    ball = [
+        (p, m)
+        for p, m in zip(catalog.paths, catalog.masks)
+        if hamming_distance(p, center) <= q
+    ]
+    return _select_paths([p for p, _ in ball], [m for _, m in ball], r, d)
+
+
+def minimal_bypass_decomposition(
+    dag: SpDag, center: Path, other: Path
+) -> list[MinimalBypass]:
+    """Split center XOR other into its minimal components.
+
+    Scans both paths from s, emitting one component per maximal stretch on
+    which they differ; the union of components is the symmetric difference
+    and component windows overlap at most at their endpoint vertices.
+    """
+    if not dag.is_st_path(center) or not dag.is_st_path(other):
+        raise ValueError("both inputs must be s-t paths of the dag")
+    common = set(dag.path_vertices(center)) & set(dag.path_vertices(other))
+    components: list[MinimalBypass] = []
+    ci = oi = 0
+    v = 1
+    while v != dag.n:
+        ca, oa = center.arcs[ci], other.arcs[oi]
+        if ca == oa:
+            v = dag.arc_by_id[ca].head
+            ci += 1
+            oi += 1
+            continue
+        start = v
+        arcs: set[int] = set()
+        while True:
+            arc = dag.arc_by_id[center.arcs[ci]]
+            arcs.add(arc.id)
+            ci += 1
+            if arc.head in common:
+                end = arc.head
+                break
+        while True:
+            arc = dag.arc_by_id[other.arcs[oi]]
+            arcs.add(arc.id)
+            oi += 1
+            if arc.head in common:
+                assert arc.head == end
+                break
+        components.append(MinimalBypass(arcs=frozenset(arcs), window=(start, end)))
+        v = end
+    return components
+
+
+def validate_path_decomposition(
+    g: ArcWeightedDigraph, bags: Sequence[Iterable[int]]
+) -> tuple[bool, int]:
+    """Check bag contiguity per vertex and arc coverage; returns (ok, width)."""
+    bag_sets = [set(bag) for bag in bags]
+    width = max((len(bag) for bag in bag_sets), default=0) - 1
+    first: dict[int, int] = {}
+    last: dict[int, int] = {}
+    for idx, bag in enumerate(bag_sets):
+        for v in bag:
+            first.setdefault(v, idx)
+            last[v] = idx
+    for v in range(1, g.n + 1):
+        if v not in first:
+            return False, width
+        if any(v not in bag_sets[i] for i in range(first[v], last[v] + 1)):
+            return False, width
+    for arc in g.arcs:
+        if not any(arc.tail in bag and arc.head in bag for bag in bag_sets):
+            return False, width
+    return True, width

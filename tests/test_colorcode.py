@@ -18,7 +18,8 @@ from dspaths.colorcode import (
     select_dissimilar_color_sets,
 )
 from dspaths.graph import Path, build_sp_dag, hamming_distance, parse_graph
-from dspaths.oracle import brute_ball, enumerate_st_paths, minimal_bypass_decomposition
+from dspaths.oracle import enumerate_st_paths
+from reference import brute_ball, minimal_bypass_decomposition
 
 DIAMOND_COLORS = {0: 1, 2: 2, 1: 3, 3: 4}
 
@@ -148,7 +149,7 @@ class TestHashFamily:
 
 class TestBypassTables:
     def test_minimal_table_diamond(self, diamond_dag, upper):
-        tables = BypassTables(diamond_dag, upper, DIAMOND_COLORS, 4, 4)
+        tables = BypassTables(diamond_dag, upper, DIAMOND_COLORS, 4)
         assert tables.mbp(1, 3, mask(1, 2, 3, 4))
         others = [
             (i, j, c)
@@ -160,37 +161,37 @@ class TestBypassTables:
         assert others == []
 
     def test_minimal_empty_set_false(self, diamond_dag, upper):
-        tables = BypassTables(diamond_dag, upper, DIAMOND_COLORS, 4, 4)
+        tables = BypassTables(diamond_dag, upper, DIAMOND_COLORS, 4)
         assert not tables.mbp(1, 3, 0)
         assert not tables.mbp(1, 2, 0)
 
     def test_minimal_missing_color_false(self, diamond_dag, upper):
-        tables = BypassTables(diamond_dag, upper, DIAMOND_COLORS, 4, 4)
+        tables = BypassTables(diamond_dag, upper, DIAMOND_COLORS, 4)
         assert not tables.mbp(1, 3, mask(1, 2, 3))
 
     def test_bp_base_cases(self, diamond_dag, upper):
-        tables = BypassTables(diamond_dag, upper, DIAMOND_COLORS, 4, 4)
+        tables = BypassTables(diamond_dag, upper, DIAMOND_COLORS, 4)
         assert tables.bp(1, 0)
         assert not tables.bp(1, mask(1))
 
     def test_realizables_diamond(self, diamond_dag, upper):
-        tables = BypassTables(diamond_dag, upper, DIAMOND_COLORS, 4, 4)
+        tables = BypassTables(diamond_dag, upper, DIAMOND_COLORS, 4)
         assert tables.realizable_sets == (0, mask(1, 2, 3, 4))
 
     def test_realizables_capped_by_q(self, diamond_dag, upper):
-        tables = BypassTables(diamond_dag, upper, DIAMOND_COLORS, 4, 3)
+        tables = BypassTables(diamond_dag, upper, DIAMOND_COLORS, 3)
         assert tables.realizable_sets == (0,)
 
     def test_reconstruct_empty_is_center(self, diamond_dag, upper):
-        tables = BypassTables(diamond_dag, upper, DIAMOND_COLORS, 4, 4)
+        tables = BypassTables(diamond_dag, upper, DIAMOND_COLORS, 4)
         assert tables.reconstruct(0) == upper
 
     def test_reconstruct_full_is_lower(self, diamond_dag, upper, lower):
-        tables = BypassTables(diamond_dag, upper, DIAMOND_COLORS, 4, 4)
+        tables = BypassTables(diamond_dag, upper, DIAMOND_COLORS, 4)
         assert tables.reconstruct(mask(1, 2, 3, 4)) == lower
 
     def test_reconstruct_unrealizable_raises(self, diamond_dag, upper):
-        tables = BypassTables(diamond_dag, upper, DIAMOND_COLORS, 4, 4)
+        tables = BypassTables(diamond_dag, upper, DIAMOND_COLORS, 4)
         with pytest.raises(ValueError, match="not realizable"):
             tables.reconstruct(mask(1))
 
@@ -203,7 +204,7 @@ class TestBypassTables:
         arc_ids = sorted(a.id for a in dag.base.arcs)
         member = tuple(rng.randint(1, 5) for _ in arc_ids)
         coloring = coloring_from_member(arc_ids, member)
-        tables = BypassTables(dag, center, coloring, 5, 4)
+        tables = BypassTables(dag, center, coloring, 4)
         for c in tables.realizable_sets:
             path = tables.reconstruct(c)
             assert dag.is_st_path(path)

@@ -3,11 +3,12 @@ import random
 import pytest
 
 from conftest import random_layered_dag
-from dspaths.farthest import _labels, arc_label_vector, farthest_path
+from dspaths.farthest import _labels, farthest_path
 from dspaths.generators import gen_grid, gen_layered
 from dspaths.graph import Path, build_sp_dag, hamming_distance, parse_graph
-from dspaths.oracle import brute_farthest, enumerate_st_paths
+from dspaths.oracle import enumerate_st_paths
 from dspaths.solver import greedy_phase
+from reference import brute_farthest
 
 FORKED_TEXT = """\
 p dsp 5 5
@@ -105,23 +106,19 @@ def random_walks(dag, count, rng):
 class TestArcLabels:
     def test_in_path_window_only_self(self, diamond_dag, upper):
         # arc (a, t) is on the reference and its window holds no other ref arc
-        assert arc_label_vector(diamond_dag, [upper], 2) == (0,)
+        assert _labels(diamond_dag, [upper])[2] == (0,)
 
     def test_not_in_path_empty_window(self):
         dag = build_sp_dag(parse_graph(FORKED_TEXT))
         # arc 3 = (3, 4): its head window contains no arc of the upper route
-        assert arc_label_vector(dag, [Path((0, 2))], 3) == (1,)
+        assert _labels(dag, [Path((0, 2))])[3] == (1,)
 
     def test_window_with_foreign_ref_arc(self, diamond_dag, upper):
         # arc (b, t): window is all arcs into t, one of which is on the ref
-        assert arc_label_vector(diamond_dag, [upper], 3) == (2,)
-
-    def test_unknown_arc(self, diamond_dag, upper):
-        with pytest.raises(ValueError, match="not in dag"):
-            arc_label_vector(diamond_dag, [upper], 99)
+        assert _labels(diamond_dag, [upper])[3] == (2,)
 
     def test_multiple_refs(self, diamond_dag, upper, lower):
-        assert arc_label_vector(diamond_dag, [upper, lower], 3) == (2, 0)
+        assert _labels(diamond_dag, [upper, lower])[3] == (2, 0)
 
 
 class TestFarthestPath:

@@ -1,5 +1,6 @@
 import random
 
+import networkx as nx
 import pytest
 
 from conftest import (
@@ -8,6 +9,8 @@ from conftest import (
     raw_st_paths,
 )
 from dspaths.graph import (
+    Arc,
+    ArcWeightedDigraph,
     GraphParseError,
     NoShortestPathError,
     Path,
@@ -107,6 +110,75 @@ class TestBuildSpDag:
         assert {p.arcs for p in catalog.paths} == shortest
         for p in catalog.paths:
             assert sum(dag.arc_by_id[a].weight for a in p.arcs) == best
+
+
+def random_multidigraph(rng: random.Random) -> ArcWeightedDigraph:
+    """Up to 9 vertices with self-loops, parallel arcs of equal and of
+    different weights, dead ends, an unreachable t or s == t."""
+    n = rng.randint(2, 9)
+    arcs: list[Arc] = []
+    for _ in range(rng.randint(0, 4 * n)):
+        u, v = rng.randint(1, n), rng.randint(1, n)
+        for _ in range(rng.choice((1, 1, 1, 2))):
+            w = rng.choice((1, 1, 2, 3)) * WEIGHT_SCALE
+            arcs.append(Arc(len(arcs), u, v, w))
+    s, t = rng.sample(range(1, n + 1), 2)
+    if rng.random() < 0.05:
+        t = s
+    return ArcWeightedDigraph(n=n, arcs=tuple(arcs), s=s, t=t)
+
+
+class TestSpDagAgainstNetworkx:
+    def test_arcs_and_vertices(self):
+        # An arc (u, v, w) is in the SP-DAG exactly when
+        # ds[u] + w + dt[v] == ds[t], with ds the distances from s and dt
+        # the distances to t; the vertices are those arcs' endpoints plus
+        # s and t.
+        rng = random.Random(2402)
+        seen = dict.fromkeys(("unreachable", "s == t", "self-loop", "parallel",
+                              "dead end", "cut arc"), 0)
+        for _ in range(2000):
+            g = random_multidigraph(rng)
+            mg = nx.MultiDiGraph()
+            mg.add_nodes_from(range(1, g.n + 1))
+            for a in g.arcs:
+                mg.add_edge(a.tail, a.head, weight=a.weight)
+            ds = nx.single_source_dijkstra_path_length(mg, g.s)
+            if g.t not in ds:
+                seen["unreachable"] += 1
+                with pytest.raises(NoShortestPathError):
+                    build_sp_dag(g)
+                continue
+            dt = nx.single_source_dijkstra_path_length(mg.reverse(), g.t)
+            on = {
+                a.id
+                for a in g.arcs
+                if a.tail in ds and a.head in dt
+                and ds[a.tail] + a.weight + dt[a.head] == ds[g.t]
+            }
+            dag = build_sp_dag(g)
+            assert {a.id for a in dag.base.arcs} == on
+            kept = [a for a in g.arcs if a.id in on]
+            verts = {g.s, g.t} | {v for a in kept for v in (a.tail, a.head)}
+            assert set(dag.orig_vertex) == verts
+            assert dag.orig_vertex[0] == g.s and dag.orig_vertex[-1] == g.t
+            assert list(dag.dist) == [ds[v] for v in dag.orig_vertex]
+            for a in dag.base.arcs:
+                orig = g.arcs[a.id]
+                assert (dag.orig_vertex[a.tail - 1], dag.orig_vertex[a.head - 1]) == (
+                    orig.tail,
+                    orig.head,
+                )
+            seen["s == t"] += g.s == g.t
+            seen["self-loop"] += any(a.tail == a.head for a in g.arcs)
+            pairs = [(a.tail, a.head) for a in kept]
+            seen["parallel"] += len(set(pairs)) < len(pairs)
+            seen["dead end"] += any(v not in dt for v in ds)
+            seen["cut arc"] += any(
+                a.id not in on and a.tail in ds and ds[a.tail] + a.weight == ds[a.head]
+                for a in g.arcs
+            )
+        assert all(seen.values()), seen
 
 
 class TestHamming:

@@ -1,21 +1,20 @@
-import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_layered_dag, unit_chain
 from dspaths.generators import BinPackingInstance, gen_binpack, gen_grid
 from dspaths.graph import Path, build_sp_dag, hamming_distance, parse_graph
 from dspaths.oracle import (
     OracleBudgetError,
-    brute_ball,
-    brute_farthest,
-    brute_max_min,
     brute_solve,
     count_st_paths,
     enumerate_st_paths,
-    minimal_bypass_decomposition,
 )
+from dspaths.solver import SolveConfig, solve
+from reference import brute_ball, brute_farthest, minimal_bypass_decomposition
 
 # three diamonds in series; arcs 0..11, upper/lower choice per diamond
 CHAIN_TEXT = """\
@@ -99,26 +98,37 @@ class TestEnumerate:
     def test_diamond(self, diamond_dag):
         catalog = enumerate_st_paths(diamond_dag)
         assert [p.arcs for p in catalog.paths] == [(0, 2), (1, 3)]
-        assert catalog.count == 2 and not catalog.truncated
+        assert catalog.masks == (0b0101, 0b1010) and not catalog.truncated
 
     def test_grid(self):
         dag = build_sp_dag(gen_grid(2, 2))
         catalog = enumerate_st_paths(dag)
-        assert len(catalog.paths) == 6 and catalog.count == 6
+        assert len(catalog.paths) == 6 == count_st_paths(dag)
 
     def test_budget_truncation(self, diamond_dag):
         catalog = enumerate_st_paths(diamond_dag, budget=1)
         assert len(catalog.paths) == 1 and catalog.truncated
-        assert catalog.count == 2
+        assert catalog.masks == (0b0101,)
+        assert count_st_paths(diamond_dag) == 2
 
     def test_source_is_sink(self):
         dag = build_sp_dag(parse_graph("p dsp 2 1\ns 1\nt 1\na 1 2 1\n"))
         catalog = enumerate_st_paths(dag)
-        assert catalog.paths == (Path(()),) and catalog.count == 1
+        assert catalog.paths == (Path(()),) and catalog.masks == (0,)
+        assert count_st_paths(dag) == 1
 
     def test_count_saturates(self, chain_dag):
         assert count_st_paths(chain_dag) == 8
         assert count_st_paths(chain_dag, cap=3) == 3
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_masks_are_arc_sets(self, seed):
+        dag = random_layered_dag(seed + 8000)
+        catalog = enumerate_st_paths(dag)
+        assert len(catalog.paths) == count_st_paths(dag)
+        assert catalog.masks == tuple(
+            sum(1 << aid for aid in p.arcs) for p in catalog.paths
+        )
 
     def test_deterministic_order(self, chain_dag):
         a = enumerate_st_paths(chain_dag)
@@ -192,21 +202,19 @@ class TestBruteBall:
         assert brute_ball(diamond_dag, upper, 0, 2, 1) is None
 
 
-class TestMaxMin:
-    def test_diamond_value(self, diamond_dag):
-        assert brute_max_min(diamond_dag, 2) == 4
-
-    def test_k1_infinite(self, diamond_dag):
-        assert brute_max_min(diamond_dag, 1) == math.inf
-
-    def test_too_few_paths(self, diamond_dag):
-        assert brute_max_min(diamond_dag, 3) == -math.inf
-
-    @pytest.mark.parametrize("seed", range(15))
-    def test_antitone_in_k(self, seed):
-        dag = random_layered_dag(seed + 6000)
-        values = [brute_max_min(dag, k) for k in range(1, 5)]
-        assert all(a >= b for a, b in zip(values, values[1:]))
+class TestAntitone:
+    @settings(max_examples=100, derandomize=True, deadline=None)
+    @given(st.integers(0, 10**4), st.integers(1, 4), st.integers(1, 6))
+    def test_decisions_antitone_in_k_and_d(self, seed, k, d):
+        # A yes at (k, d) stays a yes with one path fewer or a smaller d,
+        # and the fpt pipeline says yes only where the oracle does.
+        dag = random_layered_dag(seed)
+        yes = brute_solve(dag, k, d) is not None
+        if yes:
+            assert brute_solve(dag, k - 1, d) is not None
+            assert brute_solve(dag, k, d - 1) is not None
+        fpt = solve(dag.base, k, d, SolveConfig(mode="fpt"))
+        assert fpt.decision != "yes" or yes
 
 
 class TestDecomposition:

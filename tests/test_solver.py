@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from conftest import random_layered_dag, unit_chain
+from conftest import parallel_routes, random_layered_dag, unit_chain
 from dspaths.generators import BinPackingInstance, gen_binpack, gen_layered
 from dspaths.graph import (
     Path,
@@ -148,6 +148,55 @@ class TestSolve:
         res = solve(g, k, d, FPT)
         assert res.decision == "yes" and res.stats.greedy_paths == 1
         assert [list(p.arcs) for p in res.certificate.paths] == self.BALL_CERTIFICATES[name]
+
+    # Certificates of asks on two parallel_routes that split k = 4 over
+    # both greedy balls: the compositions (0, 4) and (1, 3) fail, since a
+    # route with one diamond has two paths, and (2, 2) succeeds.  Recorded
+    # before the oracle kept arc-set masks and build_sp_dag dropped its
+    # forward search: (length, diamonds, d) -> arc lists.
+    MULTI_BALL_CERTIFICATES = {
+        (10, 1, 2): [
+            [0, 2, *range(4, 12)], [1, 3, *range(4, 12)],
+            [12, 14, *range(16, 24)], [13, 15, *range(16, 24)],
+        ],
+        (19, 1, 4): [
+            [0, 2, *range(4, 21)], [1, 3, *range(4, 21)],
+            [21, 23, *range(25, 42)], [22, 24, *range(25, 42)],
+        ],
+        (24, 2, 5): [
+            [0, 2, 4, 6, *range(8, 28)], [1, 3, 5, 7, *range(8, 28)],
+            [28, 30, 32, 34, *range(36, 56)], [29, 31, 33, 35, *range(36, 56)],
+        ],
+    }
+
+    @pytest.mark.parametrize("shape", list(MULTI_BALL_CERTIFICATES), ids=str)
+    def test_multi_ball_certificates_pinned(self, shape):
+        length, diamonds, d = shape
+        res = solve(parallel_routes(2, length, diamonds), 4, d, FPT)
+        assert res.decision == "yes"
+        assert res.stats.greedy_paths == 2 and res.stats.compositions_tried == 3
+        paths = [list(p.arcs) for p in res.certificate.paths]
+        assert paths == self.MULTI_BALL_CERTIFICATES[shape]
+
+    # (routes, length, diamonds) and the asks decided on it.  (3, 23, 1)
+    # at k=4, d=5 and (3, 27, 1) at k=5, d=2 stop the greedy phase after
+    # three paths, so the composition search spans three balls.
+    MULTI_BALL_GRID = {
+        (2, 9, 1): [(k, d) for k in (3, 4, 5) for d in range(1, 7)],
+        (2, 14, 1): [(k, d) for k in (3, 4, 5) for d in range(1, 7)],
+        (2, 16, 2): [(k, d) for k in (3, 4, 5) for d in range(1, 7)],
+        (3, 23, 1): [(4, 5)],
+        (3, 27, 1): [(5, 2)],
+    }
+
+    @pytest.mark.parametrize("shape", list(MULTI_BALL_GRID), ids=str)
+    def test_multi_ball_matches_oracle(self, shape):
+        g = parallel_routes(*shape)
+        dag = build_sp_dag(g)
+        for k, d in self.MULTI_BALL_GRID[shape]:
+            res = solve(g, k, d, FPT)
+            expected = brute_solve(dag, k, d)
+            assert (res.decision == "yes") == (expected is not None), (k, d)
 
     @pytest.mark.parametrize("seed", range(12))
     def test_ball_partition_soundness(self, seed):
