@@ -1,10 +1,13 @@
-"""Arc-coloring families and the colorful-bypass dynamic programs.
+"""Arc-coloring families, the colorful-bypass table and the ball search.
 
 A bypass is the symmetric difference of the center path with some other
-s-t path; it splits into minimal components, each a center window plus a
-detour that is internally disjoint from the center.  Coloring the arcs
-lets the tables below summarize every nearby path by the color set of its
-bypass, and r pairwise-distant color sets pull back to r pairwise-distant
+s-t path.  Charge each arc (u, v) of the other path that is not a center
+arc with itself and the center arcs whose heads lie in topological
+positions u+1..v: the charges of one path are disjoint and together make
+up its bypass, as the arc labels of ``farthest`` telescope.  Coloring the
+arcs lets one forward sweep summarize every nearby path by the color set
+of its bypass (a colorful-path DP in the style of Alon, Yuster and Zwick,
+1995), and r pairwise-distant color sets pull back to r pairwise-distant
 paths.
 
 Color sets over [num_colors] are represented as int bitmasks (color c is
@@ -14,6 +17,7 @@ bit c - 1).
 from __future__ import annotations
 
 import itertools
+import operator
 import random
 from dataclasses import dataclass
 from functools import lru_cache
@@ -128,16 +132,18 @@ def coloring_from_member(arc_ids: Sequence[int], member: Sequence[int]) -> dict[
 class BypassTables:
     """Colorful-bypass tables for one (dag, center path, coloring).
 
-    ``mbp(i, j, mask)`` decides a minimal mask-colorful bypass whose center
-    window spans positions i..j; ``bp(i, mask)`` decides any mask-colorful
-    bypass confined to the center prefix up to position i.  Only masks with
-    at most ``max_size`` colors are populated.
-
-    Every entry keeps a back-pointer to the step that first built it: the
-    smallest-id arc for a detour mask, the component (j, window, detour)
-    for a prefix mask, or None when the mask is inherited from position
-    i - 1.  ``reconstruct`` replays these pointers, so the rules for a
-    colorful bypass are applied once, while the tables are filled.
+    One forward sweep over the SP-DAG in topological order fills them.
+    A detour leaves the center at position j; its mask is the union of
+    its arcs' charges (see the module docstring).  Each vertex off the
+    center keeps its detour masks grouped by j, each mapped to the
+    smallest-id arc into the vertex that builds it.  Center position p
+    keeps the masks, with at most ``max_size`` colors, of the colorful
+    bypasses of the center prefix up to p: a mask inherited over the
+    center arc maps to None, any other to the (j, detour mask) that first
+    built it, j and then the detour mask smallest.  A detour meets the
+    prefix masks of position j only where it rejoins the center.
+    ``reconstruct`` replays these entries from t back to s, so the rules
+    for a colorful bypass are applied once, while the tables are filled.
     """
 
     def __init__(
@@ -149,159 +155,91 @@ class BypassTables:
     ):
         self.dag = dag
         self.center = center
-        self.coloring = coloring
-        self.max_size = max_size
-        self.cverts = dag.path_vertices(center)
-        if self.cverts[-1] != dag.n:
+        cverts = dag.path_vertices(center)
+        if cverts[-1] != dag.n:
             raise ValueError("center must be an s-t path")
-        self.ell = len(self.cverts)
-        self.center_set = frozenset(self.cverts)
-        self._window_masks = self._compute_window_masks()
-        self._reach = {i: self._detour_reach(i) for i in range(1, self.ell)}
-        self._detours = self._compute_detours()
-        self._bp = self._compute_bp()
+        position = {v: p for p, v in enumerate(cverts)}
 
-    # -- tables ------------------------------------------------------------
-
-    def _arc_bit(self, arc_id: int) -> int:
-        return 1 << (self.coloring[arc_id] - 1)
-
-    def _compute_window_masks(self) -> dict[tuple[int, int], int]:
-        masks: dict[tuple[int, int], int] = {}
-        for i in range(1, self.ell):
-            mask = 0
-            for p in range(i, self.ell):
-                bit = self._arc_bit(self.center.arcs[p - 1])
-                if mask & bit:
-                    break  # window not rainbow; longer ones are not either
-                mask |= bit
-                if mask.bit_count() > self.max_size:
-                    break
-                masks[(i, p + 1)] = mask
-        return masks
-
-    def _extend(
-        self, reach: dict[int, dict[int, Arc]], start: int, v: int, limit: int
-    ) -> dict[int, Arc]:
-        """Masks of colorful start->v paths with fewer than ``limit`` colors
-        (a single arc from start always counts), each mapped to the
-        smallest-id arc into v that builds it."""
-        acc: dict[int, Arc] = {}
-        for arc in self.dag.incoming[v]:
-            bit = self._arc_bit(arc.id)
-            if arc.tail == start:
-                acc.setdefault(bit, arc)
-            elif arc.tail in reach:
-                for mask in reach[arc.tail]:
-                    ext = mask | bit
-                    if ext != mask and ext.bit_count() < limit:
-                        acc.setdefault(ext, arc)
-        return acc
-
-    def _detour_reach(self, i: int) -> dict[int, dict[int, Arc]]:
-        """``_extend`` tables of every non-center v above the window start
-        c_i, for paths that avoid center vertices."""
-        start = self.cverts[i - 1]
-        reach: dict[int, dict[int, Arc]] = {}
-        for v in range(start + 1, self.dag.n + 1):
-            if v in self.center_set:
+        # xor[v] and count[v]: the colors and the number of center arcs
+        # with head <= v, so the center arcs with heads in u+1..v form a
+        # rainbow window exactly when xor[v] ^ xor[u] has count[v] -
+        # count[u] bits.
+        bits = [0] * (dag.n + 1)
+        for aid, head in zip(center.arcs, cverts[1:]):
+            bits[head] = 1 << (coloring[aid] - 1)
+        xor = list(itertools.accumulate(bits, operator.xor))
+        count = list(itertools.accumulate(int(b != 0) for b in bits))
+        on_center = set(center.arcs)
+        charges: dict[int, int] = {}
+        for a in dag.base.arcs:
+            if a.id in on_center:
                 continue
-            # a window has at least one arc, so a detour has < max_size colors
-            acc = self._extend(reach, start, v, self.max_size)
-            if acc:
-                reach[v] = acc
-        return reach
+            window = xor[a.head] ^ xor[a.tail]
+            own = 1 << (coloring[a.id] - 1)
+            if window.bit_count() == count[a.head] - count[a.tail] and not window & own:
+                charge = window | own
+                if charge.bit_count() <= max_size:
+                    charges[a.id] = charge
 
-    def _compute_detours(self) -> dict[tuple[int, int], dict[int, Arc]]:
-        detours: dict[tuple[int, int], dict[int, Arc]] = {}
-        for i in range(1, self.ell):
-            start = self.cverts[i - 1]
-            for j in range(i + 1, self.ell + 1):
-                acc = self._extend(
-                    self._reach[i], start, self.cverts[j - 1], self.max_size + (j - i)
-                )
-                if acc:
-                    detours[(i, j)] = acc
-        return detours
-
-    def mbp(self, i: int, j: int, mask: int) -> bool:
-        """Minimal mask-colorful bypass with center window i..j."""
-        if mask == 0 or mask.bit_count() > self.max_size:
-            return False
-        w = self._window_masks.get((i, j))
-        if w is None or (mask & w) != w:
-            return False
-        return (mask & ~w) in self._detours.get((i, j), ())
-
-    def _compute_bp(self) -> list[dict[int, tuple[int, int, int] | None]]:
-        bp: list[dict[int, tuple[int, int, int] | None]] = [
-            {} for _ in range(self.ell + 1)
-        ]
-        bp[1] = {0: None}
-        for pos in range(2, self.ell + 1):
-            cur = dict.fromkeys(bp[pos - 1])
-            for j in range(1, pos):
-                w = self._window_masks.get((j, pos))
-                if w is None:
+        detours: list[dict[int, dict[int, Arc]]] = [{} for _ in range(dag.n + 1)]
+        prefix: list[dict[int, tuple[int, int] | None]] = [{0: None}]
+        for v in range(2, dag.n + 1):
+            groups = detours[v]
+            for arc in dag.incoming[v]:
+                charge = charges.get(arc.id)
+                if charge is None:
                     continue
-                for detour in sorted(self._detours.get((j, pos), ())):
-                    if detour & w:
-                        continue
-                    comp = w | detour
-                    if comp.bit_count() > self.max_size:
-                        continue
-                    for rest in bp[j]:
-                        if rest & comp:
-                            continue
-                        full = rest | comp
-                        if full.bit_count() <= self.max_size:
-                            cur.setdefault(full, (j, w, detour))
-            bp[pos] = cur
-        return bp
-
-    def bp(self, i: int, mask: int) -> bool:
-        return mask in self._bp[i]
+                j = position.get(arc.tail)
+                if j is not None:
+                    groups.setdefault(j, {}).setdefault(charge, arc)
+                    continue
+                for j, masks in detours[arc.tail].items():
+                    into = groups.setdefault(j, {})
+                    for mask in masks:
+                        if not mask & charge:
+                            ext = mask | charge
+                            if ext.bit_count() <= max_size:
+                                into.setdefault(ext, arc)
+            if v not in position:
+                continue
+            cur = dict.fromkeys(prefix[-1])
+            for j in sorted(groups):
+                for detour in sorted(groups[j]):
+                    for rest in prefix[j]:
+                        if not rest & detour:
+                            full = rest | detour
+                            if full.bit_count() <= max_size:
+                                cur.setdefault(full, (j, detour))
+            prefix.append(cur)
+        self._charges, self._detours, self._prefix = charges, detours, prefix
 
     @property
     def realizable_sets(self) -> tuple[int, ...]:
-        return tuple(sorted(self._bp[self.ell], key=lambda c: (c.bit_count(), c)))
-
-    # -- reconstruction ----------------------------------------------------
+        return tuple(sorted(self._prefix[-1], key=lambda c: (c.bit_count(), c)))
 
     def reconstruct(self, mask: int) -> Path:
         """Path whose bypass against the center is mask-colorful."""
-        if mask not in self._bp[self.ell]:
+        if mask not in self._prefix[-1]:
             raise ValueError("color set is not realizable")
-        bypass_arcs: set[int] = set()
-        pos, cur = self.ell, mask
-        while cur:
-            step = self._bp[pos][cur]
+        arcs: list[int] = []
+        pos, v, cur = len(self._prefix) - 1, self.dag.n, mask
+        while pos:
+            step = self._prefix[pos][cur]
             if step is None:
-                pos -= 1
+                aid = self.center.arcs[pos - 1]
+                arcs.append(aid)
+                pos, v = pos - 1, self.dag.arc_by_id[aid].tail
                 continue
-            j, w, detour = step
-            cur &= ~(w | detour)
-            bypass_arcs.update(self.center.arcs[j - 1 : pos - 1])
-            start = self.cverts[j - 1]
-            arc = self._detours[(j, pos)][detour]
-            while arc.tail != start:
-                bypass_arcs.add(arc.id)
-                detour &= ~self._arc_bit(arc.id)
-                arc = self._reach[j][arc.tail][detour]
-            bypass_arcs.add(arc.id)
-            pos = j
-        assert len(bypass_arcs) == mask.bit_count()
-
-        path_arcs = set(self.center.arc_set) ^ bypass_arcs
-        by_tail = {self.dag.arc_by_id[aid].tail: aid for aid in path_arcs}
-        ordered: list[int] = []
-        v = 1
-        while v != self.dag.n:
-            aid = by_tail[v]
-            ordered.append(aid)
-            v = self.dag.arc_by_id[aid].head
-        result = Path(tuple(ordered))
-        assert len(result.arcs) == len(path_arcs) and self.dag.is_st_path(result)
+            pos, detour = step
+            cur ^= detour
+            while detour:
+                arc = self._detours[v][pos][detour]
+                arcs.append(arc.id)
+                detour ^= self._charges[arc.id]
+                v = arc.tail
+        result = Path(tuple(reversed(arcs)))
+        assert self.dag.is_st_path(result)
+        assert hamming_distance(self.center, result) == mask.bit_count()
         return result
 
 
@@ -498,17 +436,13 @@ def ball_search(
         if chosen is None:
             continue
         paths = [tables.reconstruct(c) for c in chosen]
-        for p, c in zip(paths, chosen):
-            assert hamming_distance(center, p) == c.bit_count() <= q
-        for i in range(r):
-            for j in range(i + 1, r):
-                assert hamming_distance(paths[i], paths[j]) >= (
-                    chosen[i] ^ chosen[j]
-                ).bit_count()
-        if all(hamming_distance(center, p) <= q for p in paths) and all(
-            hamming_distance(paths[i], paths[j]) >= d
-            for i in range(r)
-            for j in range(i + 1, r)
-        ):
+        radii = [hamming_distance(center, p) for p in paths]
+        pairs = [(i, j) for i in range(r) for j in range(i + 1, r)]
+        apart = [hamming_distance(paths[i], paths[j]) for i, j in pairs]
+        for radius, c in zip(radii, chosen):
+            assert radius == c.bit_count() <= q
+        for dist, (i, j) in zip(apart, pairs):
+            assert dist >= (chosen[i] ^ chosen[j]).bit_count()
+        if max(radii) <= q and min(apart) >= d:
             return paths
     return None

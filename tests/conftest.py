@@ -101,6 +101,22 @@ def random_layered_dag(seed: int, max_arcs: int = 12) -> SpDag:
             return dag
 
 
+def random_multidigraph(rng: random.Random) -> ArcWeightedDigraph:
+    """Up to 9 vertices with self-loops, parallel arcs of equal and of
+    different weights, dead ends, an unreachable t or s == t."""
+    n = rng.randint(2, 9)
+    arcs: list[Arc] = []
+    for _ in range(rng.randint(0, 4 * n)):
+        u, v = rng.randint(1, n), rng.randint(1, n)
+        for _ in range(rng.choice((1, 1, 1, 2))):
+            w = rng.choice((1, 1, 2, 3)) * WEIGHT_SCALE
+            arcs.append(Arc(len(arcs), u, v, w))
+    s, t = rng.sample(range(1, n + 1), 2)
+    if rng.random() < 0.05:
+        t = s
+    return ArcWeightedDigraph(n=n, arcs=tuple(arcs), s=s, t=t)
+
+
 def random_weighted_digraph(seed: int) -> ArcWeightedDigraph:
     """Random weighted digraph (cycles allowed) with t reachable from s."""
     rng = random.Random(seed)

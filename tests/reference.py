@@ -50,6 +50,22 @@ def brute_ball(
     return _select_paths([p for p, _ in ball], [m for _, m in ball], r, d)
 
 
+def brute_realizable_sets(
+    dag: SpDag, center: Path, coloring: dict[int, int], q: int, budget: int = 10**5
+) -> set[int]:
+    """Color sets of the colorful bypasses P XOR center with at most q
+    colors, over every s-t path P."""
+    catalog = enumerate_st_paths(dag, budget)
+    _require_complete(catalog)
+    sets = set()
+    for p in catalog.paths:
+        bypass = center.arc_set ^ p.arc_set
+        colors = {coloring[aid] for aid in bypass}
+        if len(colors) == len(bypass) <= q:
+            sets.add(sum(1 << (c - 1) for c in colors))
+    return sets
+
+
 def minimal_bypass_decomposition(
     dag: SpDag, center: Path, other: Path
 ) -> list[MinimalBypass]:

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_layered_dag
+from conftest import random_layered_dag, random_multidigraph
 from dspaths import colorcode
 from dspaths.colorcode import (
     EXHAUSTIVE,
@@ -17,9 +17,16 @@ from dspaths.colorcode import (
     coloring_from_member,
     select_dissimilar_color_sets,
 )
-from dspaths.graph import Path, build_sp_dag, hamming_distance, parse_graph
+from dspaths.generators import BinPackingInstance, gen_binpack, gen_grid
+from dspaths.graph import (
+    NoShortestPathError,
+    Path,
+    build_sp_dag,
+    hamming_distance,
+    parse_graph,
+)
 from dspaths.oracle import enumerate_st_paths
-from reference import brute_ball, minimal_bypass_decomposition
+from reference import brute_ball, brute_realizable_sets, minimal_bypass_decomposition
 
 DIAMOND_COLORS = {0: 1, 2: 2, 1: 3, 3: 4}
 
@@ -147,33 +154,48 @@ class TestHashFamily:
             build_hash_family(3, 4)
 
 
+def _multidigraph_dags(count):
+    rng = random.Random(2402)
+    dags = []
+    while len(dags) < count:
+        try:
+            dags.append(build_sp_dag(random_multidigraph(rng)))
+        except NoShortestPathError:
+            pass
+    return dags
+
+
+def _binpack_dag(items):
+    inst = BinPackingInstance(items=items, bins=2, capacity=sum(items) // 2)
+    return build_sp_dag(gen_binpack(inst).graph)
+
+
+BRUTE_FORCE_DAGS = {
+    "layered": lambda: [random_layered_dag(seed, max_arcs=20) for seed in range(12)],
+    "grid": lambda: [build_sp_dag(gen_grid(w, h)) for w, h in ((1, 4), (2, 3), (3, 3))],
+    "binpack": lambda: [_binpack_dag(items) for items in ((1, 1), (1, 1, 2), (1, 2, 3))],
+    "multidigraph": lambda: _multidigraph_dags(60),
+}
+
+
+def check_against_brute_force(dag, center, coloring, q):
+    """The realizable sets are the brute-force ones, in (size, mask)
+    order, and each reconstructs to a path whose bypass has exactly
+    those colors."""
+    tables = BypassTables(dag, center, coloring, q)
+    expected = brute_realizable_sets(dag, center, coloring, q)
+    assert tables.realizable_sets == tuple(
+        sorted(expected, key=lambda c: (c.bit_count(), c))
+    ), q
+    for c in tables.realizable_sets:
+        path = tables.reconstruct(c)
+        assert dag.is_st_path(path)
+        bypass = center.arc_set ^ path.arc_set
+        colors = [coloring[aid] for aid in bypass]
+        assert len(set(colors)) == len(colors) and mask(*colors) == c
+
+
 class TestBypassTables:
-    def test_minimal_table_diamond(self, diamond_dag, upper):
-        tables = BypassTables(diamond_dag, upper, DIAMOND_COLORS, 4)
-        assert tables.mbp(1, 3, mask(1, 2, 3, 4))
-        others = [
-            (i, j, c)
-            for i in range(1, tables.ell)
-            for j in range(i + 1, tables.ell + 1)
-            for c in range(1 << 4)
-            if (i, j, c) != (1, 3, mask(1, 2, 3, 4)) and tables.mbp(i, j, c)
-        ]
-        assert others == []
-
-    def test_minimal_empty_set_false(self, diamond_dag, upper):
-        tables = BypassTables(diamond_dag, upper, DIAMOND_COLORS, 4)
-        assert not tables.mbp(1, 3, 0)
-        assert not tables.mbp(1, 2, 0)
-
-    def test_minimal_missing_color_false(self, diamond_dag, upper):
-        tables = BypassTables(diamond_dag, upper, DIAMOND_COLORS, 4)
-        assert not tables.mbp(1, 3, mask(1, 2, 3))
-
-    def test_bp_base_cases(self, diamond_dag, upper):
-        tables = BypassTables(diamond_dag, upper, DIAMOND_COLORS, 4)
-        assert tables.bp(1, 0)
-        assert not tables.bp(1, mask(1))
-
     def test_realizables_diamond(self, diamond_dag, upper):
         tables = BypassTables(diamond_dag, upper, DIAMOND_COLORS, 4)
         assert tables.realizable_sets == (0, mask(1, 2, 3, 4))
@@ -194,6 +216,42 @@ class TestBypassTables:
         tables = BypassTables(diamond_dag, upper, DIAMOND_COLORS, 4)
         with pytest.raises(ValueError, match="not realizable"):
             tables.reconstruct(mask(1))
+
+    def test_center_must_be_st_path(self, diamond_dag):
+        with pytest.raises(ValueError, match="center must be an s-t path"):
+            BypassTables(diamond_dag, Path((0,)), DIAMOND_COLORS, 4)
+
+    def test_diamond_matches_brute_force(self, diamond_dag, upper, lower):
+        for center in (upper, lower):
+            for q in range(6):
+                check_against_brute_force(diamond_dag, center, DIAMOND_COLORS, q)
+
+    @pytest.mark.parametrize("kind", sorted(BRUTE_FORCE_DAGS))
+    def test_realizable_sets_match_brute_force(self, kind):
+        # Identity colorings and 2- and 5-color ones (so that center
+        # windows are not always rainbow), q from 0 to past twice the path
+        # length, in steps of 5 on paths of 8 arcs or more.
+        seen = {"s == t": 0, "parallel": 0, "not rainbow": 0}
+        for idx, dag in enumerate(BRUTE_FORCE_DAGS[kind]()):
+            rng = random.Random(idx)
+            paths = enumerate_st_paths(dag).paths
+            arc_ids = sorted(a.id for a in dag.base.arcs)
+            seen["s == t"] += dag.n == 1
+            seen["parallel"] += len({(a.tail, a.head) for a in dag.base.arcs}) < len(arc_ids)
+            for center in rng.sample(paths, min(2, len(paths))):
+                members = [tuple(range(1, len(arc_ids) + 1))]
+                members += [
+                    tuple(rng.randint(1, colors) for _ in arc_ids) for colors in (2, 5)
+                ]
+                for member in members:
+                    coloring = coloring_from_member(arc_ids, member)
+                    seen["not rainbow"] += len({coloring[a] for a in center.arcs}) < len(center)
+                    for q in range(0, 2 * len(center) + 2, 1 if len(center) < 8 else 5):
+                        check_against_brute_force(dag, center, coloring, q)
+        if kind == "multidigraph":
+            assert all(seen.values()), seen
+        else:
+            assert seen["not rainbow"], seen
 
     @pytest.mark.parametrize("seed", range(25))
     def test_reconstruct_all_realizables_on_grids(self, seed):

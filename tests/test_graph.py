@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import networkx as nx
@@ -5,12 +6,11 @@ import pytest
 
 from conftest import (
     DIAMOND_TEXT,
+    random_multidigraph,
     random_weighted_digraph,
     raw_st_paths,
 )
 from dspaths.graph import (
-    Arc,
-    ArcWeightedDigraph,
     GraphParseError,
     NoShortestPathError,
     Path,
@@ -72,6 +72,14 @@ class TestParse:
 
     def test_round_trip(self, diamond):
         assert parse_graph(format_graph(diamond)) == diamond
+        # Parallel arcs, self-loops and s == t, with weights from one
+        # scaled unit (0.000001) up to 10**13 units.
+        rng = random.Random(14376)
+        for _ in range(2000):
+            g = random_multidigraph(rng)
+            arcs = tuple(a._replace(weight=rng.randint(1, 10**13)) for a in g.arcs)
+            g = dataclasses.replace(g, arcs=arcs)
+            assert parse_graph(format_graph(g)) == g
 
     def test_graph_hash_stable(self, diamond):
         assert graph_hash(diamond) == graph_hash(parse_graph(DIAMOND_TEXT))
@@ -110,22 +118,6 @@ class TestBuildSpDag:
         assert {p.arcs for p in catalog.paths} == shortest
         for p in catalog.paths:
             assert sum(dag.arc_by_id[a].weight for a in p.arcs) == best
-
-
-def random_multidigraph(rng: random.Random) -> ArcWeightedDigraph:
-    """Up to 9 vertices with self-loops, parallel arcs of equal and of
-    different weights, dead ends, an unreachable t or s == t."""
-    n = rng.randint(2, 9)
-    arcs: list[Arc] = []
-    for _ in range(rng.randint(0, 4 * n)):
-        u, v = rng.randint(1, n), rng.randint(1, n)
-        for _ in range(rng.choice((1, 1, 1, 2))):
-            w = rng.choice((1, 1, 2, 3)) * WEIGHT_SCALE
-            arcs.append(Arc(len(arcs), u, v, w))
-    s, t = rng.sample(range(1, n + 1), 2)
-    if rng.random() < 0.05:
-        t = s
-    return ArcWeightedDigraph(n=n, arcs=tuple(arcs), s=s, t=t)
 
 
 class TestSpDagAgainstNetworkx:
