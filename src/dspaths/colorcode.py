@@ -248,8 +248,10 @@ class BypassTables:
 # random masks of 30-112 bits, the bit-parallel rows were about 5x slower
 # at n = 64, 3x slower at n = 256, 1.4x faster at n = 1,024 and 3x faster
 # from n = 4,096 on.  The rule sits above that crossover, so that the ball
-# search's lists (up to 1,024 masks on the benchmark's bin-packing rows,
-# where the two measured from even to 20% apart) keep the loop.
+# search's lists (up to 1,024 masks on the benchmark's bin-packing rows)
+# keep the loop.  With those lists handed over largest first, the
+# (1,1,1,1)/2 call of 1,024 sets takes about 11 ms with the loop and 13 ms
+# bit-parallel, so a rule at 1,024 would not pay.
 _SLICED_ROWS_MIN = 2048
 
 # _BIT_DIGITS[t] is a translate table that maps a byte to the digit "1"
@@ -417,6 +419,13 @@ def ball_search(
     feasible selection; every returned list is re-verified against both
     conditions.  None means no family member yields a selection (exact for
     verified families, probabilistic for seeded ones).
+
+    The selection kernel is given the realizable sets largest first (size
+    and then mask descending).  A set's size is its path's distance from
+    the center, and two sets of sizes a and b are at most a + b apart, so
+    the large sets are the likely members of a d-apart r-subset and the
+    first one lies early in that order.  Whether a selection exists does
+    not depend on the order; only which one is returned does.
     """
     if r == 0:
         return []
@@ -432,7 +441,7 @@ def ball_search(
     for member in family.members:
         coloring = coloring_from_member(arc_ids, member)
         tables = BypassTables(dag, center, coloring, q)
-        chosen = select_dissimilar_color_sets(tables.realizable_sets, r, d)
+        chosen = select_dissimilar_color_sets(tables.realizable_sets[::-1], r, d)
         if chosen is None:
             continue
         paths = [tables.reconstruct(c) for c in chosen]

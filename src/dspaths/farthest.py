@@ -121,19 +121,29 @@ def _check_prefix_decomposition(
     labels: dict[int, Vector],
     path: Path,
 ) -> bool:
-    """Debug check: prefix distances telescope through the arc labels."""
-    ref_heads = []
-    for ref in refs:
-        ref_heads.append({dag.arc_by_id[aid].head: aid for aid in ref.arcs})
-    prefix: set[int] = set()
-    prev_dist = [0] * len(refs)
-    for aid in path.arcs:
-        head = dag.arc_by_id[aid].head
-        prefix.add(aid)
-        for k, heads in enumerate(ref_heads):
-            ref_prefix = {a for h, a in heads.items() if h <= head}
-            d = len(prefix ^ ref_prefix)
-            if d != prev_dist[k] + labels[aid][k]:
+    """Debug check: prefix distances telescope through the arc labels.
+
+    After each path arc (u, v), the distance to reference k is the size
+    of the symmetric difference of the path's prefix and the reference's
+    arcs with head <= v.  Each reference is walked in path order beside
+    the path, and that size is kept as arcs join either prefix, so the
+    check is linear in the path and reference lengths.
+    """
+    arc_by_id = dag.arc_by_id
+    for k, ref in enumerate(refs):
+        mine: set[int] = set()
+        theirs: set[int] = set()
+        nxt = dist = prev = 0
+        for aid in path.arcs:
+            v = arc_by_id[aid].head
+            mine.add(aid)
+            dist += -1 if aid in theirs else 1
+            while nxt < len(ref.arcs) and arc_by_id[ref.arcs[nxt]].head <= v:
+                other = ref.arcs[nxt]
+                theirs.add(other)
+                dist += -1 if other in mine else 1
+                nxt += 1
+            if dist != prev + labels[aid][k]:
                 return False
-            prev_dist[k] = d
+            prev = dist
     return True

@@ -4,7 +4,8 @@ It enumerates every s-t path of a shortest-path DAG, each with its
 arc-set mask, and decides an instance over that catalog.  The selection
 step, k paths whose arc sets are pairwise >= d apart, is the same kernel
 the ball search uses (``colorcode.select_dissimilar_color_sets``) run on
-the paths' masks, so a certificate is the first k paths in catalog order
+the paths' masks.  The kernel is given the catalog farthest first from its
+first path, so a certificate is the first k paths in that far-first order
 that are pairwise >= d apart.  Exactness matters here; speed is
 secondary.
 """
@@ -89,7 +90,7 @@ def _require_complete(catalog: PathCatalog) -> None:
 def _select_paths(
     paths: Sequence[Path], masks: Sequence[int], k: int, d: int
 ) -> list[Path] | None:
-    """First k paths in catalog order pairwise >= d apart, via the kernel.
+    """First k paths in the order given pairwise >= d apart, via the kernel.
 
     Distinct s-t paths of a DAG have distinct arc sets, so mapping each
     chosen mask back to its path is one-to-one.
@@ -106,10 +107,24 @@ def brute_solve(
 ) -> list[Path] | None:
     """k shortest paths pairwise at distance >= d, or None.
 
-    At d = 0 paths need not be distinct, so any s-t path answers yes.
+    The answer is the first k paths pairwise >= d apart in far-first
+    order: the catalog stably sorted by descending distance from its first
+    path, the lexicographically smallest one (also the greedy phase's
+    first path).  Far paths are the likely members of a d-apart set, so
+    the kernel finds one early; whether one exists does not depend on the
+    order.  At d = 0 paths need not be distinct, so any s-t path answers
+    yes.
     """
     if k == 0:
         return []
     catalog = enumerate_st_paths(dag, budget)
     _require_complete(catalog)
-    return _select_paths(catalog.paths, catalog.masks, k, d)
+    first = catalog.masks[0]
+    order = sorted(
+        range(len(catalog.masks)),
+        key=lambda i: (catalog.masks[i] ^ first).bit_count(),
+        reverse=True,
+    )
+    return _select_paths(
+        [catalog.paths[i] for i in order], [catalog.masks[i] for i in order], k, d
+    )

@@ -1,8 +1,10 @@
 """Exact references the tests compare the package against.
 
 Each one enumerates every s-t path of a shortest-path DAG (or scans one
-pair of paths, or a whole decomposition) and answers by brute force.
-They are small and obviously correct; speed does not matter here.
+pair of paths, or a whole decomposition) and answers by brute force;
+``reference_select`` is the selection search with every row built by a
+per-pair loop.  They are small and obviously correct; speed does not
+matter here.
 """
 
 from __future__ import annotations
@@ -48,6 +50,52 @@ def brute_ball(
         if hamming_distance(p, center) <= q
     ]
     return _select_paths([p for p, _ in ball], [m for _, m in ball], r, d)
+
+
+def reference_select(masks: Sequence[int], r: int, d: int) -> list[int] | None:
+    """The selection kernel with every row built by a per-pair loop: the
+    bitset branch and bound that the bit-parallel rows must reproduce.
+    It returns the first r-subset in the order given, so it also pins the
+    order in which the ball search and the oracle hand over candidates."""
+    if r == 0:
+        return []
+    if not masks:
+        return None
+    if d == 0 or r == 1:
+        return [masks[0]] * r
+    n = len(masks)
+    rows = {}
+    chosen = []
+
+    def row(i):
+        bits = rows.get(i)
+        if bits is None:
+            mi = masks[i]
+            bits = 0
+            for j in range(i + 1, n):
+                if (mi ^ masks[j]).bit_count() >= d:
+                    bits |= 1 << j
+            rows[i] = bits
+        return bits
+
+    def extend(cand):
+        if len(chosen) == r:
+            return True
+        while cand:
+            if len(chosen) + cand.bit_count() < r:
+                return False
+            low = cand & -cand
+            cand ^= low
+            i = low.bit_length() - 1
+            chosen.append(i)
+            if extend(cand & row(i)):
+                return True
+            chosen.pop()
+        return False
+
+    if not extend((1 << n) - 1):
+        return None
+    return [masks[i] for i in chosen]
 
 
 def brute_realizable_sets(

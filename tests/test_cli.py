@@ -1,4 +1,7 @@
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -13,8 +16,12 @@ from dspaths.cli import (
     EXIT_YES,
     run_cli,
 )
-from dspaths.graph import parse_graph
+from dspaths.generators import BinPackingInstance, gen_binpack
+from dspaths.graph import format_graph, parse_graph
 from dspaths.solver import SolveResult, SolveStats
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 @pytest.fixture
@@ -96,3 +103,24 @@ def test_gen_round_trip(tmp_path, args):
     if args[0] == "binpack":
         argv = ["solve", "-g", str(graph), "-k", str(k), "-d", str(d)]
         assert run_cli(argv) == EXIT_YES
+
+
+def test_six_item_binpack_row_in_reach(tmp_path):
+    # (1,1,1,1,1,1) in 2 bins at its own ask, k = 4 and d = 42: the ball
+    # search selects from 16,384 realizable sets, largest first.  It takes
+    # about 1.5 s; smallest first it ran past a minute.
+    inst = gen_binpack(BinPackingInstance(items=(1,) * 6, bins=2, capacity=3))
+    graph, cert = tmp_path / "g.txt", tmp_path / "cert.json"
+    graph.write_text(format_graph(inst.graph))
+    k, d = str(inst.ask_k), str(inst.ask_d)
+    argv = ["solve", "--mode", "fpt", "-g", str(graph), "-k", k, "-d", d, "--json", str(cert)]
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1]); "
+        "from dspaths.cli import run_cli; sys.exit(run_cli(sys.argv[2:]))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code, str(SRC), *argv],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == EXIT_YES, proc.stderr
+    assert run_cli(["verify", "-g", str(graph), "-c", str(cert), "-k", k, "-d", d]) == EXIT_YES

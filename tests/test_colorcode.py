@@ -17,7 +17,7 @@ from dspaths.colorcode import (
     coloring_from_member,
     select_dissimilar_color_sets,
 )
-from dspaths.generators import BinPackingInstance, gen_binpack, gen_grid
+from dspaths.generators import BinPackingInstance, gen_binpack, gen_grid, gen_layered
 from dspaths.graph import (
     NoShortestPathError,
     Path,
@@ -26,7 +26,12 @@ from dspaths.graph import (
     parse_graph,
 )
 from dspaths.oracle import enumerate_st_paths
-from reference import brute_ball, brute_realizable_sets, minimal_bypass_decomposition
+from reference import (
+    brute_ball,
+    brute_realizable_sets,
+    minimal_bypass_decomposition,
+    reference_select,
+)
 
 DIAMOND_COLORS = {0: 1, 2: 2, 1: 3, 3: 4}
 
@@ -36,50 +41,6 @@ def mask(*colors):
     for c in colors:
         out |= 1 << (c - 1)
     return out
-
-
-def reference_select(masks, r, d):
-    """The selection kernel with every row built by a per-pair loop: the
-    bitset branch and bound that the bit-parallel rows must reproduce."""
-    if r == 0:
-        return []
-    if not masks:
-        return None
-    if d == 0 or r == 1:
-        return [masks[0]] * r
-    n = len(masks)
-    rows = {}
-    chosen = []
-
-    def row(i):
-        bits = rows.get(i)
-        if bits is None:
-            mi = masks[i]
-            bits = 0
-            for j in range(i + 1, n):
-                if (mi ^ masks[j]).bit_count() >= d:
-                    bits |= 1 << j
-            rows[i] = bits
-        return bits
-
-    def extend(cand):
-        if len(chosen) == r:
-            return True
-        while cand:
-            if len(chosen) + cand.bit_count() < r:
-                return False
-            low = cand & -cand
-            cand ^= low
-            i = low.bit_length() - 1
-            chosen.append(i)
-            if extend(cand & row(i)):
-                return True
-            chosen.pop()
-        return False
-
-    if not extend((1 << n) - 1):
-        return None
-    return [masks[i] for i in chosen]
 
 
 def random_selection_case(rng):
@@ -412,3 +373,39 @@ class TestBallSearch:
     def test_deterministic(self, diamond_dag, upper):
         runs = [ball_search(diamond_dag, upper, 4, 2, 4) for _ in range(3)]
         assert runs[0] == runs[1] == runs[2]
+
+    ORDER_DAGS = {
+        "layered": lambda: [build_sp_dag(gen_layered(4, 4, 0.6, seed)) for seed in range(1, 13)],
+        "grid": lambda: [build_sp_dag(gen_grid(w, h)) for w, h in ((2, 3), (3, 3), (4, 4))],
+        "binpack": lambda: [_binpack_dag(items) for items in ((1, 1, 2), (1, 2, 3))],
+    }
+
+    @pytest.mark.parametrize("kind", sorted(ORDER_DAGS))
+    def test_largest_sets_first(self, kind):
+        # The paths returned are those of the kernel's first selection
+        # over the realizable sets largest first, for the first family
+        # member that has one.  Smallest first picks other sets on some
+        # of these asks, so the order is what is tested.
+        other_sets = 0
+        for idx, dag in enumerate(self.ORDER_DAGS[kind]()):
+            rng = random.Random(idx)
+            paths = enumerate_st_paths(dag).paths
+            arc_ids = sorted(a.id for a in dag.base.arcs)
+            m = len(arc_ids)
+            for _ in range(4):
+                center = rng.choice(paths)
+                q = rng.randint(1, 2 * len(center.arcs))
+                r = rng.randint(2, 4)
+                d = rng.randint(1, q)
+                expected = None
+                for member in build_hash_family(m, min(q * r, m)).members:
+                    coloring = coloring_from_member(arc_ids, member)
+                    tables = BypassTables(dag, center, coloring, q)
+                    sets = tables.realizable_sets
+                    chosen = reference_select(sets[::-1], r, d)
+                    if chosen is not None:
+                        expected = [tables.reconstruct(c) for c in chosen]
+                        other_sets += set(chosen) != set(reference_select(sets, r, d))
+                        break
+                assert ball_search(dag, center, q, r, d) == expected, (idx, q, r, d)
+        assert other_sets

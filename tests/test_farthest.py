@@ -3,7 +3,7 @@ import random
 import pytest
 
 from conftest import random_layered_dag
-from dspaths.farthest import _labels, farthest_path
+from dspaths.farthest import _check_prefix_decomposition, _labels, farthest_path
 from dspaths.generators import gen_grid, gen_layered
 from dspaths.graph import Path, build_sp_dag, hamming_distance, parse_graph
 from dspaths.oracle import enumerate_st_paths
@@ -119,6 +119,33 @@ class TestArcLabels:
 
     def test_multiple_refs(self, diamond_dag, upper, lower):
         assert _labels(diamond_dag, [upper, lower])[3] == (2, 0)
+
+
+class TestPrefixCheck:
+    @pytest.mark.parametrize("seed", range(20))
+    def test_label_off_by_one_fails(self, seed):
+        # The check passes on the true labels and fails when one component
+        # of one path arc's label is one too high or one too low.  Layered
+        # DAGs, and random walks on a 6x6 grid, share arcs with the path.
+        rng = random.Random(seed)
+        if seed % 2:
+            dag = random_layered_dag(seed + 6000, max_arcs=20)
+            paths = enumerate_st_paths(dag).paths
+            refs = [rng.choice(paths) for _ in range(rng.randint(1, 3))]
+            path = rng.choice(paths)
+        else:
+            dag = build_sp_dag(gen_grid(6, 6))
+            refs = random_walks(dag, rng.randint(1, 3), rng)
+            path = random_walks(dag, 1, rng)[0]
+        labels = _labels(dag, refs)
+        assert _check_prefix_decomposition(dag, refs, labels, path)
+        for aid in path.arcs:
+            for k in range(len(refs)):
+                for delta in (-1, 1):
+                    off = list(labels[aid])
+                    off[k] += delta
+                    wrong = {**labels, aid: tuple(off)}
+                    assert not _check_prefix_decomposition(dag, refs, wrong, path)
 
 
 class TestFarthestPath:

@@ -14,7 +14,12 @@ from dspaths.oracle import (
     enumerate_st_paths,
 )
 from dspaths.solver import SolveConfig, solve
-from reference import brute_ball, brute_farthest, minimal_bypass_decomposition
+from reference import (
+    brute_ball,
+    brute_farthest,
+    minimal_bypass_decomposition,
+    reference_select,
+)
 
 # three diamonds in series; arcs 0..11, upper/lower choice per diamond
 CHAIN_TEXT = """\
@@ -40,9 +45,10 @@ def _binpack(items, bins):
     return gen_binpack(BinPackingInstance(items, bins, sum(items) // bins)).graph
 
 
-# Certificates recorded while every selection row was built by a per-pair
-# loop: (graph, k, d, path count, arc lists).  The first and last catalogs
-# are past the kernel's size rule, so their rows are built bit-parallel.
+# Certificates recorded once the oracle handed the kernel its catalog far
+# first: (graph, k, d, path count, arc lists).  The first and last
+# catalogs are past the kernel's size rule, so their rows are built
+# bit-parallel.
 ORACLE_PINNED = {
     "binpack111_3": (
         lambda: _binpack((1, 1, 1), 3),
@@ -50,12 +56,12 @@ ORACLE_PINNED = {
         24,
         10125,
         [
-            [0, 1, 6, 7, 12, 13, 18, 19, 24, 25, 34, 35, 44, 45],
-            [0, 1, 8, 9, 14, 15, 20, 21, 26, 27, 36, 37, 46, 47],
-            [2, 3, 6, 7, 14, 15, 22, 23, 28, 29, 38, 39, 48, 49],
-            [2, 3, 10, 11, 16, 17, 18, 19, 26, 27, 40, 41, 50, 51],
-            [4, 5, 8, 9, 16, 17, 22, 23, 30, 31, 34, 35, 52, 53],
-            [4, 5, 10, 11, 12, 13, 20, 21, 32, 33, 42, 43, 48, 49],
+            [2, 3, 8, 9, 14, 15, 20, 21, 26, 27, 36, 37, 46, 47],
+            [2, 3, 10, 11, 16, 17, 22, 23, 28, 29, 38, 39, 48, 49],
+            [4, 5, 6, 7, 14, 15, 22, 23, 30, 31, 40, 41, 50, 51],
+            [0, 1, 8, 9, 16, 17, 18, 19, 30, 31, 42, 43, 52, 53],
+            [4, 5, 10, 11, 12, 13, 18, 19, 32, 33, 34, 35, 46, 47],
+            [0, 1, 6, 7, 12, 13, 20, 21, 24, 25, 38, 39, 44, 45],
         ],
     ),
     "binpack1111_2": (
@@ -64,14 +70,14 @@ ORACLE_PINNED = {
         40,
         1024,
         [
-            [2, 0, 1, 3, 10, 8, 9, 11, 18, 16, 17, 19,
-             32, 30, 31, 33, 53, 52, 54, 55, 67, 66, 68, 69],
-            [2, 0, 1, 3, 14, 12, 13, 15, 25, 24, 26, 27,
-             39, 38, 40, 41, 46, 44, 45, 47, 60, 58, 59, 61],
-            [6, 4, 5, 7, 10, 8, 9, 11, 25, 24, 28, 29,
-             39, 38, 42, 43, 50, 48, 49, 51, 64, 62, 63, 65],
             [6, 4, 5, 7, 14, 12, 13, 15, 22, 20, 21, 23,
-             36, 34, 35, 37, 53, 52, 56, 57, 67, 66, 70, 71],
+             36, 34, 35, 37, 53, 52, 54, 55, 67, 66, 68, 69],
+            [2, 0, 1, 3, 14, 12, 13, 15, 25, 24, 26, 27,
+             39, 38, 40, 41, 50, 48, 49, 51, 64, 62, 63, 65],
+            [6, 4, 5, 7, 10, 8, 9, 11, 25, 24, 28, 29,
+             39, 38, 42, 43, 46, 44, 45, 47, 60, 58, 59, 61],
+            [2, 0, 1, 3, 10, 8, 9, 11, 18, 16, 17, 19,
+             32, 30, 31, 33, 53, 52, 56, 57, 67, 66, 70, 71],
         ],
     ),
     "grid7": (
@@ -80,10 +86,10 @@ ORACLE_PINNED = {
         6,
         3432,
         [
-            [0, 2, 4, 6, 8, 10, 12, 14, 29, 44, 59, 74, 89, 104],
-            [0, 2, 4, 6, 8, 10, 13, 28, 42, 44, 59, 74, 89, 104],
-            [0, 2, 4, 6, 8, 10, 13, 28, 43, 58, 72, 74, 89, 104],
-            [0, 2, 4, 6, 8, 10, 13, 28, 43, 58, 73, 88, 102, 104],
+            [1, 15, 17, 19, 21, 23, 25, 28, 43, 58, 73, 88, 103, 111],
+            [1, 15, 17, 19, 21, 23, 26, 41, 55, 58, 73, 88, 103, 111],
+            [1, 15, 17, 19, 21, 23, 26, 41, 56, 71, 85, 88, 103, 111],
+            [1, 15, 17, 19, 21, 23, 26, 41, 56, 71, 86, 101, 110, 111],
         ],
     ),
 }
@@ -173,6 +179,39 @@ class TestBruteSolve:
         found = brute_solve(dag, k, d)
         assert found is not None
         assert [list(p.arcs) for p in found] == expected
+
+    FAR_FIRST_DAGS = {
+        "layered": lambda: [random_layered_dag(seed + 9000, max_arcs=20) for seed in range(20)],
+        "grid": lambda: [build_sp_dag(gen_grid(w, h)) for w, h in ((2, 2), (3, 3), (4, 3))],
+        "binpack": lambda: [
+            build_sp_dag(_binpack(items, 2)) for items in ((1, 1, 2), (1, 2, 3), (1, 1, 1, 1))
+        ],
+    }
+
+    @pytest.mark.parametrize("kind", sorted(FAR_FIRST_DAGS))
+    def test_far_first_order(self, kind):
+        # The answer is the kernel's first selection over the catalog
+        # stably sorted by descending distance from its first path.
+        # Catalog order picks other paths on some of these asks, so the
+        # order is what is tested.
+        other_paths = 0
+        for idx, dag in enumerate(self.FAR_FIRST_DAGS[kind]()):
+            rng = random.Random(idx)
+            catalog = enumerate_st_paths(dag)
+            by_mask = dict(zip(catalog.masks, catalog.paths))
+            first = catalog.masks[0]
+            far_first = sorted(catalog.masks, key=lambda m: -(m ^ first).bit_count())
+            length = len(catalog.paths[0].arcs)
+            for _ in range(4):
+                k = rng.randint(2, 4)
+                d = rng.randint(1, 2 * length)
+                chosen = reference_select(far_first, k, d)
+                expected = None if chosen is None else [by_mask[m] for m in chosen]
+                assert brute_solve(dag, k, d) == expected, (idx, k, d)
+                if chosen is not None:
+                    in_catalog_order = reference_select(catalog.masks, k, d)
+                    other_paths += set(chosen) != set(in_catalog_order)
+        assert other_paths
 
     def test_binpack_222_2_no(self):
         # (2, 2, 2) does not pack into two bins of 3: no 4 paths 48 apart

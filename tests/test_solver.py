@@ -2,6 +2,8 @@ import json
 import random
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from conftest import parallel_routes, random_layered_dag, unit_chain
 from dspaths.generators import BinPackingInstance, gen_binpack, gen_layered
@@ -121,21 +123,22 @@ class TestSolve:
     # (the greedy phase stops after one path): bin-packing (1,2,3) in 2
     # bins at its own ask, colored by the identity; gen_layered(4, 4, 0.6, s)
     # at k=3, d=4 with the identity (s=0, m=14) and a seeded family
-    # (s=7, m=34).  Any change to the tables, the selection order or the
-    # reconstruction shows here.
+    # (s=7, m=34).  Recorded once the ball search gave the kernel its
+    # realizable sets largest first.  Any change to the tables, the
+    # selection order or the reconstruction shows here.
     BALL_CERTIFICATES = {
         "binpack": [
-            [4, 0, 1, 2, 3, 5, 16, 12, 13, 14, 15, 17, 28, 24, 25, 26, 27, 29,
-             50, 46, 47, 48, 49, 51, 70, 66, 67, 68, 69, 71],
-            [10, 6, 7, 8, 9, 11, 22, 18, 19, 20, 21, 23, 34, 30, 31, 32, 33, 35,
-             56, 52, 53, 54, 55, 57, 70, 66, 67, 68, 69, 71],
-            [10, 6, 7, 8, 9, 11, 16, 12, 13, 14, 15, 17, 37, 36, 40, 38, 39, 41,
-             61, 58, 59, 60, 62, 63, 76, 72, 73, 74, 75, 77],
-            [4, 0, 1, 2, 3, 5, 22, 18, 19, 20, 21, 23, 37, 36, 44, 42, 43, 45,
+            [10, 6, 7, 8, 9, 11, 22, 18, 19, 20, 21, 23, 37, 36, 44, 42, 43, 45,
              61, 58, 59, 60, 64, 65, 82, 78, 79, 80, 81, 83],
+            [4, 0, 1, 2, 3, 5, 22, 18, 19, 20, 21, 23, 34, 30, 31, 32, 33, 35,
+             56, 52, 53, 54, 55, 57, 76, 72, 73, 74, 75, 77],
+            [10, 6, 7, 8, 9, 11, 16, 12, 13, 14, 15, 17, 28, 24, 25, 26, 27, 29,
+             50, 46, 47, 48, 49, 51, 76, 72, 73, 74, 75, 77],
+            [4, 0, 1, 2, 3, 5, 16, 12, 13, 14, 15, 17, 37, 36, 40, 38, 39, 41,
+             61, 58, 59, 60, 62, 63, 70, 66, 67, 68, 69, 71],
         ],
-        "layered0": [[0, 8, 10, 18, 28], [0, 9, 15, 18, 28], [0, 9, 16, 22, 27]],
-        "layered7": [[0, 3, 16, 31, 38], [1, 7, 16, 31, 38], [0, 6, 25, 31, 38]],
+        "layered0": [[0, 9, 16, 23, 29], [0, 9, 17, 25, 27], [0, 9, 16, 22, 27]],
+        "layered7": [[2, 14, 21, 29, 39], [2, 14, 21, 30, 40], [1, 8, 20, 35, 39]],
     }
 
     @pytest.mark.parametrize("name", sorted(BALL_CERTIFICATES))
@@ -152,20 +155,20 @@ class TestSolve:
     # Certificates of asks on two parallel_routes that split k = 4 over
     # both greedy balls: the compositions (0, 4) and (1, 3) fail, since a
     # route with one diamond has two paths, and (2, 2) succeeds.  Recorded
-    # before the oracle kept arc-set masks and build_sp_dag dropped its
-    # forward search: (length, diamonds, d) -> arc lists.
+    # once the ball search took its largest sets first, so each ball gives
+    # its far path before its center: (length, diamonds, d) -> arc lists.
     MULTI_BALL_CERTIFICATES = {
         (10, 1, 2): [
-            [0, 2, *range(4, 12)], [1, 3, *range(4, 12)],
-            [12, 14, *range(16, 24)], [13, 15, *range(16, 24)],
+            [1, 3, *range(4, 12)], [0, 2, *range(4, 12)],
+            [13, 15, *range(16, 24)], [12, 14, *range(16, 24)],
         ],
         (19, 1, 4): [
-            [0, 2, *range(4, 21)], [1, 3, *range(4, 21)],
-            [21, 23, *range(25, 42)], [22, 24, *range(25, 42)],
+            [1, 3, *range(4, 21)], [0, 2, *range(4, 21)],
+            [22, 24, *range(25, 42)], [21, 23, *range(25, 42)],
         ],
         (24, 2, 5): [
-            [0, 2, 4, 6, *range(8, 28)], [1, 3, 5, 7, *range(8, 28)],
-            [28, 30, 32, 34, *range(36, 56)], [29, 31, 33, 35, *range(36, 56)],
+            [1, 3, 5, 7, *range(8, 28)], [0, 2, 4, 6, *range(8, 28)],
+            [29, 31, 33, 35, *range(36, 56)], [28, 30, 32, 34, *range(36, 56)],
         ],
     }
 
@@ -246,6 +249,60 @@ class TestSolve:
             doc["stats"]["elapsed_ms"] = 0
             docs.append(json.dumps(doc, sort_keys=True))
         assert docs[0] == docs[1]
+
+
+# (layers, width, seed, k, d) asks on gen_layered(layers, width, 0.6, seed),
+# with d up to one past the largest distance two paths can have.
+LAYERED_ASKS = st.integers(3, 5).flatmap(
+    lambda layers: st.tuples(
+        st.just(layers),
+        st.integers(3, 5),
+        st.integers(0, 10**6),
+        st.integers(2, 5),
+        st.integers(1, 2 * layers + 3),
+    )
+)
+
+
+def layered_ask(case):
+    """The graph and ask of a LAYERED_ASKS case whose SP-DAG has more than
+    16 arcs, so the ball search colors with the identity or a seeded
+    family, never an exhaustive one."""
+    layers, width, seed, k, d = case
+    g = gen_layered(layers, width, 0.6, seed)
+    dag = build_sp_dag(g)
+    assume(dag.base.m > 16)
+    return g, dag, k, d
+
+
+class TestProperties:
+    @settings(max_examples=100, derandomize=True, deadline=None)
+    @given(LAYERED_ASKS)
+    def test_certificates_verify_and_solves_repeat(self, case):
+        g, _, k, d = layered_ask(case)
+        for mode in ("fpt", "oracle"):
+            docs = []
+            for _ in range(2):
+                res = solve(g, k, d, SolveConfig(mode=mode))
+                if res.decision == "yes":
+                    ok, report = verify_certificate(g, res.certificate, k, d)
+                    assert ok, (mode, report)
+                doc = result_to_json_dict(res, k, d)
+                doc["stats"]["elapsed_ms"] = 0
+                docs.append(json.dumps(doc, indent=2))
+            assert docs[0] == docs[1], mode
+
+    @settings(max_examples=100, derandomize=True, deadline=None)
+    @given(LAYERED_ASKS)
+    def test_fpt_agrees_with_oracle(self, case):
+        # A definite fpt answer is the oracle's; a hedged one is a no.
+        g, dag, k, d = layered_ask(case)
+        decision = solve(g, k, d, FPT).decision
+        exists = brute_solve(dag, k, d) is not None
+        if decision == "probabilistic_no":
+            assert not exists
+        else:
+            assert (decision == "yes") == exists
 
 
 class TestHybrid:
