@@ -10,12 +10,35 @@ reaches a demand vector gamma <= q exactly when one of its maximal sums
 is >= gamma in every component.  This is the multicriteria labeling
 method (Hansen 1980; Martins 1984).  Results are deterministic: traceback
 prefers the smallest arc id.
+
+Every capped vector is held as one int of r fields, w bits each, with
+w = (2q).bit_length() + 1 (SIMD within a register, Lamport 1975).
+Reference 0 sits in the most significant field, so int order is the
+lexicographic order of the vectors.  Each label component is capped at q
+before it is packed, which changes no capped sum.  A stored field is then
+at most q, and the sum of a field and a label at most 2q < 2**(w-1): the
+top bit of every field, its guard bit, stays clear, and no field carries
+into the next.  With H the guard bit of every field, CAP = q in every
+field and FIELD = 2**w - 1:
+
+- saturating add, min(q, x + l) in every field:
+  ``s = x + l; s ^= (s ^ CAP) & (((((s | H) - CAP) & H) >> (w-1)) * FIELD)``.
+  The guard bit of ``(s | H) - CAP`` survives exactly in the fields where
+  s >= q, and those fields are replaced by q.
+- dominance, a >= b in every field: ``((a | H) - b) & H == H``.
+- saturating subtract, max(0, g - l) in every field:
+  ``t = (g | H) - l; t & ((t & H) - ((t & H) >> (w-1)))`` keeps the
+  fields whose guard bit survived, without it, and zeroes the rest.
+
+In each subtraction every field of the minuend, guard bit set, is at
+least 2**(w-1) and every field of the subtrahend is smaller, so no field
+borrows from the next.
 """
 
 from __future__ import annotations
 
-from itertools import accumulate, repeat
-from operator import add
+from bisect import bisect_left
+from itertools import accumulate
 from typing import Sequence
 
 from .graph import Path, SpDag
@@ -23,8 +46,9 @@ from .graph import Path, SpDag
 Vector = tuple[int, ...]
 
 
-def _labels(dag: SpDag, refs: Sequence[Path]) -> dict[int, Vector]:
-    """Label vectors of every arc, from one prefix count of reference-arc
+def _label_columns(dag: SpDag, refs: Sequence[Path]) -> list[list[int]]:
+    """Label components of every arc, one column per reference in the
+    order of ``dag.base.arcs``, from one prefix count of reference-arc
     heads per reference.
 
     For arc e = (v_i, v_j), component k is the size of the symmetric
@@ -40,18 +64,26 @@ def _labels(dag: SpDag, refs: Sequence[Path]) -> dict[int, Vector]:
         cnt = list(accumulate(heads))
         mem = ref.arc_set
         columns.append(
-            [cnt[a.head] - cnt[a.tail] + (-1 if a.id in mem else 1) for a in arcs]
+            [cnt[h] - cnt[t] + (-1 if aid in mem else 1) for aid, t, h, _ in arcs]
         )
-    rows = zip(*columns) if columns else repeat(())
-    return {a.id: row for a, row in zip(arcs, rows)}
+    return columns
 
 
-def _maximal(vectors: list[Vector]) -> list[Vector]:
-    """The nondominated vectors.  In descending lexicographic order no
-    vector is dominated by a later one, so one scan suffices."""
-    kept: list[Vector] = []
+def _labels(dag: SpDag, refs: Sequence[Path]) -> dict[int, Vector]:
+    """Uncapped label vectors of every arc, by arc id."""
+    columns = _label_columns(dag, refs)
+    return {
+        a.id: tuple(col[i] for col in columns) for i, a in enumerate(dag.base.arcs)
+    }
+
+
+def _maximal(vectors: list[int], guard: int) -> list[int]:
+    """The nondominated packed vectors.  In descending int order, which
+    is descending lexicographic order, no vector is dominated by a later
+    one, so one scan suffices."""
+    kept: list[int] = []
     for vec in sorted(set(vectors), reverse=True):
-        if not any(all(k >= x for k, x in zip(top, vec)) for top in kept):
+        if not any(((top | guard) - vec) & guard == guard for top in kept):
             kept.append(vec)
     return kept
 
@@ -76,21 +108,42 @@ def farthest_path(dag: SpDag, refs: Sequence[Path], q: int) -> Path | None:
     if r == 0 or q == 0:
         return _lex_smallest_path(dag)
 
-    labels = _labels(dag, refs)
-    cap = (q,) * r
-    front: list[list[Vector]] = [[] for _ in range(dag.n + 1)]
-    front[1] = [(0,) * r]
-    for v in range(2, dag.n + 1):
-        # componentwise min(q, x + l) over every arc into v and every
-        # maximal sum at its tail
-        front[v] = _maximal([
-            tuple(map(min, map(add, vec, labels[arc.id]), cap))
-            for arc in dag.incoming[v]
-            for vec in front[arc.tail]
-        ])
+    columns = _label_columns(dag, refs)
+    ids = [a.id for a in dag.base.arcs]
+    w = (2 * q).bit_length() + 1
+    shift = w - 1
+    lows = sum(1 << (w * k) for k in range(r))
+    guard = lows << shift
+    cap = lows * q
+    field = (1 << w) - 1
+    packed = [0] * len(ids)
+    for col in columns:  # reference 0 ends up in the top field
+        packed = [(p << w) | (c if c < q else q) for p, c in zip(packed, col)]
+    label = dict(zip(ids, packed))
 
-    def reaches(v: int, gamma: Vector) -> bool:
-        return any(all(x >= g for x, g in zip(vec, gamma)) for vec in front[v])
+    front: list[list[int]] = [[] for _ in range(dag.n + 1)]
+    front[1] = [0]
+    incoming = dag.incoming
+    for v in range(2, dag.n + 1):
+        sums = []
+        for aid, tail, _, _ in incoming[v]:
+            lab = label[aid]
+            for x in front[tail]:
+                s = x + lab
+                s ^= (s ^ cap) & (((((s | guard) - cap) & guard) >> shift) * field)
+                sums.append(s)
+        if len(sums) == 2:
+            # two candidates, the common case in grids: no sort needed
+            a, b = sums
+            if a < b:
+                a, b = b, a
+            sums = [a] if ((a | guard) - b) & guard == guard else [a, b]
+        elif len(sums) > 2:
+            sums = _maximal(sums, guard)
+        front[v] = sums
+
+    def reaches(v: int, gamma: int) -> bool:
+        return any(((x | guard) - gamma) & guard == guard for x in front[v])
 
     if not reaches(dag.n, cap):
         return None
@@ -99,18 +152,23 @@ def farthest_path(dag: SpDag, refs: Sequence[Path], q: int) -> Path | None:
     arcs_rev: list[int] = []
     v, gamma = dag.n, cap
     while v != 1:
-        for arc in dag.incoming[v]:
-            lab = labels[arc.id]
-            prev = tuple(max(0, g - l) for g, l in zip(gamma, lab))
-            if reaches(arc.tail, prev):
-                arcs_rev.append(arc.id)
-                v, gamma = arc.tail, prev
+        for aid, tail, _, _ in incoming[v]:
+            t = (gamma | guard) - label[aid]
+            kept = t & guard
+            prev = t & (kept - (kept >> shift))
+            if reaches(tail, prev):
+                arcs_rev.append(aid)
+                v, gamma = tail, prev
                 break
         else:  # pragma: no cover - the DP guarantees a predecessor
             raise AssertionError("traceback failed")
     path = Path(tuple(reversed(arcs_rev)))
 
-    assert _check_prefix_decomposition(dag, refs, labels, path)
+    # ids ascend, so bisect finds a path arc's place in the columns
+    path_labels = {
+        aid: tuple(col[bisect_left(ids, aid)] for col in columns) for aid in path.arcs
+    }
+    assert _check_prefix_decomposition(dag, refs, path_labels, path)
     assert all(len(path.arc_set ^ ref.arc_set) >= q for ref in refs)
     return path
 

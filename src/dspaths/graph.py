@@ -52,21 +52,6 @@ class ArcWeightedDigraph:
     def m(self) -> int:
         return len(self.arcs)
 
-    def validate(self) -> None:
-        if self.n < 1:
-            raise ValueError("vertex count must be positive")
-        if not (1 <= self.s <= self.n and 1 <= self.t <= self.n):
-            raise ValueError("terminal out of range")
-        seen = set()
-        for arc in self.arcs:
-            if arc.weight <= 0:
-                raise ValueError(f"arc {arc.id}: non-positive weight")
-            if not (1 <= arc.tail <= self.n and 1 <= arc.head <= self.n):
-                raise ValueError(f"arc {arc.id}: endpoint out of range")
-            if arc.id in seen:
-                raise ValueError(f"duplicate arc id {arc.id}")
-            seen.add(arc.id)
-
 
 @dataclass(frozen=True)
 class Path:
@@ -101,20 +86,22 @@ def parse_graph(source: str | Iterable[str]) -> ArcWeightedDigraph:
     Lines: ``p dsp <n> <m>`` header (first non-comment line, exactly once),
     ``s <id>`` and ``t <id>`` terminals (exactly once each), and exactly m
     ``a <tail> <head> <weight>`` arc lines.  ``#`` starts a comment.
+    Every rule on counts, ids and weights is checked here, with the line
+    that breaks it.
     """
     lines = source.splitlines() if isinstance(source, str) else source
     n = m = None
     s = t = None
     arcs: list[Arc] = []
+    weights: dict[str, int] = {}  # weight tokens already parsed and positive
 
     def fail(lineno: int, msg: str) -> GraphParseError:
         return GraphParseError(f"line {lineno}: {msg}")
 
     for lineno, raw in enumerate(lines, start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+        fields = raw.split("#", 1)[0].split()
+        if not fields:
             continue
-        fields = line.split()
         kind = fields[0]
         if n is None and kind != "p":
             raise fail(lineno, "expected 'p dsp <n> <m>' header first")
@@ -155,12 +142,15 @@ def parse_graph(source: str | Iterable[str]) -> ArcWeightedDigraph:
                 raise fail(lineno, "malformed arc line") from None
             if not (1 <= tail <= n and 1 <= head <= n):
                 raise fail(lineno, "vertex id out of range")
-            try:
-                weight = _parse_weight(fields[3])
-            except ValueError as exc:
-                raise fail(lineno, str(exc)) from None
-            if weight <= 0:
-                raise fail(lineno, "non-positive weight")
+            weight = weights.get(fields[3])
+            if weight is None:
+                try:
+                    weight = _parse_weight(fields[3])
+                except ValueError as exc:
+                    raise fail(lineno, str(exc)) from None
+                if weight <= 0:
+                    raise fail(lineno, "non-positive weight")
+                weights[fields[3]] = weight
             if len(arcs) >= m:
                 raise fail(lineno, f"more than {m} arc lines")
             arcs.append(Arc(len(arcs), tail, head, weight))
@@ -173,9 +163,7 @@ def parse_graph(source: str | Iterable[str]) -> ArcWeightedDigraph:
         raise GraphParseError("missing 's' or 't' line")
     if len(arcs) != m:
         raise GraphParseError(f"expected {m} arcs, found {len(arcs)}")
-    g = ArcWeightedDigraph(n=n, arcs=tuple(arcs), s=s, t=t)
-    g.validate()
-    return g
+    return ArcWeightedDigraph(n=n, arcs=tuple(arcs), s=s, t=t)
 
 
 def format_weight(scaled: int) -> str:
@@ -208,6 +196,8 @@ class SpDag:
     t = n, the unique source and sink); ``orig_vertex`` maps back to the
     input numbering.  Arc ids are the original input ids, so Hamming
     distances and certificates are expressed in terms of the input file.
+    ``base.arcs`` is in ascending id order, and so is each tuple of
+    ``incoming`` and ``outgoing``.
     """
 
     base: ArcWeightedDigraph
@@ -227,14 +217,14 @@ class SpDag:
         inc: list[list[Arc]] = [[] for _ in range(self.n + 1)]
         for a in self.base.arcs:
             inc[a.head].append(a)
-        return tuple(tuple(sorted(l, key=lambda a: a.id)) for l in inc)
+        return tuple(map(tuple, inc))
 
     @cached_property
     def outgoing(self) -> tuple[tuple[Arc, ...], ...]:
         out: list[list[Arc]] = [[] for _ in range(self.n + 1)]
         for a in self.base.arcs:
             out[a.tail].append(a)
-        return tuple(tuple(sorted(l, key=lambda a: a.id)) for l in out)
+        return tuple(map(tuple, out))
 
     def path_vertices(self, p: Path) -> list[int]:
         """Vertex sequence of a path starting at s; raises if arcs do not chain."""

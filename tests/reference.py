@@ -3,15 +3,18 @@
 Each one enumerates every s-t path of a shortest-path DAG (or scans one
 pair of paths, or a whole decomposition) and answers by brute force;
 ``reference_select`` is the selection search with every row built by a
-per-pair loop.  They are small and obviously correct; speed does not
-matter here.
+per-pair loop, and ``reference_farthest_path`` is the farthest-path DP
+with each capped label sum held as a tuple.  They are small and
+obviously correct; speed does not matter here.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import add
 from typing import Iterable, Sequence
 
+from dspaths.farthest import _labels, _lex_smallest_path
 from dspaths.graph import ArcWeightedDigraph, Path, SpDag, hamming_distance
 from dspaths.oracle import _require_complete, _select_paths, enumerate_st_paths
 
@@ -34,6 +37,55 @@ def brute_farthest(
         if all(hamming_distance(p, ref) >= q for ref in refs):
             return p
     return None
+
+
+def _maximal_tuples(vectors: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
+    """The nondominated vectors.  In descending lexicographic order no
+    vector is dominated by a later one, so one scan suffices."""
+    kept: list[tuple[int, ...]] = []
+    for vec in sorted(set(vectors), reverse=True):
+        if not any(all(k >= x for k, x in zip(top, vec)) for top in kept):
+            kept.append(vec)
+    return kept
+
+
+def reference_farthest_path(
+    dag: SpDag, refs: Sequence[Path], q: int
+) -> Path | None:
+    """The farthest-path DP on label tuples: the same fronts, traceback
+    and tie-breaking as ``farthest_path``, with no packed arithmetic."""
+    r = len(refs)
+    if r == 0 or q == 0:
+        return _lex_smallest_path(dag)
+
+    labels = _labels(dag, refs)
+    cap = (q,) * r
+    front: list[list[tuple[int, ...]]] = [[] for _ in range(dag.n + 1)]
+    front[1] = [(0,) * r]
+    for v in range(2, dag.n + 1):
+        front[v] = _maximal_tuples([
+            tuple(map(min, map(add, vec, labels[arc.id]), cap))
+            for arc in dag.incoming[v]
+            for vec in front[arc.tail]
+        ])
+
+    def reaches(v, gamma):
+        return any(all(x >= g for x, g in zip(vec, gamma)) for vec in front[v])
+
+    if not reaches(dag.n, cap):
+        return None
+    arcs_rev = []
+    v, gamma = dag.n, cap
+    while v != 1:
+        for arc in dag.incoming[v]:
+            prev = tuple(max(0, g - l) for g, l in zip(gamma, labels[arc.id]))
+            if reaches(arc.tail, prev):
+                arcs_rev.append(arc.id)
+                v, gamma = arc.tail, prev
+                break
+        else:
+            raise AssertionError("traceback failed")
+    return Path(tuple(reversed(arcs_rev)))
 
 
 def brute_ball(

@@ -1,14 +1,24 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_layered_dag
 from dspaths.farthest import _check_prefix_decomposition, _labels, farthest_path
 from dspaths.generators import gen_grid, gen_layered
-from dspaths.graph import Path, build_sp_dag, hamming_distance, parse_graph
+from dspaths.graph import (
+    WEIGHT_SCALE,
+    Arc,
+    ArcWeightedDigraph,
+    Path,
+    build_sp_dag,
+    hamming_distance,
+    parse_graph,
+)
 from dspaths.oracle import enumerate_st_paths
 from dspaths.solver import greedy_phase
-from reference import brute_farthest
+from reference import brute_farthest, reference_farthest_path
 
 FORKED_TEXT = """\
 p dsp 5 5
@@ -101,6 +111,32 @@ def random_walks(dag, count, rng):
             v = arc.head
         walks.append(Path(tuple(arcs)))
     return walks
+
+
+def diamond_pair(span):
+    """Two diamonds in series.  Each joins its ends by a chain of span unit
+    arcs and by one arc of weight span.  Returns the graph and, per
+    diamond, the chain's arc ids and the long arc's id in a tuple."""
+    arcs = []
+    sides = []
+    for base in (1, 1 + span):
+        chain = tuple(range(len(arcs), len(arcs) + span))
+        arcs += [Arc(i, base + j, base + j + 1, WEIGHT_SCALE)
+                 for j, i in enumerate(chain)]
+        arcs.append(Arc(len(arcs), base, base + span, span * WEIGHT_SCALE))
+        sides.append((chain, (arcs[-1].id,)))
+    g = ArcWeightedDigraph(n=2 * span + 1, arcs=tuple(arcs), s=1, t=2 * span + 1)
+    return g, sides
+
+
+# Layered DAGs and grids, r references drawn as random walks.
+FARTHEST_ASKS = st.tuples(
+    st.booleans(),
+    st.integers(1, 7),
+    st.integers(1, 7),
+    st.integers(0, 10**6),
+    st.integers(1, 5),
+)
 
 
 class TestArcLabels:
@@ -236,3 +272,38 @@ class TestFarthestPath:
         assert found is not None and dag.is_st_path(found)
         assert min(hamming_distance(found, ref) for ref in refs) >= 58
         assert farthest_path(dag, refs, 59) is None
+
+
+class TestAgainstTupleDp:
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    @given(FARTHEST_ASKS)
+    def test_same_path_as_reference(self, case):
+        # q runs from 0 to 2L+1, past the largest distance two paths have.
+        grid, a, b, seed, r = case
+        g = gen_grid(a, b) if grid else gen_layered(a, b, 0.5, seed)
+        dag = build_sp_dag(g)
+        refs = random_walks(dag, r, random.Random(seed))
+        for q in range(2 * len(refs[0]) + 2):
+            assert farthest_path(dag, refs, q) == reference_farthest_path(
+                dag, refs, q
+            )
+
+    @pytest.mark.parametrize("q", [1, 2, 4, 32, 64])
+    def test_field_width_edge(self, q):
+        # 2q is a power of two, so a field has no bit to spare: a capped sum
+        # reaches 2q on the far path, whose long arcs have labels of 8q + 1,
+        # far above 2q.  Five references leave only that path: each other
+        # path shares a whole side with some reference.
+        g, ((chain1, long1), (chain2, long2)) = diamond_pair(8 * q)
+        dag = build_sp_dag(g)
+        refs = [
+            Path(chain1 + chain2),
+            Path(long1 + chain2),
+            Path(chain1 + long2),
+            Path(chain1 + chain2),
+            Path(long1 + chain2),
+        ]
+        far = Path(long1 + long2)
+        assert max(_labels(dag, refs)[long2[0]]) == 8 * q + 1
+        assert farthest_path(dag, refs, q) == far
+        assert reference_farthest_path(dag, refs, q) == far

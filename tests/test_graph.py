@@ -66,6 +66,19 @@ class TestParse:
         assert fragment in str(exc.value)
         assert "line" in str(exc.value)
 
+    @pytest.mark.parametrize(
+        "bad,fragment", [("0", "non-positive"), ("1.1234567", "bad weight")]
+    )
+    def test_bad_weight_after_good_names_its_line(self, bad, fragment):
+        # Parsed weights are remembered per token; a bad token is not, and
+        # reports the line it is on.
+        text = f"p dsp 2 3\ns 1\nt 2\na 1 2 1\na 1 2 1\na 1 2 {bad}\n"
+        with pytest.raises(GraphParseError, match=f"^line 6: {fragment}"):
+            parse_graph(text)
+        text = f"p dsp 2 3\ns 1\nt 2\na 1 2 {bad}\na 1 2 {bad}\na 1 2 1\n"
+        with pytest.raises(GraphParseError, match=f"^line 4: {fragment}"):
+            parse_graph(text)
+
     def test_missing_arcs(self):
         with pytest.raises(GraphParseError, match="expected 2 arcs"):
             parse_graph("p dsp 2 2\ns 1\nt 2\na 1 2 1\n")
@@ -150,6 +163,11 @@ class TestSpDagAgainstNetworkx:
             }
             dag = build_sp_dag(g)
             assert {a.id for a in dag.base.arcs} == on
+            # base.arcs ascends by id, so incoming and outgoing need no sort
+            ids = [a.id for a in dag.base.arcs]
+            assert ids == sorted(ids)
+            for arcs in dag.incoming + dag.outgoing:
+                assert list(arcs) == sorted(arcs, key=lambda a: a.id)
             kept = [a for a in g.arcs if a.id in on]
             verts = {g.s, g.t} | {v for a in kept for v in (a.tail, a.head)}
             assert set(dag.orig_vertex) == verts
