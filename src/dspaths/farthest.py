@@ -37,7 +37,6 @@ borrows from the next.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from itertools import accumulate
 from typing import Sequence
 
@@ -69,14 +68,6 @@ def _label_columns(dag: SpDag, refs: Sequence[Path]) -> list[list[int]]:
     return columns
 
 
-def _labels(dag: SpDag, refs: Sequence[Path]) -> dict[int, Vector]:
-    """Uncapped label vectors of every arc, by arc id."""
-    columns = _label_columns(dag, refs)
-    return {
-        a.id: tuple(col[i] for col in columns) for i, a in enumerate(dag.base.arcs)
-    }
-
-
 def _maximal(vectors: list[int], guard: int) -> list[int]:
     """The nondominated packed vectors.  In descending int order, which
     is descending lexicographic order, no vector is dominated by a later
@@ -102,10 +93,10 @@ def _lex_smallest_path(dag: SpDag) -> Path:
 
 def farthest_path(dag: SpDag, refs: Sequence[Path], q: int) -> Path | None:
     """Return a shortest path at distance >= q from every reference path,
-    or None if none exists.
+    or None if none exists.  Every path meets a q <= 0.
     """
     r = len(refs)
-    if r == 0 or q == 0:
+    if r == 0 or q <= 0:
         return _lex_smallest_path(dag)
 
     columns = _label_columns(dag, refs)
@@ -132,13 +123,7 @@ def farthest_path(dag: SpDag, refs: Sequence[Path], q: int) -> Path | None:
                 s = x + lab
                 s ^= (s ^ cap) & (((((s | guard) - cap) & guard) >> shift) * field)
                 sums.append(s)
-        if len(sums) == 2:
-            # two candidates, the common case in grids: no sort needed
-            a, b = sums
-            if a < b:
-                a, b = b, a
-            sums = [a] if ((a | guard) - b) & guard == guard else [a, b]
-        elif len(sums) > 2:
+        if len(sums) > 1:
             sums = _maximal(sums, guard)
         front[v] = sums
 
@@ -164,11 +149,16 @@ def farthest_path(dag: SpDag, refs: Sequence[Path], q: int) -> Path | None:
             raise AssertionError("traceback failed")
     path = Path(tuple(reversed(arcs_rev)))
 
-    # ids ascend, so bisect finds a path arc's place in the columns
-    path_labels = {
-        aid: tuple(col[bisect_left(ids, aid)] for col in columns) for aid in path.arcs
-    }
-    assert _check_prefix_decomposition(dag, refs, path_labels, path)
+    assert _check_prefix_decomposition(
+        dag,
+        refs,
+        {
+            aid: tuple(col[i] for col in columns)
+            for i, aid in enumerate(ids)
+            if aid in path.arc_set
+        },
+        path,
+    )
     assert all(len(path.arc_set ^ ref.arc_set) >= q for ref in refs)
     return path
 

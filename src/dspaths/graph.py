@@ -93,7 +93,6 @@ def parse_graph(source: str | Iterable[str]) -> ArcWeightedDigraph:
     n = m = None
     s = t = None
     arcs: list[Arc] = []
-    weights: dict[str, int] = {}  # weight tokens already parsed and positive
 
     def fail(lineno: int, msg: str) -> GraphParseError:
         return GraphParseError(f"line {lineno}: {msg}")
@@ -142,15 +141,12 @@ def parse_graph(source: str | Iterable[str]) -> ArcWeightedDigraph:
                 raise fail(lineno, "malformed arc line") from None
             if not (1 <= tail <= n and 1 <= head <= n):
                 raise fail(lineno, "vertex id out of range")
-            weight = weights.get(fields[3])
-            if weight is None:
-                try:
-                    weight = _parse_weight(fields[3])
-                except ValueError as exc:
-                    raise fail(lineno, str(exc)) from None
-                if weight <= 0:
-                    raise fail(lineno, "non-positive weight")
-                weights[fields[3]] = weight
+            try:
+                weight = _parse_weight(fields[3])
+            except ValueError as exc:
+                raise fail(lineno, str(exc)) from None
+            if weight <= 0:
+                raise fail(lineno, "non-positive weight")
             if len(arcs) >= m:
                 raise fail(lineno, f"more than {m} arc lines")
             arcs.append(Arc(len(arcs), tail, head, weight))

@@ -141,6 +141,8 @@ def solve(
     degrades to "probabilistic_no" only if some failing ball search had to
     fall back to a seeded coloring family.
     """
+    if k < 0 or d < 0:
+        raise ValueError("k and d must be nonnegative")
     cfg = cfg or SolveConfig()
     cfg.validate()
     start = time.monotonic()

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from operator import add
 from typing import Iterable, Sequence
 
-from dspaths.farthest import _labels, _lex_smallest_path
+from dspaths.farthest import _label_columns, _lex_smallest_path
 from dspaths.graph import ArcWeightedDigraph, Path, SpDag, hamming_distance
 from dspaths.oracle import _require_complete, _select_paths, enumerate_st_paths
 
@@ -49,16 +49,24 @@ def _maximal_tuples(vectors: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
     return kept
 
 
+def arc_labels(dag: SpDag, refs: Sequence[Path]) -> dict[int, tuple[int, ...]]:
+    """Uncapped label vectors of every arc, by arc id."""
+    columns = _label_columns(dag, refs)
+    return {
+        a.id: tuple(col[i] for col in columns) for i, a in enumerate(dag.base.arcs)
+    }
+
+
 def reference_farthest_path(
     dag: SpDag, refs: Sequence[Path], q: int
 ) -> Path | None:
     """The farthest-path DP on label tuples: the same fronts, traceback
     and tie-breaking as ``farthest_path``, with no packed arithmetic."""
     r = len(refs)
-    if r == 0 or q == 0:
+    if r == 0 or q <= 0:
         return _lex_smallest_path(dag)
 
-    labels = _labels(dag, refs)
+    labels = arc_labels(dag, refs)
     cap = (q,) * r
     front: list[list[tuple[int, ...]]] = [[] for _ in range(dag.n + 1)]
     front[1] = [(0,) * r]

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_layered_dag
-from dspaths.farthest import _check_prefix_decomposition, _labels, farthest_path
+from dspaths.farthest import _check_prefix_decomposition, farthest_path
 from dspaths.generators import gen_grid, gen_layered
 from dspaths.graph import (
     WEIGHT_SCALE,
@@ -18,7 +18,7 @@ from dspaths.graph import (
 )
 from dspaths.oracle import enumerate_st_paths
 from dspaths.solver import greedy_phase
-from reference import brute_farthest, reference_farthest_path
+from reference import arc_labels, brute_farthest, reference_farthest_path
 
 FORKED_TEXT = """\
 p dsp 5 5
@@ -35,7 +35,7 @@ a 4 5 1
 def unclamped_reference(dag, refs, q):
     """The demand DP with the strict convention: any negative residual
     demand makes a state false.  Used to show what clamping fixes."""
-    labels = _labels(dag, refs)
+    labels = arc_labels(dag, refs)
     memo = {}
 
     def rec(v, gamma):
@@ -142,19 +142,19 @@ FARTHEST_ASKS = st.tuples(
 class TestArcLabels:
     def test_in_path_window_only_self(self, diamond_dag, upper):
         # arc (a, t) is on the reference and its window holds no other ref arc
-        assert _labels(diamond_dag, [upper])[2] == (0,)
+        assert arc_labels(diamond_dag, [upper])[2] == (0,)
 
     def test_not_in_path_empty_window(self):
         dag = build_sp_dag(parse_graph(FORKED_TEXT))
         # arc 3 = (3, 4): its head window contains no arc of the upper route
-        assert _labels(dag, [Path((0, 2))])[3] == (1,)
+        assert arc_labels(dag, [Path((0, 2))])[3] == (1,)
 
     def test_window_with_foreign_ref_arc(self, diamond_dag, upper):
         # arc (b, t): window is all arcs into t, one of which is on the ref
-        assert _labels(diamond_dag, [upper])[3] == (2,)
+        assert arc_labels(diamond_dag, [upper])[3] == (2,)
 
     def test_multiple_refs(self, diamond_dag, upper, lower):
-        assert _labels(diamond_dag, [upper, lower])[3] == (2, 0)
+        assert arc_labels(diamond_dag, [upper, lower])[3] == (2, 0)
 
 
 class TestPrefixCheck:
@@ -173,7 +173,7 @@ class TestPrefixCheck:
             dag = build_sp_dag(gen_grid(6, 6))
             refs = random_walks(dag, rng.randint(1, 3), rng)
             path = random_walks(dag, 1, rng)[0]
-        labels = _labels(dag, refs)
+        labels = arc_labels(dag, refs)
         assert _check_prefix_decomposition(dag, refs, labels, path)
         for aid in path.arcs:
             for k in range(len(refs)):
@@ -193,6 +193,12 @@ class TestFarthestPath:
         only = Path((0, 1))
         assert farthest_path(dag, [only], 1) is None
         assert farthest_path(dag, [only], 0) == only
+
+    @pytest.mark.parametrize("q", [-1, -5])
+    def test_non_positive_q_met_by_lex_smallest(self, diamond_dag, upper, lower, q):
+        # every path is at distance >= 0 > q from each reference
+        assert farthest_path(diamond_dag, [upper, lower], q) == upper
+        assert farthest_path(diamond_dag, [lower], q) == upper
 
     def test_diamond_opposite(self, diamond_dag, upper, lower):
         assert farthest_path(diamond_dag, [upper], 4) == lower
@@ -304,6 +310,6 @@ class TestAgainstTupleDp:
             Path(long1 + chain2),
         ]
         far = Path(long1 + long2)
-        assert max(_labels(dag, refs)[long2[0]]) == 8 * q + 1
+        assert max(arc_labels(dag, refs)[long2[0]]) == 8 * q + 1
         assert farthest_path(dag, refs, q) == far
         assert reference_farthest_path(dag, refs, q) == far

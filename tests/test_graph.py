@@ -70,8 +70,8 @@ class TestParse:
         "bad,fragment", [("0", "non-positive"), ("1.1234567", "bad weight")]
     )
     def test_bad_weight_after_good_names_its_line(self, bad, fragment):
-        # Parsed weights are remembered per token; a bad token is not, and
-        # reports the line it is on.
+        # A bad weight token reports the line it is on, whether a good
+        # token or the same bad one came before it.
         text = f"p dsp 2 3\ns 1\nt 2\na 1 2 1\na 1 2 1\na 1 2 {bad}\n"
         with pytest.raises(GraphParseError, match=f"^line 6: {fragment}"):
             parse_graph(text)

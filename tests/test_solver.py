@@ -250,6 +250,13 @@ class TestSolve:
             docs.append(json.dumps(doc, sort_keys=True))
         assert docs[0] == docs[1]
 
+    @pytest.mark.parametrize("mode", ["fpt", "hybrid", "oracle"])
+    def test_negative_k_or_d_rejected(self, diamond, mode):
+        with pytest.raises(ValueError, match="nonnegative"):
+            solve(diamond, 2, -1, SolveConfig(mode=mode))
+        with pytest.raises(ValueError, match="nonnegative"):
+            solve(diamond, -1, 2, SolveConfig(mode=mode))
+
 
 # (layers, width, seed, k, d) asks on gen_layered(layers, width, 0.6, seed),
 # with d up to one past the largest distance two paths can have.
