@@ -2,8 +2,9 @@
 
 Exit codes are the machine contract: 0 yes / verified, 1 no / rejected,
 2 usage or input errors, 3 probabilistic no, 4 instance too large for the
-oracle, 5 internal error (an unexpected exception; the message names its
-type).  JSON goes to stdout (or --json FILE); diagnostics go to stderr.
+oracle (``--mode oracle`` on more shortest paths than ``--enum-budget``),
+5 internal error (an unexpected exception; the message names its type).
+JSON goes to stdout (or --json FILE); diagnostics go to stderr.
 """
 
 from __future__ import annotations
@@ -110,8 +111,6 @@ def _emit_json(doc: dict, out_path: str | None) -> None:
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:
-    if args.k < 0 or args.d < 0:
-        raise SystemExit2("k and d must be nonnegative")
     g = _read_graph(args.graph)
     cfg = SolveConfig(
         mode=args.mode,

@@ -125,8 +125,9 @@ def build_hash_family(m: int, s: int, seed: int = 0, budget: int = 64) -> HashFa
 
 
 def coloring_from_member(arc_ids: Sequence[int], member: Sequence[int]) -> dict[int, int]:
-    """Map sorted arc ids onto the universe positions of a family member."""
-    return {aid: member[pos] for pos, aid in enumerate(sorted(arc_ids))}
+    """Map arc ids, given in ascending order, onto the universe positions
+    of a family member: the i-th smallest id takes member[i]."""
+    return dict(zip(arc_ids, member))
 
 
 class BypassTables:
@@ -403,6 +404,13 @@ def select_dissimilar_color_sets(
     return [masks[i] for i in chosen]
 
 
+def ball_search_exact(m: int, q: int, r: int) -> bool:
+    """Whether a failed ``ball_search`` at radius q for r paths on an m-arc
+    dag is an exact "no": the radius-0 ball holds only its center, and
+    otherwise the family built for min(q * r, m) colors is not seeded."""
+    return q <= 0 or exhaustive_family_feasible(m, min(q * r, m))
+
+
 def ball_search(
     dag: SpDag,
     center: Path,
@@ -434,7 +442,7 @@ def ball_search(
     if q == 0:
         return None  # the radius-0 ball holds only the center
 
-    arc_ids = sorted(a.id for a in dag.base.arcs)
+    arc_ids = [a.id for a in dag.base.arcs]  # ascending (``SpDag``)
     m = len(arc_ids)
     family = build_hash_family(m, min(q * r, m), seed, coloring_budget)
 

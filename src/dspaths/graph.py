@@ -300,6 +300,8 @@ def build_sp_dag(g: ArcWeightedDigraph) -> SpDag:
     # and t last.
     order = sorted(alive, key=lambda v: (dist[v], v))
     renum = {orig: i + 1 for i, orig in enumerate(order)}
+    # This sort is the one owner of the ascending arc order that SpDag
+    # promises; consumers rely on it and sort no more.
     arcs = tuple(
         Arc(a.id, renum[a.tail], renum[a.head], a.weight)
         for a in sorted(surviving, key=lambda a: a.id)

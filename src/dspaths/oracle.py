@@ -7,20 +7,22 @@ the ball search uses (``colorcode.select_dissimilar_color_sets``) run on
 the paths' masks.  The kernel is given the catalog farthest first from its
 first path, so a certificate is the first k paths in that far-first order
 that are pairwise >= d apart.  Exactness matters here; speed is
-secondary.
+secondary.  The enumeration is complete: ``solver.solve`` counts the
+paths with ``count_st_paths`` first and alone decides whether the oracle
+runs, so nothing here stops early.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 from .colorcode import select_dissimilar_color_sets
 from .graph import Path, SpDag
 
 
 class OracleBudgetError(RuntimeError):
-    """Enumeration exceeded its budget; the instance is too large here."""
+    """More shortest paths than the oracle may enumerate (raised by
+    ``solver.solve``); the instance is too large here."""
 
 
 @dataclass(frozen=True)
@@ -30,7 +32,6 @@ class PathCatalog:
 
     paths: tuple[Path, ...]
     masks: tuple[int, ...]
-    truncated: bool
 
 
 def count_st_paths(dag: SpDag, cap: int | None = None) -> int:
@@ -45,22 +46,20 @@ def count_st_paths(dag: SpDag, cap: int | None = None) -> int:
     return ways[1]
 
 
-def enumerate_st_paths(dag: SpDag, budget: int = 10**5) -> PathCatalog:
-    """Depth-first enumeration in arc-id order, stopping at the budget.
+def enumerate_st_paths(dag: SpDag) -> PathCatalog:
+    """Depth-first enumeration of every s-t path in arc-id order.
 
     The walk keeps an explicit stack of outgoing-arc iterators, so its
     depth is not bounded by the interpreter's recursion limit.  The
     prefix's arc-set mask is updated on every push and pop.
     """
-    if budget < 1:
-        raise ValueError("budget must be positive")
-    # s == t makes the empty path the only s-t path.
-    paths: list[Path] = [Path(())] if dag.n == 1 else []
-    masks: list[int] = [0] if dag.n == 1 else []
-    truncated = False
+    if dag.n == 1:  # s == t: the empty path is the only s-t path
+        return PathCatalog(paths=(Path(()),), masks=(0,))
+    paths: list[Path] = []
+    masks: list[int] = []
     prefix: list[int] = []
     mask = 0
-    stack = [] if dag.n == 1 else [iter(dag.outgoing[1])]
+    stack = [iter(dag.outgoing[1])]
     while stack:
         arc = next(stack[-1], None)
         if arc is None:
@@ -73,38 +72,13 @@ def enumerate_st_paths(dag: SpDag, budget: int = 10**5) -> PathCatalog:
         if arc.head != dag.n:
             stack.append(iter(dag.outgoing[arc.head]))
             continue
-        if len(paths) >= budget:
-            truncated = True
-            break
         paths.append(Path(tuple(prefix)))
         masks.append(mask)
         mask ^= 1 << prefix.pop()
-    return PathCatalog(paths=tuple(paths), masks=tuple(masks), truncated=truncated)
+    return PathCatalog(paths=tuple(paths), masks=tuple(masks))
 
 
-def _require_complete(catalog: PathCatalog) -> None:
-    if catalog.truncated:
-        raise OracleBudgetError("instance too large for oracle")
-
-
-def _select_paths(
-    paths: Sequence[Path], masks: Sequence[int], k: int, d: int
-) -> list[Path] | None:
-    """First k paths in the order given pairwise >= d apart, via the kernel.
-
-    Distinct s-t paths of a DAG have distinct arc sets, so mapping each
-    chosen mask back to its path is one-to-one.
-    """
-    chosen = select_dissimilar_color_sets(masks, k, d)
-    if chosen is None:
-        return None
-    by_mask = dict(zip(masks, paths))
-    return [by_mask[m] for m in chosen]
-
-
-def brute_solve(
-    dag: SpDag, k: int, d: int, budget: int = 10**5
-) -> list[Path] | None:
+def brute_solve(dag: SpDag, k: int, d: int) -> list[Path] | None:
     """k shortest paths pairwise at distance >= d, or None.
 
     The answer is the first k paths pairwise >= d apart in far-first
@@ -113,18 +87,16 @@ def brute_solve(
     first path).  Far paths are the likely members of a d-apart set, so
     the kernel finds one early; whether one exists does not depend on the
     order.  At d = 0 paths need not be distinct, so any s-t path answers
-    yes.
+    yes.  Distinct s-t paths of a DAG have distinct arc sets, so mapping
+    each chosen mask back to its path is one-to-one.
     """
     if k == 0:
         return []
-    catalog = enumerate_st_paths(dag, budget)
-    _require_complete(catalog)
+    catalog = enumerate_st_paths(dag)
     first = catalog.masks[0]
-    order = sorted(
-        range(len(catalog.masks)),
-        key=lambda i: (catalog.masks[i] ^ first).bit_count(),
-        reverse=True,
-    )
-    return _select_paths(
-        [catalog.paths[i] for i in order], [catalog.masks[i] for i in order], k, d
-    )
+    masks = sorted(catalog.masks, key=lambda m: (m ^ first).bit_count(), reverse=True)
+    chosen = select_dissimilar_color_sets(masks, k, d)
+    if chosen is None:
+        return None
+    by_mask = dict(zip(catalog.masks, catalog.paths))
+    return [by_mask[m] for m in chosen]

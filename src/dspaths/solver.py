@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 from . import oracle as oracle_mod
-from .colorcode import ball_search, exhaustive_family_feasible
+from .colorcode import ball_search, ball_search_exact
 from .farthest import farthest_path
 from .graph import (
     Arc,
@@ -139,7 +139,12 @@ def solve(
 
     Returns a verified certificate on yes.  A plain "no" is exact; it
     degrades to "probabilistic_no" only if some failing ball search had to
-    fall back to a seeded coloring family.
+    fall back to a seeded coloring family (``colorcode.ball_search_exact``
+    says which ones did; a radius-0 ball holds only its center, so its
+    failure is exact).  In oracle and hybrid mode the shortest paths are
+    counted once against ``enumeration_budget``: hybrid runs the oracle
+    within it and fpt past it, and oracle mode raises ``OracleBudgetError``
+    past it.
     """
     if k < 0 or d < 0:
         raise ValueError("k and d must be nonnegative")
@@ -172,15 +177,17 @@ def solve(
 
     dag = build_sp_dag(g)
 
-    use_oracle = cfg.mode == "oracle"
-    if cfg.mode == "hybrid":
-        cap = cfg.enumeration_budget
-        use_oracle = oracle_mod.count_st_paths(dag, cap=cap + 1) <= cap
-    if use_oracle:
-        found = oracle_mod.brute_solve(dag, k, d, cfg.enumeration_budget)
-        if found is None:
-            return finish("no", None)
-        return finish("yes", _make_certificate(g, k, d, found))
+    if cfg.mode != "fpt":
+        budget = cfg.enumeration_budget
+        if oracle_mod.count_st_paths(dag, cap=budget + 1) <= budget:
+            found = oracle_mod.brute_solve(dag, k, d)
+            if found is None:
+                return finish("no", None)
+            return finish("yes", _make_certificate(g, k, d, found))
+        if cfg.mode == "oracle":
+            raise oracle_mod.OracleBudgetError(
+                f"instance too large for oracle: more than {budget} shortest paths"
+            )
 
     greedy = greedy_phase(dag, k, d)
     greedy_count = len(greedy.paths)
@@ -212,7 +219,7 @@ def solve(
             memo[key] = found
             if found is None:
                 min_failed[i] = min(min_failed.get(i, math.inf), r)
-                if not exhaustive_family_feasible(m, radius * r):
+                if not ball_search_exact(m, radius, r):
                     seeded_failure = True
         return memo[key]
 
@@ -236,7 +243,8 @@ def verify_certificate(
     g: ArcWeightedDigraph, cert: Certificate, k: int, d: int
 ) -> tuple[bool, str | None]:
     """Check a certificate independently: k paths, each a shortest s-t path
-    of g, pairwise Hamming distances >= d.  Reports the first violation.
+    of g, pairwise Hamming distances >= d, and a pairwise matrix that
+    states those distances.  Reports the first violation.
 
     One Dijkstra on g gives dist(t); a path is shortest when it chains
     from s to t over arcs of g without repeating a vertex and weighs
@@ -253,11 +261,18 @@ def verify_certificate(
     for i, p in enumerate(cert.paths, start=1):
         if not _is_shortest_st_path(g, arc_by_id, best, p):
             return False, f"path {i} not a shortest path"
+    dists = _pairwise_matrix(cert.paths)
     for i in range(k):
         for j in range(i + 1, k):
-            dist = hamming_distance(cert.paths[i], cert.paths[j])
-            if dist < d:
-                return False, f"pair ({i + 1},{j + 1}) distance {dist} < {d}"
+            if dists[i][j] < d:
+                return False, f"pair ({i + 1},{j + 1}) distance {dists[i][j]} < {d}"
+    for i in range(k):
+        for j in range(k):
+            if cert.pairwise[i][j] != dists[i][j]:
+                return False, (
+                    f"pairwise entry ({i + 1},{j + 1}) is {cert.pairwise[i][j]},"
+                    f" distance is {dists[i][j]}"
+                )
     return True, None
 
 

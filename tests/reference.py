@@ -16,7 +16,7 @@ from typing import Iterable, Sequence
 
 from dspaths.farthest import _label_columns, _lex_smallest_path
 from dspaths.graph import ArcWeightedDigraph, Path, SpDag, hamming_distance
-from dspaths.oracle import _require_complete, _select_paths, enumerate_st_paths
+from dspaths.oracle import enumerate_st_paths
 
 
 @dataclass(frozen=True)
@@ -27,13 +27,9 @@ class MinimalBypass:
     window: tuple[int, int]  # (divergence vertex, reconvergence vertex)
 
 
-def brute_farthest(
-    dag: SpDag, refs: Sequence[Path], q: int, budget: int = 10**5
-) -> Path | None:
+def brute_farthest(dag: SpDag, refs: Sequence[Path], q: int) -> Path | None:
     """First catalog path at distance >= q from every reference path."""
-    catalog = enumerate_st_paths(dag, budget)
-    _require_complete(catalog)
-    for p in catalog.paths:
+    for p in enumerate_st_paths(dag).paths:
         if all(hamming_distance(p, ref) >= q for ref in refs):
             return p
     return None
@@ -97,19 +93,20 @@ def reference_farthest_path(
 
 
 def brute_ball(
-    dag: SpDag, center: Path, q: int, r: int, d: int, budget: int = 10**5
+    dag: SpDag, center: Path, q: int, r: int, d: int
 ) -> list[Path] | None:
-    """r paths within distance q of center, pairwise at distance >= d."""
+    """r paths within distance q of center, pairwise at distance >= d: the
+    first such r in catalog order, picked by ``reference_select``."""
     if r == 0:
         return []
-    catalog = enumerate_st_paths(dag, budget)
-    _require_complete(catalog)
-    ball = [
-        (p, m)
+    catalog = enumerate_st_paths(dag)
+    ball = {
+        m: p
         for p, m in zip(catalog.paths, catalog.masks)
         if hamming_distance(p, center) <= q
-    ]
-    return _select_paths([p for p, _ in ball], [m for _, m in ball], r, d)
+    }
+    chosen = reference_select(list(ball), r, d)
+    return None if chosen is None else [ball[m] for m in chosen]
 
 
 def reference_select(masks: Sequence[int], r: int, d: int) -> list[int] | None:
@@ -159,14 +156,12 @@ def reference_select(masks: Sequence[int], r: int, d: int) -> list[int] | None:
 
 
 def brute_realizable_sets(
-    dag: SpDag, center: Path, coloring: dict[int, int], q: int, budget: int = 10**5
+    dag: SpDag, center: Path, coloring: dict[int, int], q: int
 ) -> set[int]:
     """Color sets of the colorful bypasses P XOR center with at most q
     colors, over every s-t path P."""
-    catalog = enumerate_st_paths(dag, budget)
-    _require_complete(catalog)
     sets = set()
-    for p in catalog.paths:
+    for p in enumerate_st_paths(dag).paths:
         bypass = center.arc_set ^ p.arc_set
         colors = {coloring[aid] for aid in bypass}
         if len(colors) == len(bypass) <= q:

@@ -6,7 +6,8 @@ from pathlib import Path
 import pytest
 
 import dspaths.cli
-from conftest import DIAMOND_TEXT
+import dspaths.oracle
+from conftest import DIAMOND_TEXT, unit_chain
 from dspaths.cli import (
     EXIT_ERROR,
     EXIT_INTERNAL,
@@ -16,7 +17,7 @@ from dspaths.cli import (
     EXIT_YES,
     run_cli,
 )
-from dspaths.generators import BinPackingInstance, gen_binpack
+from dspaths.generators import BinPackingInstance, gen_binpack, gen_grid
 from dspaths.graph import format_graph, parse_graph
 from dspaths.solver import SolveResult, SolveStats
 
@@ -49,9 +50,38 @@ def test_negative_k(diamond_file):
     assert run_cli(["solve", "-g", diamond_file, "-k", "-1", "-d", "0"]) == EXIT_ERROR
 
 
+def test_negative_d_message(diamond_file, capsys):
+    # The range check is solve's; the CLI maps its ValueError to exit 2.
+    assert run_cli(["solve", "-g", diamond_file, "-k", "2", "-d", "-1"]) == EXIT_ERROR
+    assert "error: k and d must be nonnegative" in capsys.readouterr().err
+
+
 def test_oracle_over_budget(diamond_file):
     argv = ["solve", "-g", diamond_file, "-k", "2", "-d", "4", "--mode", "oracle", "--enum-budget", "1"]
     assert run_cli(argv) == EXIT_TOO_LARGE
+
+
+def test_oracle_over_budget_enumerates_nothing(tmp_path, monkeypatch):
+    # The 10x10 grid has 184,756 shortest paths, past the default budget
+    # of 10**5; the count alone decides, so no path is enumerated.
+    def fail(*args, **kwargs):
+        raise AssertionError("enumerated an over-budget instance")
+
+    monkeypatch.setattr(dspaths.oracle, "enumerate_st_paths", fail)
+    graph = tmp_path / "grid.txt"
+    graph.write_text(format_graph(gen_grid(10, 10)))
+    argv = ["solve", "-g", str(graph), "-k", "2", "-d", "2", "--mode", "oracle"]
+    assert run_cli(argv) == EXIT_TOO_LARGE
+
+
+@pytest.mark.parametrize("arcs", (16, 17, 40))
+def test_radius_zero_no_is_exact(tmp_path, arcs):
+    # A chain has one shortest path, so greedy stops at it and the ball
+    # radius at k=2, d=1 is 0: the ball holds only the center, whatever m.
+    graph = tmp_path / "chain.txt"
+    graph.write_text(format_graph(unit_chain(arcs)))
+    argv = ["solve", "-g", str(graph), "-k", "2", "-d", "1", "--mode", "fpt"]
+    assert run_cli(argv) == EXIT_NO
 
 
 @pytest.mark.parametrize("mode", ("fpt", "oracle", "hybrid"))
@@ -61,6 +91,18 @@ def test_solve_json_verifies(diamond_file, tmp_path, mode):
     assert run_cli(argv) == EXIT_YES
     argv = ["verify", "-g", diamond_file, "-c", cert, "-k", "2", "-d", "4"]
     assert run_cli(argv) == EXIT_YES
+
+
+def test_verify_rejects_false_matrix(diamond_file, tmp_path, capsys):
+    cert = tmp_path / "cert.json"
+    argv = ["solve", "-g", diamond_file, "-k", "2", "-d", "4", "--json", str(cert)]
+    assert run_cli(argv) == EXIT_YES
+    doc = json.loads(cert.read_text())
+    doc["pairwise"] = [[0, 99], [7, 0]]
+    cert.write_text(json.dumps(doc))
+    argv = ["verify", "-g", diamond_file, "-c", str(cert), "-k", "2", "-d", "4"]
+    assert run_cli(argv) == EXIT_NO
+    assert "pairwise entry (1,2) is 99, distance is 4" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("exc", (RuntimeError("boom"), RecursionError("too deep")))

@@ -13,6 +13,7 @@ from dspaths.colorcode import (
     SEEDED,
     BypassTables,
     ball_search,
+    ball_search_exact,
     build_hash_family,
     coloring_from_member,
     select_dissimilar_color_sets,
@@ -113,6 +114,18 @@ class TestHashFamily:
             build_hash_family(3, 0)
         with pytest.raises(ValueError):
             build_hash_family(3, 4)
+
+
+@pytest.mark.parametrize("m", (4, 16, 17, 40))
+@pytest.mark.parametrize("q,r", ((0, 1), (0, 3), (1, 1), (1, 2), (1, 3), (2, 2), (9, 2)))
+def test_ball_search_exact_table(m, q, r):
+    # A failed search is exact at radius 0 and wherever the family that
+    # ball_search builds is not seeded.
+    exact = ball_search_exact(m, q, r)
+    if q == 0:
+        assert exact
+    else:
+        assert exact == (build_hash_family(m, min(q * r, m)).mode != SEEDED)
 
 
 def _multidigraph_dags(count):

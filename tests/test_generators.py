@@ -120,7 +120,7 @@ class TestBinpack:
     def test_reduction_matches_feasibility(self, items, bins, capacity):
         inst = gen_binpack(BinPackingInstance(items=items, bins=bins, capacity=capacity))
         dag = build_sp_dag(inst.graph)
-        found = brute_solve(dag, inst.ask_k, inst.ask_d, budget=10**6)
+        found = brute_solve(dag, inst.ask_k, inst.ask_d)
         expected = binpack_feasible(items, bins, capacity)
         assert (found is not None) == expected
 

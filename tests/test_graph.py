@@ -126,8 +126,7 @@ class TestBuildSpDag:
         best = min(w for _, w in raw)
         shortest = {arcs for arcs, w in raw if w == best}
         dag = build_sp_dag(g)
-        catalog = enumerate_st_paths(dag, budget=10**4)
-        assert not catalog.truncated
+        catalog = enumerate_st_paths(dag)
         assert {p.arcs for p in catalog.paths} == shortest
         for p in catalog.paths:
             assert sum(dag.arc_by_id[a].weight for a in p.arcs) == best

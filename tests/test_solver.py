@@ -339,6 +339,30 @@ class TestVerify:
         ok, report = verify_certificate(diamond, res.certificate, 2, 4)
         assert ok and report is None
 
+    @pytest.mark.parametrize(
+        "matrix,report",
+        (
+            (((0, 99), (7, 0)), "pairwise entry (1,2) is 99, distance is 4"),
+            (((0, 4), (7, 0)), "pairwise entry (2,1) is 7, distance is 4"),
+            (((1, 4), (4, 0)), "pairwise entry (1,1) is 1, distance is 0"),
+        ),
+        ids=("above", "asymmetric", "diagonal"),
+    )
+    def test_false_matrix_rejected(self, diamond, matrix, report):
+        cert = solve(diamond, 2, 4, FPT).certificate
+        forged = Certificate(
+            k=2, d=4, paths=cert.paths, pairwise=matrix, graph_hash=cert.graph_hash
+        )
+        assert verify_certificate(diamond, forged, 2, 4) == (False, report)
+
+    def test_distance_violation_reported_before_matrix(self, diamond):
+        cert = solve(diamond, 2, 4, FPT).certificate
+        forged = Certificate(
+            k=2, d=4, paths=cert.paths, pairwise=((0, 9), (9, 0)), graph_hash=""
+        )
+        ok, report = verify_certificate(diamond, forged, 2, 5)
+        assert not ok and report == "pair (1,2) distance 4 < 5"
+
     def test_stricter_d_rejected(self, diamond):
         res = solve(diamond, 2, 4, FPT)
         ok, report = verify_certificate(diamond, res.certificate, 2, 5)
