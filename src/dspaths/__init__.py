@@ -38,7 +38,6 @@ from .graph import (
     shortest_distances,
 )
 from .oracle import (
-    OracleBudgetError,
     PathCatalog,
     brute_solve,
     enumerate_st_paths,
@@ -46,7 +45,7 @@ from .oracle import (
 from .solver import (
     Certificate,
     CertificateError,
-    SolveConfig,
+    OracleBudgetError,
     SolveResult,
     greedy_phase,
     solve,

@@ -2,8 +2,9 @@
 
 Exit codes are the machine contract: 0 yes / verified, 1 no / rejected,
 2 usage or input errors, 3 probabilistic no, 4 instance too large for the
-oracle (``--mode oracle`` on more shortest paths than ``--enum-budget``),
-5 internal error (an unexpected exception; the message names its type).
+oracle (``--mode oracle`` on more than ``solver.ORACLE_PATH_LIMIT``
+shortest paths), 5 internal error (an unexpected exception; the message
+names its type).
 JSON goes to stdout (or --json FILE); diagnostics go to stderr.
 """
 
@@ -17,10 +18,9 @@ from pathlib import Path as FsPath
 
 from . import generators
 from .graph import format_graph, parse_graph
-from .oracle import OracleBudgetError
 from .solver import (
     MODES,
-    SolveConfig,
+    OracleBudgetError,
     certificate_from_json_dict,
     result_to_json_dict,
     solve,
@@ -51,9 +51,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("-k", type=int, required=True, help="number of paths")
     p_solve.add_argument("-d", type=int, required=True, help="pairwise distance bound")
     p_solve.add_argument("--mode", choices=MODES, default="hybrid")
-    p_solve.add_argument("--seed", type=int, default=0)
-    p_solve.add_argument("--coloring-budget", type=int, default=64)
-    p_solve.add_argument("--enum-budget", type=int, default=10**5)
     p_solve.add_argument("--json", metavar="OUT", help="write the certificate here")
 
     p_gen = sub.add_parser("gen", help="generate an instance")
@@ -112,14 +109,8 @@ def _emit_json(doc: dict, out_path: str | None) -> None:
 
 def _cmd_solve(args: argparse.Namespace) -> int:
     g = _read_graph(args.graph)
-    cfg = SolveConfig(
-        mode=args.mode,
-        seed=args.seed,
-        coloring_budget=args.coloring_budget,
-        enumeration_budget=args.enum_budget,
-    )
     try:
-        result = solve(g, args.k, args.d, cfg)
+        result = solve(g, args.k, args.d, args.mode)
     except OracleBudgetError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_TOO_LARGE

@@ -30,6 +30,7 @@ SEEDED = "seeded-monte-carlo"
 
 _MAX_CANDIDATES = 10**6
 _EXHAUSTIVE_MAX_UNIVERSE = 16
+_SEEDED_MEMBERS = 64
 
 
 class FamilyConstructionError(RuntimeError):
@@ -67,15 +68,17 @@ def _rainbow(member: tuple[int, ...], subset: tuple[int, ...]) -> bool:
 
 
 @lru_cache(maxsize=None)
-def build_hash_family(m: int, s: int, seed: int = 0, budget: int = 64) -> HashFamily:
+def build_hash_family(m: int, s: int) -> HashFamily:
     """Construct a family of colorings of [m] with s colors.
 
-    The regime follows from (m, s).  At s == m the identity coloring is the
-    one member.  Where ``exhaustive_family_feasible(m, s)`` holds, seeded
-    random colorings accumulate until all s-subsets are rainbow under some
-    member; the family is pruned greedily and then re-verified
-    exhaustively.  Otherwise the family is ``budget`` seeded pseudo-random
-    colorings, and perfection is only probabilistic.
+    The family depends only on (m, s), and so does its regime.  At s == m
+    the identity coloring is the one member.  Where
+    ``exhaustive_family_feasible(m, s)`` holds, random colorings drawn from
+    ``random.Random(0)`` accumulate until all s-subsets are rainbow under
+    some member; the family is pruned greedily and then re-verified
+    exhaustively.  Otherwise the family is ``_SEEDED_MEMBERS`` pseudo-random
+    colorings, member i drawn from ``random.Random(i)``, and perfection is
+    only probabilistic.
     """
     if not 1 <= s <= m:
         raise ValueError("need 1 <= s <= m")
@@ -83,15 +86,13 @@ def build_hash_family(m: int, s: int, seed: int = 0, budget: int = 64) -> HashFa
         member = tuple(range(1, m + 1))
         return HashFamily(m=m, num_colors=s, mode=EXHAUSTIVE, members=(member,))
     if not exhaustive_family_feasible(m, s):
-        if budget < 1:
-            raise ValueError("budget must be positive")
-        rngs = [random.Random(seed * 1_000_003 + idx) for idx in range(budget)]
+        rngs = [random.Random(idx) for idx in range(_SEEDED_MEMBERS)]
         members = tuple(tuple(rng.randint(1, s) for _ in range(m)) for rng in rngs)
         return HashFamily(m=m, num_colors=s, mode=SEEDED, members=members)
 
     subsets = list(itertools.combinations(range(m), s))
     uncovered = set(subsets)
-    rng = random.Random(seed)
+    rng = random.Random(0)
     pool: list[tuple[int, ...]] = []
     for _ in range(_MAX_CANDIDATES):
         if not uncovered:
@@ -122,12 +123,6 @@ def build_hash_family(m: int, s: int, seed: int = 0, budget: int = 64) -> HashFa
         if not any(_rainbow(member, sub) for member in members):
             raise FamilyConstructionError("verification failed")  # pragma: no cover
     return HashFamily(m=m, num_colors=s, mode=EXHAUSTIVE, members=members)
-
-
-def coloring_from_member(arc_ids: Sequence[int], member: Sequence[int]) -> dict[int, int]:
-    """Map arc ids, given in ascending order, onto the universe positions
-    of a family member: the i-th smallest id takes member[i]."""
-    return dict(zip(arc_ids, member))
 
 
 class BypassTables:
@@ -417,9 +412,6 @@ def ball_search(
     q: int,
     r: int,
     d: int,
-    *,
-    seed: int = 0,
-    coloring_budget: int = 64,
 ) -> list[Path] | None:
     """r paths within Hamming distance q of center, pairwise >= d apart.
 
@@ -442,12 +434,14 @@ def ball_search(
     if q == 0:
         return None  # the radius-0 ball holds only the center
 
-    arc_ids = [a.id for a in dag.base.arcs]  # ascending (``SpDag``)
+    # The i-th smallest arc id takes universe position i (``SpDag`` keeps
+    # its arcs in ascending id order).
+    arc_ids = [a.id for a in dag.base.arcs]
     m = len(arc_ids)
-    family = build_hash_family(m, min(q * r, m), seed, coloring_budget)
+    family = build_hash_family(m, min(q * r, m))
 
     for member in family.members:
-        coloring = coloring_from_member(arc_ids, member)
+        coloring = dict(zip(arc_ids, member))
         tables = BypassTables(dag, center, coloring, q)
         chosen = select_dissimilar_color_sets(tables.realizable_sets[::-1], r, d)
         if chosen is None:

@@ -20,11 +20,6 @@ from .colorcode import select_dissimilar_color_sets
 from .graph import Path, SpDag
 
 
-class OracleBudgetError(RuntimeError):
-    """More shortest paths than the oracle may enumerate (raised by
-    ``solver.solve``); the instance is too large here."""
-
-
 @dataclass(frozen=True)
 class PathCatalog:
     """All s-t paths of a dag in deterministic (lexicographic arc-id) order,

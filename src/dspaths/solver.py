@@ -32,24 +32,17 @@ from .graph import (
 
 MODES = ("fpt", "oracle", "hybrid")
 THRESHOLD_BASE = 3
+# Most shortest paths the oracle enumerates (see ``solve``).
+ORACLE_PATH_LIMIT = 10**5
 
 
 class CertificateError(ValueError):
     """Structurally malformed certificate (distinct from a false verdict)."""
 
 
-@dataclass(frozen=True)
-class SolveConfig:
-    mode: str = "hybrid"
-    seed: int = 0
-    coloring_budget: int = 64
-    enumeration_budget: int = 10**5
-
-    def validate(self) -> None:
-        if self.mode not in MODES:
-            raise ValueError(f"mode must be one of {MODES}")
-        if self.coloring_budget <= 0 or self.enumeration_budget <= 0:
-            raise ValueError("budgets must be positive")
+class OracleBudgetError(RuntimeError):
+    """Oracle mode on more than ``ORACLE_PATH_LIMIT`` shortest paths: the
+    instance is too large for the oracle."""
 
 
 @dataclass(frozen=True)
@@ -79,8 +72,16 @@ class SolveResult:
     decision: str  # "yes" | "no" | "probabilistic_no"
     certificate: Certificate | None
     mode: str
-    seed: int
     stats: SolveStats
+
+
+def _threshold(dag: SpDag, k: int, d: int, i: int) -> int:
+    """THRESHOLD_BASE^(k-i) * d, the distance the i-th greedy path keeps
+    from the earlier ones, capped at m + 1.  Two paths of an m-arc dag are
+    at most m apart, so every larger threshold decides the same; the
+    exponent is capped first, since THRESHOLD_BASE^bit_length(m) > m."""
+    m = dag.base.m
+    return min(m + 1, THRESHOLD_BASE ** min(k - i, m.bit_length()) * d)
 
 
 def greedy_phase(dag: SpDag, k: int, d: int) -> GreedyOutcome:
@@ -88,14 +89,14 @@ def greedy_phase(dag: SpDag, k: int, d: int) -> GreedyOutcome:
     from all previous ones; stops at the first failure."""
     paths: list[Path] = []
     for i in range(1, k + 1):
-        threshold = 0 if i == 1 else THRESHOLD_BASE ** (k - i) * d
+        threshold = 0 if i == 1 else _threshold(dag, k, d, i)
         found = farthest_path(dag, paths, threshold)
         if found is None:
             break
         paths.append(found)
     outcome = GreedyOutcome(paths=tuple(paths), complete=len(paths) == k)
     assert all(
-        hamming_distance(paths[i], paths[j]) >= THRESHOLD_BASE ** (k - (j + 1)) * d
+        hamming_distance(paths[i], paths[j]) >= _threshold(dag, k, d, j + 1)
         for j in range(len(paths))
         for i in range(j)
     )
@@ -132,24 +133,25 @@ def _make_certificate(
     )
 
 
-def solve(
-    g: ArcWeightedDigraph, k: int, d: int, cfg: SolveConfig | None = None
-) -> SolveResult:
+def solve(g: ArcWeightedDigraph, k: int, d: int, mode: str = "hybrid") -> SolveResult:
     """Decide whether g has k shortest s-t paths pairwise >= d apart.
+
+    ``mode`` is one of ``MODES``: "fpt" runs the paper's pipeline, "oracle"
+    the exact path enumeration, and "hybrid" the oracle up to
+    ``ORACLE_PATH_LIMIT`` shortest paths and fpt past it; oracle mode
+    raises ``OracleBudgetError`` past it.  The paths are counted once.
 
     Returns a verified certificate on yes.  A plain "no" is exact; it
     degrades to "probabilistic_no" only if some failing ball search had to
     fall back to a seeded coloring family (``colorcode.ball_search_exact``
     says which ones did; a radius-0 ball holds only its center, so its
-    failure is exact).  In oracle and hybrid mode the shortest paths are
-    counted once against ``enumeration_budget``: hybrid runs the oracle
-    within it and fpt past it, and oracle mode raises ``OracleBudgetError``
-    past it.
+    failure is exact).  Raises ``ValueError`` on a negative k or d or an
+    unknown mode.
     """
     if k < 0 or d < 0:
         raise ValueError("k and d must be nonnegative")
-    cfg = cfg or SolveConfig()
-    cfg.validate()
+    if mode not in MODES:
+        raise ValueError(f"mode must be one of {MODES}")
     start = time.monotonic()
     greedy_count = 0
     compositions_tried = 0
@@ -163,8 +165,7 @@ def solve(
         return SolveResult(
             decision=decision,
             certificate=cert,
-            mode=cfg.mode,
-            seed=cfg.seed,
+            mode=mode,
             stats=SolveStats(
                 greedy_paths=greedy_count,
                 compositions_tried=compositions_tried,
@@ -177,16 +178,17 @@ def solve(
 
     dag = build_sp_dag(g)
 
-    if cfg.mode != "fpt":
-        budget = cfg.enumeration_budget
-        if oracle_mod.count_st_paths(dag, cap=budget + 1) <= budget:
+    if mode != "fpt":
+        path_count = oracle_mod.count_st_paths(dag, cap=ORACLE_PATH_LIMIT + 1)
+        if path_count <= ORACLE_PATH_LIMIT:
             found = oracle_mod.brute_solve(dag, k, d)
             if found is None:
                 return finish("no", None)
             return finish("yes", _make_certificate(g, k, d, found))
-        if cfg.mode == "oracle":
-            raise oracle_mod.OracleBudgetError(
-                f"instance too large for oracle: more than {budget} shortest paths"
+        if mode == "oracle":
+            raise OracleBudgetError(
+                "instance too large for oracle: more than"
+                f" {ORACLE_PATH_LIMIT} shortest paths"
             )
 
     greedy = greedy_phase(dag, k, d)
@@ -195,7 +197,7 @@ def solve(
         return finish("yes", _make_certificate(g, k, d, greedy.paths))
 
     kp = len(greedy.paths)
-    radius = THRESHOLD_BASE ** (k - kp - 1) * d - 1
+    radius = _threshold(dag, k, d, kp + 1) - 1
     m = dag.base.m
     memo: dict[tuple[int, int], list[Path] | None] = {}
     min_failed: dict[int, int] = {}
@@ -207,15 +209,7 @@ def solve(
             return None
         key = (i, r)
         if key not in memo:
-            found = ball_search(
-                dag,
-                greedy.paths[i],
-                radius,
-                r,
-                d,
-                seed=cfg.seed,
-                coloring_budget=cfg.coloring_budget,
-            )
+            found = ball_search(dag, greedy.paths[i], radius, r, d)
             memo[key] = found
             if found is None:
                 min_failed[i] = min(min_failed.get(i, math.inf), r)
@@ -243,8 +237,9 @@ def verify_certificate(
     g: ArcWeightedDigraph, cert: Certificate, k: int, d: int
 ) -> tuple[bool, str | None]:
     """Check a certificate independently: k paths, each a shortest s-t path
-    of g, pairwise Hamming distances >= d, and a pairwise matrix that
-    states those distances.  Reports the first violation.
+    of g, pairwise Hamming distances >= d, a pairwise matrix that states
+    those distances, and the certificate's own k and d equal to the ask.
+    Reports the first violation.
 
     One Dijkstra on g gives dist(t); a path is shortest when it chains
     from s to t over arcs of g without repeating a vertex and weighs
@@ -255,8 +250,8 @@ def verify_certificate(
     if len(cert.paths) != k:
         return False, f"expected {k} paths, got {len(cert.paths)}"
     best = shortest_distances(g)[g.t]
-    if best is None:
-        return (True, None) if k == 0 else (False, "graph has no s-t path")
+    if best is None and k:
+        return False, "graph has no s-t path"
     arc_by_id = {a.id: a for a in g.arcs}
     for i, p in enumerate(cert.paths, start=1):
         if not _is_shortest_st_path(g, arc_by_id, best, p):
@@ -273,6 +268,8 @@ def verify_certificate(
                     f"pairwise entry ({i + 1},{j + 1}) is {cert.pairwise[i][j]},"
                     f" distance is {dists[i][j]}"
                 )
+    if (cert.k, cert.d) != (k, d):
+        return False, f"certificate states k={cert.k}, d={cert.d}; asked k={k}, d={d}"
     return True, None
 
 
@@ -315,7 +312,6 @@ def result_to_json_dict(result: SolveResult, k: int, d: int) -> dict:
         "paths": [list(p.arcs) for p in cert.paths] if cert else [],
         "pairwise": [list(row) for row in cert.pairwise] if cert else [],
         "mode": result.mode,
-        "seed": result.seed,
         "graph_hash": cert.graph_hash if cert else "",
         "stats": {
             "greedy_paths": result.stats.greedy_paths,

@@ -1,4 +1,5 @@
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -23,6 +24,11 @@ from dspaths.solver import SolveResult, SolveStats
 
 
 SRC = Path(__file__).resolve().parent.parent / "src"
+# run_cli in a fresh interpreter: python -c RUN_CLI SRC ARGV...
+RUN_CLI = (
+    "import sys; sys.path.insert(0, sys.argv[1]); "
+    "from dspaths.cli import run_cli; sys.exit(run_cli(sys.argv[2:]))"
+)
 
 
 @pytest.fixture
@@ -56,14 +62,9 @@ def test_negative_d_message(diamond_file, capsys):
     assert "error: k and d must be nonnegative" in capsys.readouterr().err
 
 
-def test_oracle_over_budget(diamond_file):
-    argv = ["solve", "-g", diamond_file, "-k", "2", "-d", "4", "--mode", "oracle", "--enum-budget", "1"]
-    assert run_cli(argv) == EXIT_TOO_LARGE
-
-
-def test_oracle_over_budget_enumerates_nothing(tmp_path, monkeypatch):
-    # The 10x10 grid has 184,756 shortest paths, past the default budget
-    # of 10**5; the count alone decides, so no path is enumerated.
+def test_oracle_over_budget_enumerates_nothing(tmp_path, monkeypatch, capsys):
+    # The 10x10 grid has 184,756 shortest paths, past ORACLE_PATH_LIMIT =
+    # 10**5; the count alone decides, so no path is enumerated.
     def fail(*args, **kwargs):
         raise AssertionError("enumerated an over-budget instance")
 
@@ -72,6 +73,28 @@ def test_oracle_over_budget_enumerates_nothing(tmp_path, monkeypatch):
     graph.write_text(format_graph(gen_grid(10, 10)))
     argv = ["solve", "-g", str(graph), "-k", "2", "-d", "2", "--mode", "oracle"]
     assert run_cli(argv) == EXIT_TOO_LARGE
+    assert "more than 100000 shortest paths" in capsys.readouterr().err
+
+
+def test_solve_help_lists_only_the_ask(capsys):
+    assert run_cli(["solve", "--help"]) == EXIT_YES
+    options = re.findall(r"^  (-{1,2}[\w-]+)", capsys.readouterr().out, re.M)
+    assert options == ["-h", "-g", "-k", "-d", "--mode", "--json"]
+
+
+def test_fpt_huge_k_answers_at_once(tmp_path):
+    # The greedy thresholds THRESHOLD_BASE ** (k - i) * d are capped at
+    # m + 1 = 13, so k = 10**8 costs nothing; uncapped, the powers alone
+    # ran past a minute.
+    graph = tmp_path / "grid.txt"
+    graph.write_text(format_graph(gen_grid(2, 2)))
+    argv = ["solve", "--mode", "fpt", "-g", str(graph), "-k", str(10**8), "-d", "1"]
+    proc = subprocess.run(
+        [sys.executable, "-c", RUN_CLI, str(SRC), *argv],
+        capture_output=True, text=True, timeout=30,
+    )
+    assert proc.returncode == EXIT_NO, proc.stderr
+    assert json.loads(proc.stdout)["decision"] == "no"
 
 
 @pytest.mark.parametrize("arcs", (16, 17, 40))
@@ -105,6 +128,18 @@ def test_verify_rejects_false_matrix(diamond_file, tmp_path, capsys):
     assert "pairwise entry (1,2) is 99, distance is 4" in capsys.readouterr().err
 
 
+def test_verify_rejects_misstated_ask(diamond_file, tmp_path, capsys):
+    cert = tmp_path / "cert.json"
+    argv = ["solve", "-g", diamond_file, "-k", "2", "-d", "4", "--json", str(cert)]
+    assert run_cli(argv) == EXIT_YES
+    doc = json.loads(cert.read_text())
+    doc.update(k=7, d=99)
+    cert.write_text(json.dumps(doc))
+    argv = ["verify", "-g", diamond_file, "-c", str(cert), "-k", "2", "-d", "4"]
+    assert run_cli(argv) == EXIT_NO
+    assert "certificate states k=7, d=99; asked k=2, d=4" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("exc", (RuntimeError("boom"), RecursionError("too deep")))
 def test_internal_error(diamond_file, monkeypatch, capsys, exc):
     def fail(*args, **kwargs):
@@ -118,7 +153,7 @@ def test_internal_error(diamond_file, monkeypatch, capsys, exc):
 def test_probabilistic_no(diamond_file, monkeypatch, tmp_path):
     stats = SolveStats(greedy_paths=1, compositions_tried=1, elapsed_ms=0)
     result = SolveResult(
-        decision="probabilistic_no", certificate=None, mode="fpt", seed=0, stats=stats
+        decision="probabilistic_no", certificate=None, mode="fpt", stats=stats
     )
     monkeypatch.setattr(dspaths.cli, "solve", lambda *args: result)
     out = tmp_path / "out.json"
@@ -156,12 +191,8 @@ def test_six_item_binpack_row_in_reach(tmp_path):
     graph.write_text(format_graph(inst.graph))
     k, d = str(inst.ask_k), str(inst.ask_d)
     argv = ["solve", "--mode", "fpt", "-g", str(graph), "-k", k, "-d", d, "--json", str(cert)]
-    code = (
-        "import sys; sys.path.insert(0, sys.argv[1]); "
-        "from dspaths.cli import run_cli; sys.exit(run_cli(sys.argv[2:]))"
-    )
     proc = subprocess.run(
-        [sys.executable, "-c", code, str(SRC), *argv],
+        [sys.executable, "-c", RUN_CLI, str(SRC), *argv],
         capture_output=True, text=True, timeout=60,
     )
     assert proc.returncode == EXIT_YES, proc.stderr

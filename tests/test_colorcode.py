@@ -15,7 +15,6 @@ from dspaths.colorcode import (
     ball_search,
     ball_search_exact,
     build_hash_family,
-    coloring_from_member,
     select_dissimilar_color_sets,
 )
 from dspaths.generators import BinPackingInstance, gen_binpack, gen_grid, gen_layered
@@ -95,19 +94,24 @@ class TestHashFamily:
         assert identity.mode == EXHAUSTIVE
         assert identity.members == (tuple(range(1, 18)),)
 
+    # build_hash_family is cached, so determinism is checked on fresh
+    # constructions through __wrapped__.
     def test_seeded_mode_budget_and_determinism(self):
-        fam1 = build_hash_family(20, 6, seed=3, budget=10)
-        fam2 = build_hash_family(20, 6, seed=3, budget=10)
-        assert len(fam1.members) == 10
+        fam1 = build_hash_family.__wrapped__(20, 6)
+        fam2 = build_hash_family.__wrapped__(20, 6)
+        assert fam1.mode == SEEDED
+        assert len(fam1.members) == 64
         assert fam1.members == fam2.members
         assert all(1 <= c <= 6 for m in fam1.members for c in m)
 
     def test_seeded_members_not_constant(self):
-        fam = build_hash_family(20, 6, seed=3, budget=10)
+        fam = build_hash_family(20, 6)
         assert all(len(set(m)) > 1 for m in fam.members)
 
     def test_deterministic_per_seed(self):
-        assert build_hash_family(6, 2, seed=1) == build_hash_family(6, 2, seed=1)
+        fam = build_hash_family.__wrapped__(6, 2)
+        assert fam.mode == EXHAUSTIVE
+        assert fam == build_hash_family.__wrapped__(6, 2)
 
     def test_bad_args(self):
         with pytest.raises(ValueError):
@@ -218,7 +222,7 @@ class TestBypassTables:
                     tuple(rng.randint(1, colors) for _ in arc_ids) for colors in (2, 5)
                 ]
                 for member in members:
-                    coloring = coloring_from_member(arc_ids, member)
+                    coloring = dict(zip(arc_ids, member))
                     seen["not rainbow"] += len({coloring[a] for a in center.arcs}) < len(center)
                     for q in range(0, 2 * len(center) + 2, 1 if len(center) < 8 else 5):
                         check_against_brute_force(dag, center, coloring, q)
@@ -235,7 +239,7 @@ class TestBypassTables:
         center = rng.choice(catalog.paths)
         arc_ids = sorted(a.id for a in dag.base.arcs)
         member = tuple(rng.randint(1, 5) for _ in arc_ids)
-        coloring = coloring_from_member(arc_ids, member)
+        coloring = dict(zip(arc_ids, member))
         tables = BypassTables(dag, center, coloring, 4)
         for c in tables.realizable_sets:
             path = tables.reconstruct(c)
@@ -412,7 +416,7 @@ class TestBallSearch:
                 d = rng.randint(1, q)
                 expected = None
                 for member in build_hash_family(m, min(q * r, m)).members:
-                    coloring = coloring_from_member(arc_ids, member)
+                    coloring = dict(zip(arc_ids, member))
                     tables = BypassTables(dag, center, coloring, q)
                     sets = tables.realizable_sets
                     chosen = reference_select(sets[::-1], r, d)

@@ -12,7 +12,7 @@ from dspaths.oracle import (
     count_st_paths,
     enumerate_st_paths,
 )
-from dspaths.solver import SolveConfig, solve
+from dspaths.solver import solve
 from reference import (
     brute_ball,
     brute_farthest,
@@ -241,7 +241,7 @@ class TestAntitone:
         if yes:
             assert brute_solve(dag, k - 1, d) is not None
             assert brute_solve(dag, k, d - 1) is not None
-        fpt = solve(dag.base, k, d, SolveConfig(mode="fpt"))
+        fpt = solve(dag.base, k, d, "fpt")
         assert fpt.decision != "yes" or yes
 
 

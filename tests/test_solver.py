@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import random
 
@@ -6,7 +7,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import parallel_routes, random_layered_dag, unit_chain
-from dspaths.generators import BinPackingInstance, gen_binpack, gen_layered
+from dspaths import oracle
+from dspaths.generators import BinPackingInstance, gen_binpack, gen_grid, gen_layered
 from dspaths.graph import (
     Path,
     build_sp_dag,
@@ -18,7 +20,6 @@ from dspaths.oracle import brute_solve, enumerate_st_paths
 from dspaths.solver import (
     Certificate,
     CertificateError,
-    SolveConfig,
     certificate_from_json_dict,
     greedy_phase,
     result_to_json_dict,
@@ -26,7 +27,7 @@ from dspaths.solver import (
     verify_certificate,
 )
 
-FPT = SolveConfig(mode="fpt")
+FPT = "fpt"
 
 
 def dag_to_graph(dag):
@@ -78,7 +79,7 @@ class TestSolve:
     def test_modes_agree_on_diamond(self, diamond):
         for k, d in ((1, 0), (2, 2), (2, 4), (2, 5), (3, 1)):
             decisions = {
-                solve(diamond, k, d, SolveConfig(mode=m)).decision
+                solve(diamond, k, d, m).decision
                 for m in ("fpt", "oracle", "hybrid")
             }
             assert len(decisions) == 1, (k, d)
@@ -241,10 +242,9 @@ class TestSolve:
         pytest.skip("no incomplete greedy outcome sampled")
 
     def test_determinism_byte_identical(self, diamond):
-        cfg = SolveConfig(mode="fpt", seed=5)
         docs = []
         for _ in range(2):
-            res = solve(diamond, 2, 4, cfg)
+            res = solve(diamond, 2, 4, FPT)
             doc = result_to_json_dict(res, 2, 4)
             doc["stats"]["elapsed_ms"] = 0
             docs.append(json.dumps(doc, sort_keys=True))
@@ -253,9 +253,9 @@ class TestSolve:
     @pytest.mark.parametrize("mode", ["fpt", "hybrid", "oracle"])
     def test_negative_k_or_d_rejected(self, diamond, mode):
         with pytest.raises(ValueError, match="nonnegative"):
-            solve(diamond, 2, -1, SolveConfig(mode=mode))
+            solve(diamond, 2, -1, mode)
         with pytest.raises(ValueError, match="nonnegative"):
-            solve(diamond, -1, 2, SolveConfig(mode=mode))
+            solve(diamond, -1, 2, mode)
 
 
 # (layers, width, seed, k, d) asks on gen_layered(layers, width, 0.6, seed),
@@ -290,7 +290,7 @@ class TestProperties:
         for mode in ("fpt", "oracle"):
             docs = []
             for _ in range(2):
-                res = solve(g, k, d, SolveConfig(mode=mode))
+                res = solve(g, k, d, mode)
                 if res.decision == "yes":
                     ok, report = verify_certificate(g, res.certificate, k, d)
                     assert ok, (mode, report)
@@ -314,23 +314,27 @@ class TestProperties:
 
 class TestHybrid:
     def test_hybrid_uses_oracle_when_small(self, diamond):
-        res = solve(diamond, 2, 4, SolveConfig(mode="hybrid"))
+        res = solve(diamond, 2, 4, "hybrid")
         assert res.decision == "yes"
 
-    def test_hybrid_falls_back_to_fpt(self, diamond):
-        res = solve(diamond, 2, 4, SolveConfig(mode="hybrid", enumeration_budget=1))
-        assert res.decision == "yes"
+    def test_hybrid_falls_back_to_fpt(self, monkeypatch):
+        # The 10x10 grid has 184,756 shortest paths, past ORACLE_PATH_LIMIT,
+        # so hybrid runs fpt and the oracle enumerates nothing.
+        def fail(*args, **kwargs):
+            raise AssertionError("enumerated an instance past the limit")
+
+        monkeypatch.setattr(oracle, "enumerate_st_paths", fail)
+        res = solve(gen_grid(10, 10), 2, 4, "hybrid")
+        assert res.decision == "yes" and res.stats.greedy_paths == 2
 
     def test_long_chain_default_mode(self):
         res = solve(unit_chain(1500), 1, 0)
         assert res.decision == "yes"
         assert res.certificate.paths[0].arcs == tuple(range(1500))
 
-    def test_config_validation(self):
-        with pytest.raises(ValueError):
-            SolveConfig(mode="nope").validate()
-        with pytest.raises(ValueError):
-            SolveConfig(coloring_budget=0).validate()
+    def test_config_validation(self, diamond):
+        with pytest.raises(ValueError, match="mode must be one of"):
+            solve(diamond, 2, 4, mode="nope")
 
 
 class TestVerify:
@@ -354,6 +358,19 @@ class TestVerify:
             k=2, d=4, paths=cert.paths, pairwise=matrix, graph_hash=cert.graph_hash
         )
         assert verify_certificate(diamond, forged, 2, 4) == (False, report)
+
+    @pytest.mark.parametrize("k,d", ((7, 99), (2, 3), (3, 4)))
+    def test_misstated_ask_rejected(self, diamond, k, d):
+        cert = dataclasses.replace(solve(diamond, 2, 4, FPT).certificate, k=k, d=d)
+        report = f"certificate states k={k}, d={d}; asked k=2, d=4"
+        assert verify_certificate(diamond, cert, 2, 4) == (False, report)
+
+    def test_misstated_d_rejected_without_st_path(self):
+        g = parse_graph("p dsp 3 1\ns 1\nt 3\na 1 2 1\n")
+        cert = Certificate(k=0, d=5, paths=(), pairwise=(), graph_hash="")
+        assert verify_certificate(g, cert, 0, 5) == (True, None)
+        report = "certificate states k=0, d=5; asked k=0, d=0"
+        assert verify_certificate(g, cert, 0, 0) == (False, report)
 
     def test_distance_violation_reported_before_matrix(self, diamond):
         cert = solve(diamond, 2, 4, FPT).certificate
@@ -425,7 +442,6 @@ class TestCertificateJson:
             "paths",
             "pairwise",
             "mode",
-            "seed",
             "graph_hash",
             "stats",
         }
