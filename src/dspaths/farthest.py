@@ -8,8 +8,9 @@ one forward pass over the SP-DAG in topological order keeps, at each
 vertex, only the maximal capped label sums of the s-v paths.  A vertex v
 reaches a demand vector gamma <= q exactly when one of its maximal sums
 is >= gamma in every component.  This is the multicriteria labeling
-method (Hansen 1980; Martins 1984).  Results are deterministic: traceback
-prefers the smallest arc id.
+method (Hansen 1980; Martins 1984).  With one reference the sums are
+totally ordered, so a front is its maximum alone.  Results are
+deterministic: traceback prefers the smallest arc id.
 
 Every capped vector is held as one int of r fields, w bits each, with
 w = (2q).bit_length() + 1 (SIMD within a register, Lamport 1975).
@@ -37,6 +38,7 @@ borrows from the next.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from itertools import accumulate
 from typing import Sequence
 
@@ -74,7 +76,10 @@ def _maximal(vectors: list[int], guard: int) -> list[int]:
     one, so one scan suffices."""
     kept: list[int] = []
     for vec in sorted(set(vectors), reverse=True):
-        if not any(((top | guard) - vec) & guard == guard for top in kept):
+        for top in kept:
+            if ((top | guard) - vec) & guard == guard:
+                break
+        else:
             kept.append(vec)
     return kept
 
@@ -124,7 +129,7 @@ def farthest_path(dag: SpDag, refs: Sequence[Path], q: int) -> Path | None:
                 s ^= (s ^ cap) & (((((s | guard) - cap) & guard) >> shift) * field)
                 sums.append(s)
         if len(sums) > 1:
-            sums = _maximal(sums, guard)
+            sums = [max(sums)] if r == 1 else _maximal(sums, guard)
         front[v] = sums
 
     def reaches(v: int, gamma: int) -> bool:
@@ -149,13 +154,13 @@ def farthest_path(dag: SpDag, refs: Sequence[Path], q: int) -> Path | None:
             raise AssertionError("traceback failed")
     path = Path(tuple(reversed(arcs_rev)))
 
+    # ids ascend, so a bisect finds each path arc's place in the columns.
     assert _check_prefix_decomposition(
         dag,
         refs,
         {
-            aid: tuple(col[i] for col in columns)
-            for i, aid in enumerate(ids)
-            if aid in path.arc_set
+            ids[i]: tuple(col[i] for col in columns)
+            for i in (bisect_left(ids, aid) for aid in path.arcs)
         },
         path,
     )

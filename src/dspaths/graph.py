@@ -13,6 +13,8 @@ import heapq
 import re
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import compress
+from operator import itemgetter
 from typing import Iterable, NamedTuple
 
 WEIGHT_SCALE = 10**6
@@ -93,12 +95,15 @@ def parse_graph(source: str | Iterable[str]) -> ArcWeightedDigraph:
     n = m = None
     s = t = None
     arcs: list[Arc] = []
+    weights: dict[str, int] = {}  # weight token -> scaled weight
 
     def fail(lineno: int, msg: str) -> GraphParseError:
         return GraphParseError(f"line {lineno}: {msg}")
 
     for lineno, raw in enumerate(lines, start=1):
-        fields = raw.split("#", 1)[0].split()
+        if "#" in raw:
+            raw = raw.split("#", 1)[0]
+        fields = raw.split()
         if not fields:
             continue
         kind = fields[0]
@@ -141,10 +146,13 @@ def parse_graph(source: str | Iterable[str]) -> ArcWeightedDigraph:
                 raise fail(lineno, "malformed arc line") from None
             if not (1 <= tail <= n and 1 <= head <= n):
                 raise fail(lineno, "vertex id out of range")
-            try:
-                weight = _parse_weight(fields[3])
-            except ValueError as exc:
-                raise fail(lineno, str(exc)) from None
+            token = fields[3]
+            weight = weights.get(token)
+            if weight is None:
+                try:
+                    weight = weights[token] = _parse_weight(token)
+                except ValueError as exc:
+                    raise fail(lineno, str(exc)) from None
             if weight <= 0:
                 raise fail(lineno, "non-positive weight")
             if len(arcs) >= m:
@@ -179,7 +187,7 @@ def format_graph(g: ArcWeightedDigraph) -> str:
 def graph_hash(g: ArcWeightedDigraph) -> str:
     """Content digest of a graph, stable across runs."""
     payload = f"{g.n} {g.m} {g.s} {g.t};" + ";".join(
-        f"{a.id},{a.tail},{a.head},{a.weight}" for a in g.arcs
+        "%d,%d,%d,%d" % a for a in g.arcs
     )
     return hashlib.sha256(payload.encode()).hexdigest()
 
@@ -250,14 +258,15 @@ def shortest_distances(g: ArcWeightedDigraph) -> list[int | None]:
         out[a.tail].append(a)
     dist: list[int | None] = [None] * (g.n + 1)
     pq: list[tuple[int, int]] = [(0, g.s)]
+    push, pop = heapq.heappush, heapq.heappop
     while pq:
-        d, v = heapq.heappop(pq)
+        d, v = pop(pq)
         if dist[v] is not None:
             continue
         dist[v] = d
-        for a in out[v]:
-            if dist[a.head] is None:
-                heapq.heappush(pq, (d + a.weight, a.head))
+        for _, _, head, weight in out[v]:
+            if dist[head] is None:
+                push(pq, (d + weight, head))
     return dist
 
 
@@ -282,33 +291,35 @@ def build_sp_dag(g: ArcWeightedDigraph) -> SpDag:
     # distance is reachable from s over tight arcs; the live vertices are
     # the ones that also reach t over tight arcs.  A tight arc into a live
     # vertex has a live tail.
-    in_adj: dict[int, list[int]] = {}
-    for a in tight:
-        in_adj.setdefault(a.head, []).append(a.tail)
-    alive = {g.t}
+    in_adj: list[list[int]] = [[] for _ in range(g.n + 1)]
+    for _, tail, head, _ in tight:
+        in_adj[head].append(tail)
+    alive = bytearray(g.n + 1)
+    alive[g.t] = 1
     stack = [g.t]
     while stack:
-        v = stack.pop()
-        for w in in_adj.get(v, ()):
-            if w not in alive:
-                alive.add(w)
+        for w in in_adj[stack.pop()]:
+            if not alive[w]:
+                alive[w] = 1
                 stack.append(w)
-    surviving = [a for a in tight if a.head in alive]
+    surviving = [a for a in tight if alive[a.head]]
 
     # Positive weights make dist strictly increase along tight arcs, so
     # ordering by (dist, original id) is a topological order with s first
-    # and t last.
-    order = sorted(alive, key=lambda v: (dist[v], v))
-    renum = {orig: i + 1 for i, orig in enumerate(order)}
+    # and t last.  The live ids come ascending and the sort is stable.
+    order = sorted(compress(range(g.n + 1), alive), key=dist.__getitem__)
+    renum = [0] * (g.n + 1)
+    for i, orig in enumerate(order, start=1):
+        renum[orig] = i
     # This sort is the one owner of the ascending arc order that SpDag
     # promises; consumers rely on it and sort no more.
     arcs = tuple(
-        Arc(a.id, renum[a.tail], renum[a.head], a.weight)
-        for a in sorted(surviving, key=lambda a: a.id)
+        Arc(aid, renum[tail], renum[head], weight)
+        for aid, tail, head, weight in sorted(surviving, key=itemgetter(0))
     )
     base = ArcWeightedDigraph(n=len(order), arcs=arcs, s=1, t=len(order))
     return SpDag(
         base=base,
-        dist=tuple(dist[v] for v in order),
+        dist=tuple([dist[v] for v in order]),
         orig_vertex=tuple(order),
     )

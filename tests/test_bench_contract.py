@@ -3,7 +3,7 @@
 ``perfbench/spans.py`` wraps functions that the pipeline looks up at call
 time, and ``colorcode.BypassTables`` with its ``reconstruct``.  A rename
 in the package would leave a wrapper that never fires, and its layer
-would read 0 ms.  This test traces asks of three workloads' kinds in a
+would read 0 ms.  This test traces asks of every workload's kind in a
 fresh interpreter (installing the tracer patches the package for the
 rest of the process) and checks the spans and the coloring-regime
 counters that the benchmark requires.  It reads ``perfbench/`` and
@@ -52,6 +52,9 @@ def test_benchmark_spans_fire(tmp_path):
     graphs = {
         "binpack.txt": binpack.graph,
         "grid.txt": gen_grid(5, 5),
+        # A greedy-grid-shaped ask: the greedy phase completes, so only
+        # parse, SP-DAG, the farthest-path DP and the check run.
+        "grid-greedy.txt": gen_grid(8, 8),
         # Small-batch-shaped fpt asks.  The coloring regime depends only
         # on m and q * r, so small-batch's relabelling keeps it: the first
         # builds the seeded family and answers yes, the second builds the
@@ -64,6 +67,7 @@ def test_benchmark_spans_fire(tmp_path):
     fpt = ["--mode", "fpt"]
     asks = [
         ("ball-binpack", "binpack.txt", binpack.ask_k, binpack.ask_d, fpt),
+        ("greedy-grid", "grid-greedy.txt", 3, 4, fpt),
         ("hybrid-default", "grid.txt", 4, 6, []),
         ("small-batch", "layered-seeded.txt", 3, 4, fpt),
         ("small-batch", "layered-exhaustive.txt", 3, 2, fpt),
@@ -80,8 +84,8 @@ def test_benchmark_spans_fire(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     out = json.loads(proc.stdout.splitlines()[-1])
-    assert out["rcs"] == [0, 0, 0, 1]
-    workloads = ["ball-binpack", "hybrid-default", "small-batch"]
+    assert out["rcs"] == [0, 0, 0, 0, 1]
+    workloads = ["ball-binpack", "greedy-grid", "hybrid-default", "small-batch"]
     assert out["missing"] == {w: [] for w in workloads}
     assert out["unexpected"] == {w: [] for w in workloads}
     # The bin-packing ask builds the identity family and the layered asks

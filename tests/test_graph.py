@@ -43,6 +43,13 @@ class TestParse:
             "# intro\n\np dsp 2 1  # header\ns 1\nt 2\n\na 1 2 1 # arc\n"
         )
         assert g.m == 1
+        # A comment glued to a token, a comment-only line, and one weight
+        # spelled three ways: each spelling parses to the same weight.
+        g = parse_graph(
+            "p dsp 2 4\ns 1\nt 2\na 1 2 1#c\n  # only a comment\n"
+            "a 1 2 1\na 1 2 1.0\na 1 2 1.000000\n"
+        )
+        assert [a.weight for a in g.arcs] == [WEIGHT_SCALE] * 4
 
     @pytest.mark.parametrize(
         "text,fragment",
@@ -96,6 +103,18 @@ class TestParse:
 
     def test_graph_hash_stable(self, diamond):
         assert graph_hash(diamond) == graph_hash(parse_graph(DIAMOND_TEXT))
+        # Every certificate carries this digest, so its payload format is
+        # part of the output.
+        assert graph_hash(diamond) == (
+            "e9dba12091558b32655a85d50be9574dea9bbe169a20d10013904261d19e4dd4"
+        )
+        multi = parse_graph(
+            "p dsp 3 5\ns 1\nt 3\na 1 2 0.5\na 1 2 0.5\na 2 3 2.25\n"
+            "a 2 3 1.75\na 1 3 2.000001\n"
+        )
+        assert graph_hash(multi) == (
+            "45cabe77f0e0947ac33f8c32fb3142c03822a82ed6c041a69959fda2ec4c4e9f"
+        )
 
 
 class TestBuildSpDag:
