@@ -102,7 +102,10 @@ class SystemExit2(Exception):
 def _emit_json(doc: dict, out_path: str | None) -> None:
     text = json.dumps(doc, indent=2) + "\n"
     if out_path:
-        FsPath(out_path).write_text(text)
+        try:
+            FsPath(out_path).write_text(text)
+        except OSError as exc:
+            raise SystemExit2(f"cannot write {out_path}: {exc}")
     else:
         sys.stdout.write(text)
 

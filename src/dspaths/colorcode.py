@@ -128,10 +128,11 @@ def build_hash_family(m: int, s: int) -> HashFamily:
 class BypassTables:
     """Colorful-bypass tables for one (dag, center path, coloring).
 
-    One forward sweep over the SP-DAG in topological order fills them.
-    A detour leaves the center at position j; its mask is the union of
-    its arcs' charges (see the module docstring).  Each vertex off the
-    center keeps its detour masks grouped by j, each mapped to the
+    The coloring is a family member: ``coloring[i]`` is the color of arc
+    i, ``dag.base.arcs[i]``.  One forward sweep over the SP-DAG in
+    topological order fills the tables.  A detour leaves the center at
+    position j; its mask is the union of its arcs' charges (see the
+    module docstring).  Each vertex off the center keeps its detour masks grouped by j, each mapped to the
     smallest-id arc into the vertex that builds it.  Center position p
     keeps the masks, with at most ``max_size`` colors, of the colorful
     bypasses of the center prefix up to p: a mask inherited over the
@@ -146,7 +147,7 @@ class BypassTables:
         self,
         dag: SpDag,
         center: Path,
-        coloring: dict[int, int],
+        coloring: Sequence[int],
         max_size: int,
     ):
         self.dag = dag
@@ -224,7 +225,7 @@ class BypassTables:
             if step is None:
                 aid = self.center.arcs[pos - 1]
                 arcs.append(aid)
-                pos, v = pos - 1, self.dag.arc_by_id[aid].tail
+                pos, v = pos - 1, self.dag.base.arcs[aid].tail
                 continue
             pos, detour = step
             cur ^= detour
@@ -348,6 +349,8 @@ def select_dissimilar_color_sets(
     remaining candidates cannot reach r.  Row i, the later positions at
     distance >= d from position i, is built the first time i is chosen and
     another pick is still needed; the last pick is the lowest candidate.
+    The candidate sets of the open picks are kept on an explicit stack, so
+    r is not bounded by the interpreter's recursion limit.
 
     Below ``_SLICED_ROWS_MIN`` masks a row takes one XOR and popcount per
     later position.  From it on, rows are built bit-parallel, with the
@@ -374,29 +377,26 @@ def select_dissimilar_color_sets(
     row_of = build(masks, d)
     rows: dict[int, int] = {}
     chosen: list[int] = []
-
-    def row(i: int) -> int:
+    stack: list[int] = []  # stack[j]: what was left to try for pick j
+    cand = (1 << n) - 1
+    while True:
+        if len(chosen) + cand.bit_count() < r:  # also when cand is empty
+            if not stack:
+                return None
+            cand = stack.pop()
+            chosen.pop()
+            continue
+        low = cand & -cand
+        cand ^= low
+        i = low.bit_length() - 1
+        chosen.append(i)
+        if len(chosen) == r:
+            return [masks[j] for j in chosen]
         bits = rows.get(i)
         if bits is None:
             bits = rows[i] = row_of(i)
-        return bits
-
-    def extend(cand: int) -> bool:
-        while cand:
-            if len(chosen) + cand.bit_count() < r:
-                return False
-            low = cand & -cand
-            cand ^= low
-            i = low.bit_length() - 1
-            chosen.append(i)
-            if len(chosen) == r or extend(cand & row(i)):
-                return True
-            chosen.pop()
-        return False
-
-    if not extend((1 << n) - 1):
-        return None
-    return [masks[i] for i in chosen]
+        stack.append(cand)
+        cand &= bits
 
 
 def ball_search_exact(m: int, q: int, r: int) -> bool:
@@ -434,15 +434,11 @@ def ball_search(
     if q == 0:
         return None  # the radius-0 ball holds only the center
 
-    # The i-th smallest arc id takes universe position i (``SpDag`` keeps
-    # its arcs in ascending id order).
-    arc_ids = [a.id for a in dag.base.arcs]
-    m = len(arc_ids)
+    m = dag.base.m
     family = build_hash_family(m, min(q * r, m))
 
     for member in family.members:
-        coloring = dict(zip(arc_ids, member))
-        tables = BypassTables(dag, center, coloring, q)
+        tables = BypassTables(dag, center, member, q)
         chosen = select_dissimilar_color_sets(tables.realizable_sets[::-1], r, d)
         if chosen is None:
             continue

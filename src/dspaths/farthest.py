@@ -38,19 +38,16 @@ borrows from the next.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from itertools import accumulate
 from typing import Sequence
 
 from .graph import Path, SpDag
 
-Vector = tuple[int, ...]
-
 
 def _label_columns(dag: SpDag, refs: Sequence[Path]) -> list[list[int]]:
-    """Label components of every arc, one column per reference in the
-    order of ``dag.base.arcs``, from one prefix count of reference-arc
-    heads per reference.
+    """Label components of every arc, one column per reference:
+    ``columns[k][i]`` is component k of arc i.  Each column comes from
+    one prefix count of reference-arc heads.
 
     For arc e = (v_i, v_j), component k is the size of the symmetric
     difference between {e} and the arcs of reference k whose head lies in
@@ -61,7 +58,7 @@ def _label_columns(dag: SpDag, refs: Sequence[Path]) -> list[list[int]]:
     for ref in refs:
         heads = [0] * (dag.n + 1)
         for aid in ref.arcs:
-            heads[dag.arc_by_id[aid].head] += 1
+            heads[arcs[aid].head] += 1
         cnt = list(accumulate(heads))
         mem = ref.arc_set
         columns.append(
@@ -105,17 +102,15 @@ def farthest_path(dag: SpDag, refs: Sequence[Path], q: int) -> Path | None:
         return _lex_smallest_path(dag)
 
     columns = _label_columns(dag, refs)
-    ids = [a.id for a in dag.base.arcs]
     w = (2 * q).bit_length() + 1
     shift = w - 1
     lows = sum(1 << (w * k) for k in range(r))
     guard = lows << shift
     cap = lows * q
     field = (1 << w) - 1
-    packed = [0] * len(ids)
+    label = [0] * dag.base.m
     for col in columns:  # reference 0 ends up in the top field
-        packed = [(p << w) | (c if c < q else q) for p, c in zip(packed, col)]
-    label = dict(zip(ids, packed))
+        label = [(p << w) | (c if c < q else q) for p, c in zip(label, col)]
 
     front: list[list[int]] = [[] for _ in range(dag.n + 1)]
     front[1] = [0]
@@ -153,17 +148,7 @@ def farthest_path(dag: SpDag, refs: Sequence[Path], q: int) -> Path | None:
         else:  # pragma: no cover - the DP guarantees a predecessor
             raise AssertionError("traceback failed")
     path = Path(tuple(reversed(arcs_rev)))
-
-    # ids ascend, so a bisect finds each path arc's place in the columns.
-    assert _check_prefix_decomposition(
-        dag,
-        refs,
-        {
-            ids[i]: tuple(col[i] for col in columns)
-            for i in (bisect_left(ids, aid) for aid in path.arcs)
-        },
-        path,
-    )
+    assert _check_prefix_decomposition(dag, refs, columns, path)
     assert all(len(path.arc_set ^ ref.arc_set) >= q for ref in refs)
     return path
 
@@ -171,10 +156,11 @@ def farthest_path(dag: SpDag, refs: Sequence[Path], q: int) -> Path | None:
 def _check_prefix_decomposition(
     dag: SpDag,
     refs: Sequence[Path],
-    labels: dict[int, Vector],
+    columns: Sequence[Sequence[int]],
     path: Path,
 ) -> bool:
-    """Debug check: prefix distances telescope through the arc labels.
+    """Debug check: prefix distances telescope through the arc labels,
+    ``columns[k][i]`` being component k of arc i's label.
 
     After each path arc (u, v), the distance to reference k is the size
     of the symmetric difference of the path's prefix and the reference's
@@ -182,21 +168,21 @@ def _check_prefix_decomposition(
     the path, and that size is kept as arcs join either prefix, so the
     check is linear in the path and reference lengths.
     """
-    arc_by_id = dag.arc_by_id
-    for k, ref in enumerate(refs):
+    arcs = dag.base.arcs
+    for ref, col in zip(refs, columns):
         mine: set[int] = set()
         theirs: set[int] = set()
         nxt = dist = prev = 0
         for aid in path.arcs:
-            v = arc_by_id[aid].head
+            v = arcs[aid].head
             mine.add(aid)
             dist += -1 if aid in theirs else 1
-            while nxt < len(ref.arcs) and arc_by_id[ref.arcs[nxt]].head <= v:
+            while nxt < len(ref.arcs) and arcs[ref.arcs[nxt]].head <= v:
                 other = ref.arcs[nxt]
                 theirs.add(other)
                 dist += -1 if other in mine else 1
                 nxt += 1
-            if dist != prev + labels[aid][k]:
+            if dist != prev + col[aid]:
                 return False
             prev = dist
     return True

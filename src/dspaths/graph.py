@@ -14,7 +14,6 @@ import re
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import compress
-from operator import itemgetter
 from typing import Iterable, NamedTuple
 
 WEIGHT_SCALE = 10**6
@@ -41,8 +40,8 @@ class Arc(NamedTuple):
 class ArcWeightedDigraph:
     """Directed graph with positive arc weights and two terminals.
 
-    Vertices are 1..n.  Arc ids are 0..m-1 in input order; parallel arcs
-    are permitted and distinguished by id.
+    Vertices are 1..n.  Arc ids are 0..m-1 in input order, so ``arcs[i]``
+    is arc i; parallel arcs are permitted and distinguished by id.
     """
 
     n: int
@@ -197,24 +196,22 @@ class SpDag:
     """Shortest-path DAG of an input graph.
 
     Vertices are renumbered 1..n in topological order (so s = 1 and
-    t = n, the unique source and sink); ``orig_vertex`` maps back to the
-    input numbering.  Arc ids are the original input ids, so Hamming
-    distances and certificates are expressed in terms of the input file.
-    ``base.arcs`` is in ascending id order, and so is each tuple of
-    ``incoming`` and ``outgoing``.
+    t = n, the unique source and sink).  The surviving arcs are numbered
+    0..m-1 in ascending input id, so ``base.arcs[i]`` is arc i, and
+    ``input_arc[i]`` is its id in the input file.  Every path the
+    package computes on a dag (``farthest_path``, ``greedy_phase``,
+    ``ball_search``, ``brute_solve``) is in this numbering; ``solve``
+    maps its answer back to input ids once.  The renumbering is monotone,
+    so every smallest-id tie-break is the same in either numbering.
+    Each tuple of ``incoming`` and ``outgoing`` is in ascending id order.
     """
 
     base: ArcWeightedDigraph
-    dist: tuple[int, ...]  # dist[v - 1] = shortest distance from s
-    orig_vertex: tuple[int, ...]  # orig_vertex[v - 1] = input vertex id
+    input_arc: tuple[int, ...]  # input_arc[i] = input id of arc i
 
     @property
     def n(self) -> int:
         return self.base.n
-
-    @cached_property
-    def arc_by_id(self) -> dict[int, Arc]:
-        return {a.id: a for a in self.base.arcs}
 
     @cached_property
     def incoming(self) -> tuple[tuple[Arc, ...], ...]:
@@ -234,11 +231,11 @@ class SpDag:
         """Vertex sequence of a path starting at s; raises if arcs do not chain."""
         v = 1
         verts = [v]
+        arcs = self.base.arcs
         for aid in p.arcs:
-            arc = self.arc_by_id.get(aid)
-            if arc is None or arc.tail != v:
+            if not 0 <= aid < len(arcs) or arcs[aid].tail != v:
                 raise ValueError(f"arc {aid} does not extend path at vertex {v}")
-            v = arc.head
+            v = arcs[aid].head
             verts.append(v)
         return verts
 
@@ -311,15 +308,11 @@ def build_sp_dag(g: ArcWeightedDigraph) -> SpDag:
     renum = [0] * (g.n + 1)
     for i, orig in enumerate(order, start=1):
         renum[orig] = i
-    # This sort is the one owner of the ascending arc order that SpDag
-    # promises; consumers rely on it and sort no more.
+    # g.arcs, and so the surviving arcs, ascend by input id: numbering
+    # them in this order keeps every tie-break on arc ids the same.
     arcs = tuple(
-        Arc(aid, renum[tail], renum[head], weight)
-        for aid, tail, head, weight in sorted(surviving, key=itemgetter(0))
+        Arc(i, renum[tail], renum[head], weight)
+        for i, (_, tail, head, weight) in enumerate(surviving)
     )
     base = ArcWeightedDigraph(n=len(order), arcs=arcs, s=1, t=len(order))
-    return SpDag(
-        base=base,
-        dist=tuple([dist[v] for v in order]),
-        orig_vertex=tuple(order),
-    )
+    return SpDag(base=base, input_arc=tuple([a.id for a in surviving]))

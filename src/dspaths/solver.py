@@ -20,7 +20,6 @@ from . import oracle as oracle_mod
 from .colorcode import ball_search, ball_search_exact
 from .farthest import farthest_path
 from .graph import (
-    Arc,
     ArcWeightedDigraph,
     Path,
     SpDag,
@@ -121,18 +120,6 @@ def _pairwise_matrix(paths: Sequence[Path]) -> tuple[tuple[int, ...], ...]:
     )
 
 
-def _make_certificate(
-    g: ArcWeightedDigraph, k: int, d: int, paths: Sequence[Path]
-) -> Certificate:
-    return Certificate(
-        k=k,
-        d=d,
-        paths=tuple(paths),
-        pairwise=_pairwise_matrix(paths),
-        graph_hash=graph_hash(g),
-    )
-
-
 def solve(g: ArcWeightedDigraph, k: int, d: int, mode: str = "hybrid") -> SolveResult:
     """Decide whether g has k shortest s-t paths pairwise >= d apart.
 
@@ -141,11 +128,11 @@ def solve(g: ArcWeightedDigraph, k: int, d: int, mode: str = "hybrid") -> SolveR
     ``ORACLE_PATH_LIMIT`` shortest paths and fpt past it; oracle mode
     raises ``OracleBudgetError`` past it.  The paths are counted once.
 
-    Returns a verified certificate on yes.  A plain "no" is exact; it
-    degrades to "probabilistic_no" only if some failing ball search had to
-    fall back to a seeded coloring family (``colorcode.ball_search_exact``
-    says which ones did; a radius-0 ball holds only its center, so its
-    failure is exact).  Raises ``ValueError`` on a negative k or d or an
+    Returns a verified certificate on yes, its paths in the input file's
+    arc ids.  A plain "no" is exact; it degrades to "probabilistic_no"
+    only if some failing ball search had to fall back to a seeded coloring
+    family (``colorcode.ball_search_exact`` says which ones did; a
+    radius-0 ball holds only its center, so its failure is exact).  Raises ``ValueError`` on a negative k or d or an
     unknown mode.
     """
     if k < 0 or d < 0:
@@ -156,9 +143,22 @@ def solve(g: ArcWeightedDigraph, k: int, d: int, mode: str = "hybrid") -> SolveR
     greedy_count = 0
     compositions_tried = 0
 
-    def finish(decision: str, cert: Certificate | None) -> SolveResult:
+    # The engines work in the dag's arc numbering; ``finish`` maps the
+    # answer back to input ids, the one place that does.
+    input_arc: tuple[int, ...] = ()
+
+    def finish(decision: str, found: Sequence[Path] | None) -> SolveResult:
         elapsed = int((time.monotonic() - start) * 1000)
-        if cert is not None:
+        cert = None
+        if found is not None:
+            paths = tuple(Path(tuple([input_arc[a] for a in p.arcs])) for p in found)
+            cert = Certificate(
+                k=k,
+                d=d,
+                paths=paths,
+                pairwise=_pairwise_matrix(paths),
+                graph_hash=graph_hash(g),
+            )
             ok, report = verify_certificate(g, cert, k, d)
             if not ok:  # pragma: no cover - internal soundness guard
                 raise RuntimeError(f"solver produced an invalid certificate: {report}")
@@ -174,17 +174,16 @@ def solve(g: ArcWeightedDigraph, k: int, d: int, mode: str = "hybrid") -> SolveR
         )
 
     if k == 0:
-        return finish("yes", _make_certificate(g, 0, d, ()))
+        return finish("yes", ())
 
     dag = build_sp_dag(g)
+    input_arc = dag.input_arc
 
     if mode != "fpt":
         path_count = oracle_mod.count_st_paths(dag, cap=ORACLE_PATH_LIMIT + 1)
         if path_count <= ORACLE_PATH_LIMIT:
             found = oracle_mod.brute_solve(dag, k, d)
-            if found is None:
-                return finish("no", None)
-            return finish("yes", _make_certificate(g, k, d, found))
+            return finish("no" if found is None else "yes", found)
         if mode == "oracle":
             raise OracleBudgetError(
                 "instance too large for oracle: more than"
@@ -194,7 +193,7 @@ def solve(g: ArcWeightedDigraph, k: int, d: int, mode: str = "hybrid") -> SolveR
     greedy = greedy_phase(dag, k, d)
     greedy_count = len(greedy.paths)
     if greedy.complete:
-        return finish("yes", _make_certificate(g, k, d, greedy.paths))
+        return finish("yes", greedy.paths)
 
     kp = len(greedy.paths)
     radius = _threshold(dag, k, d, kp + 1) - 1
@@ -228,7 +227,7 @@ def solve(g: ArcWeightedDigraph, k: int, d: int, mode: str = "hybrid") -> SolveR
                 break
             assignment.extend(found)
         else:
-            return finish("yes", _make_certificate(g, k, d, assignment))
+            return finish("yes", assignment)
 
     return finish("probabilistic_no" if seeded_failure else "no", None)
 
@@ -252,9 +251,8 @@ def verify_certificate(
     best = shortest_distances(g)[g.t]
     if best is None and k:
         return False, "graph has no s-t path"
-    arc_by_id = {a.id: a for a in g.arcs}
     for i, p in enumerate(cert.paths, start=1):
-        if not _is_shortest_st_path(g, arc_by_id, best, p):
+        if not _is_shortest_st_path(g, best, p):
             return False, f"path {i} not a shortest path"
     dists = _pairwise_matrix(cert.paths)
     for i in range(k):
@@ -273,13 +271,13 @@ def verify_certificate(
     return True, None
 
 
-def _is_shortest_st_path(
-    g: ArcWeightedDigraph, arc_by_id: dict[int, Arc], best: int, p: Path
-) -> bool:
+def _is_shortest_st_path(g: ArcWeightedDigraph, best: int, p: Path) -> bool:
     v, weight, seen = g.s, 0, {g.s}
     for aid in p.arcs:
-        arc = arc_by_id.get(aid)
-        if arc is None or arc.tail != v or arc.head in seen:
+        if not 0 <= aid < g.m:
+            return False
+        arc = g.arcs[aid]
+        if arc.tail != v or arc.head in seen:
             return False
         v = arc.head
         seen.add(v)

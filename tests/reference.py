@@ -45,12 +45,10 @@ def _maximal_tuples(vectors: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
     return kept
 
 
-def arc_labels(dag: SpDag, refs: Sequence[Path]) -> dict[int, tuple[int, ...]]:
-    """Uncapped label vectors of every arc, by arc id."""
+def arc_labels(dag: SpDag, refs: Sequence[Path]) -> list[tuple[int, ...]]:
+    """Uncapped label vectors of every arc: entry i is arc i's."""
     columns = _label_columns(dag, refs)
-    return {
-        a.id: tuple(col[i] for col in columns) for i, a in enumerate(dag.base.arcs)
-    }
+    return [tuple(col[i] for col in columns) for i in range(dag.base.m)]
 
 
 def reference_farthest_path(
@@ -156,10 +154,10 @@ def reference_select(masks: Sequence[int], r: int, d: int) -> list[int] | None:
 
 
 def brute_realizable_sets(
-    dag: SpDag, center: Path, coloring: dict[int, int], q: int
+    dag: SpDag, center: Path, coloring: Sequence[int], q: int
 ) -> set[int]:
     """Color sets of the colorful bypasses P XOR center with at most q
-    colors, over every s-t path P."""
+    colors, over every s-t path P; ``coloring[i]`` is arc i's color."""
     sets = set()
     for p in enumerate_st_paths(dag).paths:
         bypass = center.arc_set ^ p.arc_set
@@ -187,21 +185,21 @@ def minimal_bypass_decomposition(
     while v != dag.n:
         ca, oa = center.arcs[ci], other.arcs[oi]
         if ca == oa:
-            v = dag.arc_by_id[ca].head
+            v = dag.base.arcs[ca].head
             ci += 1
             oi += 1
             continue
         start = v
         arcs: set[int] = set()
         while True:
-            arc = dag.arc_by_id[center.arcs[ci]]
+            arc = dag.base.arcs[center.arcs[ci]]
             arcs.add(arc.id)
             ci += 1
             if arc.head in common:
                 end = arc.head
                 break
         while True:
-            arc = dag.arc_by_id[other.arcs[oi]]
+            arc = dag.base.arcs[other.arcs[oi]]
             arcs.add(arc.id)
             oi += 1
             if arc.head in common:

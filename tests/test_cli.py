@@ -8,7 +8,7 @@ import pytest
 
 import dspaths.cli
 import dspaths.oracle
-from conftest import DIAMOND_TEXT, unit_chain
+from conftest import DIAMOND_TEXT, parallel_routes, unit_chain
 from dspaths.cli import (
     EXIT_ERROR,
     EXIT_INTERNAL,
@@ -95,6 +95,24 @@ def test_fpt_huge_k_answers_at_once(tmp_path):
     )
     assert proc.returncode == EXIT_NO, proc.stderr
     assert json.loads(proc.stdout)["decision"] == "no"
+
+
+@pytest.mark.parametrize("mode", ("fpt", "oracle"))
+def test_k_past_the_recursion_limit(tmp_path, mode):
+    # Eight diamonds in series have 256 shortest paths, pairwise distinct,
+    # so k = 256, d = 1 is a yes-instance whose selection picks 256 sets.
+    # The fresh interpreter's recursion limit is 150, so a search that
+    # recursed once per pick would exit 5 with a RecursionError.
+    graph = tmp_path / "diamonds.txt"
+    graph.write_text(format_graph(parallel_routes(1, 17, 8)))
+    argv = ["solve", "--mode", mode, "-g", str(graph), "-k", "256", "-d", "1"]
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys; sys.setrecursionlimit(150); " + RUN_CLI,
+         str(SRC), *argv],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == EXIT_YES, proc.stderr
+    assert len(json.loads(proc.stdout)["paths"]) == 256
 
 
 @pytest.mark.parametrize("arcs", (16, 17, 40))
@@ -197,3 +215,38 @@ def test_six_item_binpack_row_in_reach(tmp_path):
     )
     assert proc.returncode == EXIT_YES, proc.stderr
     assert run_cli(["verify", "-g", str(graph), "-c", str(cert), "-k", k, "-d", d]) == EXIT_YES
+
+
+@pytest.mark.parametrize("target", ("missing/cert.json", "."))
+def test_json_write_failure_is_an_input_error(diamond_file, tmp_path, capsys, target):
+    # A --json path in a missing directory, or naming a directory, is the
+    # user's error (exit 2), as an unwritable gen output is.
+    out = str(tmp_path / target)
+    argv = ["solve", "-g", diamond_file, "-k", "2", "-d", "4", "--json", out]
+    assert run_cli(argv) == EXIT_ERROR
+    assert f"error: cannot write {out}" in capsys.readouterr().err
+
+
+# The long arc 0 and the dead-end arc 3 are not on the shortest path, so the
+# SP-DAG numbers input arcs 1 and 2 as 0 and 1.
+PRUNED_FIRST_TEXT = """\
+p dsp 4 4
+s 1
+t 3
+a 1 3 3
+a 1 2 1
+a 2 3 1
+a 2 4 1
+"""
+
+
+@pytest.mark.parametrize("mode", ("fpt", "oracle", "hybrid"))
+def test_certificate_in_input_arc_ids(tmp_path, mode):
+    graph, cert = tmp_path / "g.txt", tmp_path / "cert.json"
+    graph.write_text(PRUNED_FIRST_TEXT)
+    argv = ["solve", "-g", str(graph), "-k", "2", "-d", "0", "--mode", mode,
+            "--json", str(cert)]
+    assert run_cli(argv) == EXIT_YES
+    assert json.loads(cert.read_text())["paths"] == [[1, 2], [1, 2]]
+    argv = ["verify", "-g", str(graph), "-c", str(cert), "-k", "2", "-d", "0"]
+    assert run_cli(argv) == EXIT_YES

@@ -33,7 +33,8 @@ from reference import (
     reference_select,
 )
 
-DIAMOND_COLORS = {0: 1, 2: 2, 1: 3, 3: 4}
+# Arc i has color DIAMOND_COLORS[i]: the upper path 0, 2 takes colors 1, 2.
+DIAMOND_COLORS = (1, 3, 2, 4)
 
 
 def mask(*colors):
@@ -213,16 +214,15 @@ class TestBypassTables:
         for idx, dag in enumerate(BRUTE_FORCE_DAGS[kind]()):
             rng = random.Random(idx)
             paths = enumerate_st_paths(dag).paths
-            arc_ids = sorted(a.id for a in dag.base.arcs)
+            m = dag.base.m
             seen["s == t"] += dag.n == 1
-            seen["parallel"] += len({(a.tail, a.head) for a in dag.base.arcs}) < len(arc_ids)
+            seen["parallel"] += len({(a.tail, a.head) for a in dag.base.arcs}) < m
             for center in rng.sample(paths, min(2, len(paths))):
-                members = [tuple(range(1, len(arc_ids) + 1))]
+                members = [tuple(range(1, m + 1))]
                 members += [
-                    tuple(rng.randint(1, colors) for _ in arc_ids) for colors in (2, 5)
+                    tuple(rng.randint(1, colors) for _ in range(m)) for colors in (2, 5)
                 ]
-                for member in members:
-                    coloring = dict(zip(arc_ids, member))
+                for coloring in members:
                     seen["not rainbow"] += len({coloring[a] for a in center.arcs}) < len(center)
                     for q in range(0, 2 * len(center) + 2, 1 if len(center) < 8 else 5):
                         check_against_brute_force(dag, center, coloring, q)
@@ -237,9 +237,7 @@ class TestBypassTables:
         catalog = enumerate_st_paths(dag)
         rng = random.Random(seed)
         center = rng.choice(catalog.paths)
-        arc_ids = sorted(a.id for a in dag.base.arcs)
-        member = tuple(rng.randint(1, 5) for _ in arc_ids)
-        coloring = dict(zip(arc_ids, member))
+        coloring = tuple(rng.randint(1, 5) for _ in range(dag.base.m))
         tables = BypassTables(dag, center, coloring, 4)
         for c in tables.realizable_sets:
             path = tables.reconstruct(c)
@@ -281,6 +279,12 @@ class TestSelect:
 
     def test_empty_realizables(self):
         assert select_dissimilar_color_sets([], 1, 0) is None
+
+    def test_r_past_the_recursion_limit(self):
+        # Every pair of distinct masks is at least 1 apart, so all 1,200
+        # are picked, one level of the search each.
+        masks = list(range(1, 1201))
+        assert select_dissimilar_color_sets(masks, 1200, 1) == masks
 
     def test_matches_first_combination(self):
         # Reference: the first r-subset in itertools.combinations order
@@ -407,8 +411,7 @@ class TestBallSearch:
         for idx, dag in enumerate(self.ORDER_DAGS[kind]()):
             rng = random.Random(idx)
             paths = enumerate_st_paths(dag).paths
-            arc_ids = sorted(a.id for a in dag.base.arcs)
-            m = len(arc_ids)
+            m = dag.base.m
             for _ in range(4):
                 center = rng.choice(paths)
                 q = rng.randint(1, 2 * len(center.arcs))
@@ -416,8 +419,7 @@ class TestBallSearch:
                 d = rng.randint(1, q)
                 expected = None
                 for member in build_hash_family(m, min(q * r, m)).members:
-                    coloring = dict(zip(arc_ids, member))
-                    tables = BypassTables(dag, center, coloring, q)
+                    tables = BypassTables(dag, center, member, q)
                     sets = tables.realizable_sets
                     chosen = reference_select(sets[::-1], r, d)
                     if chosen is not None:

@@ -5,7 +5,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_layered_dag
-from dspaths.farthest import _check_prefix_decomposition, farthest_path
+from dspaths.farthest import (
+    _check_prefix_decomposition,
+    _label_columns,
+    farthest_path,
+)
 from dspaths.generators import gen_grid, gen_layered
 from dspaths.graph import (
     WEIGHT_SCALE,
@@ -173,14 +177,13 @@ class TestPrefixCheck:
             dag = build_sp_dag(gen_grid(6, 6))
             refs = random_walks(dag, rng.randint(1, 3), rng)
             path = random_walks(dag, 1, rng)[0]
-        labels = arc_labels(dag, refs)
-        assert _check_prefix_decomposition(dag, refs, labels, path)
+        columns = _label_columns(dag, refs)
+        assert _check_prefix_decomposition(dag, refs, columns, path)
         for aid in path.arcs:
             for k in range(len(refs)):
                 for delta in (-1, 1):
-                    off = list(labels[aid])
-                    off[k] += delta
-                    wrong = {**labels, aid: tuple(off)}
+                    wrong = [list(col) for col in columns]
+                    wrong[k][aid] += delta
                     assert not _check_prefix_decomposition(dag, refs, wrong, path)
 
 
@@ -264,10 +267,12 @@ class TestFarthestPath:
 
     @pytest.mark.parametrize("name", sorted(GREEDY_PINNED))
     def test_greedy_paths_pinned(self, name):
+        # Pinned in input arc ids; the greedy phase works in the dag's.
         g, k, d, expected = GREEDY_PINNED[name]
-        outcome = greedy_phase(build_sp_dag(g), k, d)
+        dag = build_sp_dag(g)
+        outcome = greedy_phase(dag, k, d)
         assert outcome.complete
-        assert [list(p.arcs) for p in outcome.paths] == expected
+        assert [[dag.input_arc[a] for a in p.arcs] for p in outcome.paths] == expected
 
     def test_four_references_on_15x15_grid(self):
         # q = 59 is a no-instance: a search over demand states visits all

@@ -20,6 +20,7 @@ from dspaths.graph import (
     graph_hash,
     hamming_distance,
     parse_graph,
+    shortest_distances,
 )
 from dspaths.oracle import enumerate_st_paths
 
@@ -120,13 +121,23 @@ class TestParse:
 class TestBuildSpDag:
     def test_triangle_prunes_long_arc(self, triangle):
         dag = build_sp_dag(triangle)
-        assert sorted(a.id for a in dag.base.arcs) == [0, 1]
-        assert dag.dist[-1] == 2 * WEIGHT_SCALE
+        assert [a.id for a in dag.base.arcs] == [0, 1]
+        assert dag.input_arc == (0, 1)
+        assert shortest_distances(triangle)[triangle.t] == 2 * WEIGHT_SCALE
+        assert sum(a.weight for a in dag.base.arcs) == 2 * WEIGHT_SCALE
+
+    def test_renumbers_after_a_pruned_lower_id(self):
+        # The long arc 0 and the dead-end arc 3 go; arcs 1 and 2 become 0, 1.
+        g = parse_graph("p dsp 4 4\ns 1\nt 3\na 1 3 3\na 1 2 1\na 2 3 1\na 2 4 1\n")
+        dag = build_sp_dag(g)
+        assert [a.id for a in dag.base.arcs] == [0, 1]
+        assert dag.input_arc == (1, 2)
 
     def test_diamond_identity(self, diamond):
         dag = build_sp_dag(diamond)
         assert dag.base.m == 4 and dag.n == 4
-        assert dag.orig_vertex == (1, 2, 3, 4)
+        assert dag.input_arc == (0, 1, 2, 3)
+        assert dag.base.arcs == diamond.arcs
 
     def test_unreachable(self):
         g = parse_graph("p dsp 3 1\ns 1\nt 3\na 1 2 1\n")
@@ -135,8 +146,12 @@ class TestBuildSpDag:
 
     def test_every_arc_strictly_increases_dist(self, diamond):
         dag = build_sp_dag(diamond)
+        dist = shortest_distances(diamond)
         for a in dag.base.arcs:
-            assert dag.dist[a.head - 1] == dag.dist[a.tail - 1] + a.weight
+            orig = diamond.arcs[dag.input_arc[a.id]]
+            assert a.weight == orig.weight
+            assert dist[orig.head] == dist[orig.tail] + orig.weight
+            assert a.tail < a.head
 
     @pytest.mark.parametrize("seed", range(60))
     def test_matches_shortest_path_enumeration(self, seed):
@@ -146,9 +161,11 @@ class TestBuildSpDag:
         shortest = {arcs for arcs, w in raw if w == best}
         dag = build_sp_dag(g)
         catalog = enumerate_st_paths(dag)
-        assert {p.arcs for p in catalog.paths} == shortest
+        assert {tuple(dag.input_arc[a] for a in p.arcs) for p in catalog.paths} == (
+            shortest
+        )
         for p in catalog.paths:
-            assert sum(dag.arc_by_id[a].weight for a in p.arcs) == best
+            assert sum(dag.base.arcs[a].weight for a in p.arcs) == best
 
 
 class TestSpDagAgainstNetworkx:
@@ -180,23 +197,30 @@ class TestSpDagAgainstNetworkx:
                 and ds[a.tail] + a.weight + dt[a.head] == ds[g.t]
             }
             dag = build_sp_dag(g)
-            assert {a.id for a in dag.base.arcs} == on
-            # base.arcs ascends by id, so incoming and outgoing need no sort
-            ids = [a.id for a in dag.base.arcs]
-            assert ids == sorted(ids)
+            # Arc i of the dag is input arc input_arc[i], which ascends.
+            assert [a.id for a in dag.base.arcs] == list(range(dag.base.m))
+            assert set(dag.input_arc) == on
+            assert all(x < y for x, y in zip(dag.input_arc, dag.input_arc[1:]))
             for arcs in dag.incoming + dag.outgoing:
                 assert list(arcs) == sorted(arcs, key=lambda a: a.id)
+            # One vertex bijection explains every tail and head.
+            orig_vertex = {1: g.s, dag.n: g.t}
+            for a in dag.base.arcs:
+                orig = g.arcs[dag.input_arc[a.id]]
+                assert a.weight == orig.weight
+                for v, ov in ((a.tail, orig.tail), (a.head, orig.head)):
+                    assert orig_vertex.setdefault(v, ov) == ov
             kept = [a for a in g.arcs if a.id in on]
             verts = {g.s, g.t} | {v for a in kept for v in (a.tail, a.head)}
-            assert set(dag.orig_vertex) == verts
-            assert dag.orig_vertex[0] == g.s and dag.orig_vertex[-1] == g.t
-            assert list(dag.dist) == [ds[v] for v in dag.orig_vertex]
-            for a in dag.base.arcs:
-                orig = g.arcs[a.id]
-                assert (dag.orig_vertex[a.tail - 1], dag.orig_vertex[a.head - 1]) == (
-                    orig.tail,
-                    orig.head,
-                )
+            assert sorted(orig_vertex) == list(range(1, dag.n + 1))
+            assert set(orig_vertex.values()) == verts and len(verts) == dag.n
+            # Tight against Dijkstra, and topological by (distance, input id).
+            dist = shortest_distances(g)
+            order = [orig_vertex[v] for v in range(1, dag.n + 1)]
+            assert [dist[v] for v in order] == [ds[v] for v in order]
+            assert order == sorted(order, key=lambda v: (dist[v], v))
+            for a in kept:
+                assert dist[a.head] == dist[a.tail] + a.weight
             seen["s == t"] += g.s == g.t
             seen["self-loop"] += any(a.tail == a.head for a in g.arcs)
             pairs = [(a.tail, a.head) for a in kept]

@@ -300,10 +300,10 @@ class TestDecomposition:
         lo, hi = comp.window
 
         def chain_vertices(arc_ids):
-            by_tail = {dag.arc_by_id[a].tail: a for a in arc_ids}
+            by_tail = {dag.base.arcs[a].tail: a for a in arc_ids}
             v, seen = lo, [lo]
             while v != hi:
-                arc = dag.arc_by_id[by_tail[v]]
+                arc = dag.base.arcs[by_tail[v]]
                 v = arc.head
                 seen.append(v)
             assert len(seen) == len(arc_ids) + 1

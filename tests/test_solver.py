@@ -397,6 +397,16 @@ class TestVerify:
         ok, report = verify_certificate(diamond, cert, 1, 0)
         assert not ok and report == "path 1 not a shortest path"
 
+    @pytest.mark.parametrize("last", (4, -2))
+    def test_unknown_arc_id_rejected(self, diamond, last):
+        # The diamond has arcs 0..3; arcs[-2] would be arc 2 = (2, 4), which
+        # would chain after arc 0 if a negative id were taken as an index.
+        cert = Certificate(
+            k=1, d=0, paths=(Path((0, last)),), pairwise=((0,),), graph_hash=""
+        )
+        ok, report = verify_certificate(diamond, cert, 1, 0)
+        assert not ok and report == "path 1 not a shortest path"
+
     def test_longer_st_path_rejected(self, triangle):
         # arc 2 = (1, 3) of weight 3 chains from s to t; the shortest weighs 2
         cert = Certificate(
