@@ -17,7 +17,7 @@ import sys
 from pathlib import Path as FsPath
 
 from . import generators
-from .graph import format_graph, parse_graph
+from .graph import format_graph, graph_hash, parse_graph
 from .solver import (
     MODES,
     OracleBudgetError,
@@ -183,7 +183,12 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     except json.JSONDecodeError as exc:
         raise SystemExit2(f"malformed JSON: {exc}")
     cert = certificate_from_json_dict(data)
-    ok, report = verify_certificate(g, cert, args.k, args.d)
+    # The hash names the graph the certificate was solved on; solve writes
+    # it and only verify reads it.  An empty hash is not checked.
+    if cert.graph_hash and cert.graph_hash != graph_hash(g):
+        ok, report = False, "graph_hash differs from the hash of the graph"
+    else:
+        ok, report = verify_certificate(g, cert, args.k, args.d)
     if ok:
         print("certificate verified", file=sys.stderr)
         return EXIT_YES

@@ -442,14 +442,13 @@ def ball_search(
         chosen = select_dissimilar_color_sets(tables.realizable_sets[::-1], r, d)
         if chosen is None:
             continue
+        # reconstruct asserts that each path lies c.bit_count() from the
+        # center, so the radii are read off the chosen sets.
         paths = [tables.reconstruct(c) for c in chosen]
-        radii = [hamming_distance(center, p) for p in paths]
         pairs = [(i, j) for i in range(r) for j in range(i + 1, r)]
         apart = [hamming_distance(paths[i], paths[j]) for i, j in pairs]
-        for radius, c in zip(radii, chosen):
-            assert radius == c.bit_count() <= q
         for dist, (i, j) in zip(apart, pairs):
             assert dist >= (chosen[i] ^ chosen[j]).bit_count()
-        if max(radii) <= q and min(apart) >= d:
+        if max(c.bit_count() for c in chosen) <= q and min(apart) >= d:
             return paths
     return None

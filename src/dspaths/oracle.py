@@ -1,20 +1,24 @@
 """Exact engine behind the oracle and hybrid solver modes.
 
-It enumerates every s-t path of a shortest-path DAG, each with its
-arc-set mask, and decides an instance over that catalog.  The selection
-step, k paths whose arc sets are pairwise >= d apart, is the same kernel
-the ball search uses (``colorcode.select_dissimilar_color_sets``) run on
-the paths' masks.  The kernel is given the catalog farthest first from its
+It enumerates the arc-set mask of every s-t path of a shortest-path DAG
+and decides an instance over those masks.  The enumeration is a suffix DP
+in reverse topological order, so a chain shared by many paths is walked
+once, not once per path, and no path is built as an arc sequence.  The
+selection step, k paths whose arc sets are pairwise >= d apart, is the
+same kernel the ball search uses (``colorcode.select_dissimilar_color_sets``)
+run on the masks.  The kernel is given the masks farthest first from the
 first path, so a certificate is the first k paths in that far-first order
-that are pairwise >= d apart.  Exactness matters here; speed is
-secondary.  The enumeration is complete: ``solver.solve`` counts the
-paths with ``count_st_paths`` first and alone decides whether the oracle
-runs, so nothing here stops early.
+that are pairwise >= d apart; only those k masks are decoded into paths
+(``path_of_mask``).  Exactness matters here; speed is secondary.  The
+enumeration is complete: ``solver.solve`` counts the paths with
+``count_st_paths`` first and alone decides whether the oracle runs, so
+nothing here stops early.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .colorcode import select_dissimilar_color_sets
 from .graph import Path, SpDag
@@ -22,11 +26,17 @@ from .graph import Path, SpDag
 
 @dataclass(frozen=True)
 class PathCatalog:
-    """All s-t paths of a dag in deterministic (lexicographic arc-id) order,
-    with masks[i] the arc-set mask of paths[i] (arc id a is bit a)."""
+    """The arc-set masks of all s-t paths of a dag (arc id a is bit a), in
+    the lexicographic arc-id order of the paths.  Distinct s-t paths of a
+    DAG have distinct arc sets, so each mask stands for one path; ``paths``
+    decodes all of them, on first use."""
 
-    paths: tuple[Path, ...]
+    dag: SpDag
     masks: tuple[int, ...]
+
+    @cached_property
+    def paths(self) -> tuple[Path, ...]:
+        return tuple([path_of_mask(self.dag, m) for m in self.masks])
 
 
 def count_st_paths(dag: SpDag, cap: int | None = None) -> int:
@@ -42,35 +52,59 @@ def count_st_paths(dag: SpDag, cap: int | None = None) -> int:
 
 
 def enumerate_st_paths(dag: SpDag) -> PathCatalog:
-    """Depth-first enumeration of every s-t path in arc-id order.
+    """The arc-set masks of every s-t path, by a suffix DP.
 
-    The walk keeps an explicit stack of outgoing-arc iterators, so its
-    depth is not bounded by the interpreter's recursion limit.  The
-    prefix's arc-set mask is updated on every push and pop.
+    Vertices are taken in reverse topological order.  ``suffix[v]`` is a
+    pair ``(bits, masks)``: the v-t paths are ``bits | m`` for each m in
+    masks.  A vertex with one outgoing arc ORs that arc's bit into its
+    head's ``bits`` and shares the head's list, so a chain costs one step
+    per arc whatever the number of paths through it.  A vertex with
+    several outgoing arcs concatenates, arc by arc in id order, each
+    head's paths with the arc's bit, which keeps the masks in the
+    lexicographic arc-id order of their paths.  A vertex's entry is
+    dropped once its last predecessor has read it.
     """
-    if dag.n == 1:  # s == t: the empty path is the only s-t path
-        return PathCatalog(paths=(Path(()),), masks=(0,))
-    paths: list[Path] = []
-    masks: list[int] = []
-    prefix: list[int] = []
-    mask = 0
-    stack = [iter(dag.outgoing[1])]
-    while stack:
-        arc = next(stack[-1], None)
-        if arc is None:
-            stack.pop()
-            if prefix:
-                mask ^= 1 << prefix.pop()
-            continue
-        prefix.append(arc.id)
-        mask ^= 1 << arc.id
-        if arc.head != dag.n:
-            stack.append(iter(dag.outgoing[arc.head]))
-            continue
-        paths.append(Path(tuple(prefix)))
-        masks.append(mask)
-        mask ^= 1 << prefix.pop()
-    return PathCatalog(paths=tuple(paths), masks=tuple(masks))
+    outgoing = dag.outgoing
+    unread = [len(arcs) for arcs in dag.incoming]
+    suffix: list[tuple[int, list[int]] | None] = [None] * (dag.n + 1)
+    suffix[dag.n] = (0, [0])  # the empty t-t path
+    for v in range(dag.n - 1, 0, -1):
+        arcs = outgoing[v]
+        if len(arcs) == 1:
+            bits, masks = suffix[arcs[0].head]
+            suffix[v] = (bits | 1 << arcs[0].id, masks)
+        else:
+            masks = []
+            for arc in arcs:
+                bits, head_masks = suffix[arc.head]
+                bits |= 1 << arc.id
+                masks += [bits | m for m in head_masks]
+            suffix[v] = (0, masks)
+        for arc in arcs:
+            unread[arc.head] -= 1
+            if not unread[arc.head]:
+                suffix[arc.head] = None
+    bits, masks = suffix[1]
+    return PathCatalog(dag, tuple([bits | m for m in masks]) if bits else tuple(masks))
+
+
+def path_of_mask(dag: SpDag, mask: int) -> Path:
+    """The s-t path whose arc-set mask is mask: from s, take the arc of
+    the mask out of each vertex.  Raises ``ValueError`` if mask is not the
+    arc set of an s-t path of the dag."""
+    arcs: list[int] = []
+    v = 1
+    while v != dag.n:
+        for arc in dag.outgoing[v]:
+            if mask >> arc.id & 1:
+                break
+        else:
+            raise ValueError(f"mask leaves vertex {v} by no arc")
+        arcs.append(arc.id)
+        v = arc.head
+    if len(arcs) != mask.bit_count():
+        raise ValueError("mask holds arcs off its s-t path")
+    return Path(tuple(arcs))
 
 
 def brute_solve(dag: SpDag, k: int, d: int) -> list[Path] | None:
@@ -82,8 +116,7 @@ def brute_solve(dag: SpDag, k: int, d: int) -> list[Path] | None:
     first path).  Far paths are the likely members of a d-apart set, so
     the kernel finds one early; whether one exists does not depend on the
     order.  At d = 0 paths need not be distinct, so any s-t path answers
-    yes.  Distinct s-t paths of a DAG have distinct arc sets, so mapping
-    each chosen mask back to its path is one-to-one.
+    yes.  Only the chosen masks are decoded, each distinct one once.
     """
     if k == 0:
         return []
@@ -93,5 +126,5 @@ def brute_solve(dag: SpDag, k: int, d: int) -> list[Path] | None:
     chosen = select_dissimilar_color_sets(masks, k, d)
     if chosen is None:
         return None
-    by_mask = dict(zip(catalog.masks, catalog.paths))
-    return [by_mask[m] for m in chosen]
+    paths = {m: path_of_mask(dag, m) for m in set(chosen)}
+    return [paths[m] for m in chosen]

@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Iterator, Sequence
 
 from . import oracle as oracle_mod
@@ -113,11 +114,19 @@ def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
 
 
 def _pairwise_matrix(paths: Sequence[Path]) -> tuple[tuple[int, ...], ...]:
-    k = len(paths)
-    return tuple(
-        tuple(hamming_distance(paths[i], paths[j]) for j in range(k))
-        for i in range(k)
-    )
+    """The k x k arc-set distances of paths.  Each path becomes one int
+    mask; the distance of two distinct masks is computed once, and paths
+    with equal arc sets share one row."""
+    index: dict[int, int] = {}
+    classes = [
+        index.setdefault(sum(1 << a for a in p.arc_set), len(index)) for p in paths
+    ]
+    masks = list(index)
+    rows = [
+        tuple(map([(m ^ other).bit_count() for other in masks].__getitem__, classes))
+        for m in masks
+    ]
+    return tuple([rows[c] for c in classes])
 
 
 def solve(g: ArcWeightedDigraph, k: int, d: int, mode: str = "hybrid") -> SolveResult:
@@ -255,17 +264,16 @@ def verify_certificate(
         if not _is_shortest_st_path(g, best, p):
             return False, f"path {i} not a shortest path"
     dists = _pairwise_matrix(cert.paths)
-    for i in range(k):
-        for j in range(i + 1, k):
-            if dists[i][j] < d:
-                return False, f"pair ({i + 1},{j + 1}) distance {dists[i][j]} < {d}"
-    for i in range(k):
-        for j in range(k):
-            if cert.pairwise[i][j] != dists[i][j]:
-                return False, (
-                    f"pairwise entry ({i + 1},{j + 1}) is {cert.pairwise[i][j]},"
-                    f" distance is {dists[i][j]}"
-                )
+    for i, row in enumerate(dists):
+        if min(row[i + 1 :], default=d) < d:
+            j = next(j for j in range(i + 1, k) if row[j] < d)
+            return False, f"pair ({i + 1},{j + 1}) distance {row[j]} < {d}"
+    for i, (stated, row) in enumerate(zip(cert.pairwise, dists)):
+        if tuple(stated) != row:
+            j = next(j for j in range(k) if stated[j] != row[j])
+            return False, (
+                f"pairwise entry ({i + 1},{j + 1}) is {stated[j]}, distance is {row[j]}"
+            )
     if (cert.k, cert.d) != (k, d):
         return False, f"certificate states k={cert.k}, d={cert.d}; asked k={k}, d={d}"
     return True, None
@@ -294,10 +302,9 @@ def _validate_certificate_shape(cert: Certificate) -> None:
             raise CertificateError("paths must be sequences of arc ids")
     if len(cert.pairwise) != n or any(len(row) != n for row in cert.pairwise):
         raise CertificateError("pairwise matrix must be k x k")
-    if any(
-        not isinstance(x, int) or x < 0 for row in cert.pairwise for x in row
-    ):
-        raise CertificateError("pairwise entries must be nonnegative integers")
+    for row in cert.pairwise:
+        if not all(map(isinstance, row, repeat(int))) or min(row, default=0) < 0:
+            raise CertificateError("pairwise entries must be nonnegative integers")
 
 
 def result_to_json_dict(result: SolveResult, k: int, d: int) -> dict:

@@ -2,6 +2,8 @@
 
 Each one enumerates every s-t path of a shortest-path DAG (or scans one
 pair of paths, or a whole decomposition) and answers by brute force;
+``reference_enumerate`` is that enumeration, a depth-first walk that
+builds every path arc by arc, which the oracle's suffix DP must match;
 ``reference_select`` is the selection search with every row built by a
 per-pair loop, and ``reference_farthest_path`` is the farthest-path DP
 with each capped label sum held as a tuple.  They are small and
@@ -16,7 +18,6 @@ from typing import Iterable, Sequence
 
 from dspaths.farthest import _label_columns, _lex_smallest_path
 from dspaths.graph import ArcWeightedDigraph, Path, SpDag, hamming_distance
-from dspaths.oracle import enumerate_st_paths
 
 
 @dataclass(frozen=True)
@@ -27,9 +28,42 @@ class MinimalBypass:
     window: tuple[int, int]  # (divergence vertex, reconvergence vertex)
 
 
+def reference_enumerate(dag: SpDag) -> tuple[list[Path], list[int]]:
+    """Every s-t path and its arc-set mask (arc id a is bit a), in
+    lexicographic arc-id order, by depth-first search.
+
+    The walk keeps an explicit stack of outgoing-arc iterators, so its
+    depth is not bounded by the interpreter's recursion limit.  The
+    prefix's arc-set mask is updated on every push and pop.
+    """
+    if dag.n == 1:  # s == t: the empty path is the only s-t path
+        return [Path(())], [0]
+    paths: list[Path] = []
+    masks: list[int] = []
+    prefix: list[int] = []
+    mask = 0
+    stack = [iter(dag.outgoing[1])]
+    while stack:
+        arc = next(stack[-1], None)
+        if arc is None:
+            stack.pop()
+            if prefix:
+                mask ^= 1 << prefix.pop()
+            continue
+        prefix.append(arc.id)
+        mask ^= 1 << arc.id
+        if arc.head != dag.n:
+            stack.append(iter(dag.outgoing[arc.head]))
+            continue
+        paths.append(Path(tuple(prefix)))
+        masks.append(mask)
+        mask ^= 1 << prefix.pop()
+    return paths, masks
+
+
 def brute_farthest(dag: SpDag, refs: Sequence[Path], q: int) -> Path | None:
     """First catalog path at distance >= q from every reference path."""
-    for p in enumerate_st_paths(dag).paths:
+    for p in reference_enumerate(dag)[0]:
         if all(hamming_distance(p, ref) >= q for ref in refs):
             return p
     return None
@@ -97,10 +131,9 @@ def brute_ball(
     first such r in catalog order, picked by ``reference_select``."""
     if r == 0:
         return []
-    catalog = enumerate_st_paths(dag)
     ball = {
         m: p
-        for p, m in zip(catalog.paths, catalog.masks)
+        for p, m in zip(*reference_enumerate(dag))
         if hamming_distance(p, center) <= q
     }
     chosen = reference_select(list(ball), r, d)
@@ -159,7 +192,7 @@ def brute_realizable_sets(
     """Color sets of the colorful bypasses P XOR center with at most q
     colors, over every s-t path P; ``coloring[i]`` is arc i's color."""
     sets = set()
-    for p in enumerate_st_paths(dag).paths:
+    for p in reference_enumerate(dag)[0]:
         bypass = center.arc_set ^ p.arc_set
         colors = {coloring[aid] for aid in bypass}
         if len(colors) == len(bypass) <= q:

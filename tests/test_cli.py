@@ -19,7 +19,7 @@ from dspaths.cli import (
     run_cli,
 )
 from dspaths.generators import BinPackingInstance, gen_binpack, gen_grid
-from dspaths.graph import format_graph, parse_graph
+from dspaths.graph import format_graph, graph_hash, parse_graph
 from dspaths.solver import SolveResult, SolveStats
 
 
@@ -144,6 +144,27 @@ def test_verify_rejects_false_matrix(diamond_file, tmp_path, capsys):
     argv = ["verify", "-g", diamond_file, "-c", str(cert), "-k", "2", "-d", "4"]
     assert run_cli(argv) == EXIT_NO
     assert "pairwise entry (1,2) is 99, distance is 4" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "stated, code",
+    (("tampered", EXIT_NO), ("matching", EXIT_YES), ("empty", EXIT_YES)),
+)
+def test_verify_checks_graph_hash(diamond_file, tmp_path, capsys, stated, code):
+    cert = tmp_path / "cert.json"
+    argv = ["solve", "-g", diamond_file, "-k", "2", "-d", "4", "--json", str(cert)]
+    assert run_cli(argv) == EXIT_YES
+    doc = json.loads(cert.read_text())
+    assert doc["graph_hash"] == graph_hash(parse_graph(DIAMOND_TEXT))
+    if stated == "tampered":
+        doc["graph_hash"] = doc["graph_hash"][::-1]
+    elif stated == "empty":
+        doc["graph_hash"] = ""
+    cert.write_text(json.dumps(doc))
+    argv = ["verify", "-g", diamond_file, "-c", str(cert), "-k", "2", "-d", "4"]
+    assert run_cli(argv) == code
+    err = capsys.readouterr().err
+    assert ("graph_hash differs from the hash of the graph" in err) == (code == EXIT_NO)
 
 
 def test_verify_rejects_misstated_ask(diamond_file, tmp_path, capsys):

@@ -1,22 +1,33 @@
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_layered_dag, unit_chain
-from dspaths.generators import BinPackingInstance, gen_binpack, gen_grid
-from dspaths.graph import Path, build_sp_dag, hamming_distance, parse_graph
+from dspaths.generators import BinPackingInstance, gen_binpack, gen_grid, gen_layered
+from dspaths.graph import (
+    WEIGHT_SCALE,
+    Arc,
+    ArcWeightedDigraph,
+    Path,
+    build_sp_dag,
+    hamming_distance,
+    parse_graph,
+)
 from dspaths.oracle import (
     brute_solve,
     count_st_paths,
     enumerate_st_paths,
+    path_of_mask,
 )
 from dspaths.solver import solve
 from reference import (
     brute_ball,
     brute_farthest,
     minimal_bypass_decomposition,
+    reference_enumerate,
     reference_select,
 )
 
@@ -94,6 +105,43 @@ ORACLE_PINNED = {
 }
 
 
+def _series(*parts: tuple[str, int]) -> ArcWeightedDigraph:
+    """Unit-weight parts in series from s = 1: ("chain", n) is n arcs in a
+    row, ("diamonds", n) n diamonds in a row, ("parallel", n) n parallel
+    arcs.  Arc ids follow the order the parts are listed in."""
+    pairs: list[tuple[int, int]] = []
+    v = 1
+    for kind, count in parts:
+        if kind == "chain":
+            pairs += [(v + i, v + i + 1) for i in range(count)]
+            v += count
+        elif kind == "parallel":
+            pairs += [(v, v + 1)] * count
+            v += 1
+        else:
+            for _ in range(count):
+                pairs += [(v, v + 1), (v, v + 2), (v + 1, v + 3), (v + 2, v + 3)]
+                v += 3
+    arcs = tuple(Arc(i, a, b, WEIGHT_SCALE) for i, (a, b) in enumerate(pairs))
+    return ArcWeightedDigraph(n=v, arcs=arcs, s=1, t=v)
+
+
+# Shapes on which the suffix DP must reproduce the depth-first walk:
+# chains share one mask list, parallel arcs read one head twice, and
+# diamond ladders put chains before, after and between the branchings.
+SERIES_SHAPES = {
+    "one_arc": [("chain", 1)],
+    "chain": [("chain", 40)],
+    "parallel": [("parallel", 3)],
+    "parallel_in_series": [("chain", 2), ("parallel", 2), ("diamonds", 1), ("parallel", 3)],
+    "diamonds": [("diamonds", 6)],
+    "chain_before": [("chain", 30), ("diamonds", 5)],
+    "chain_after": [("diamonds", 5), ("chain", 30)],
+    "chain_between": [("diamonds", 3), ("chain", 12), ("diamonds", 3)],
+    "chains_around": [("chain", 7), ("diamonds", 2), ("chain", 5), ("parallel", 2), ("chain", 9)],
+}
+
+
 @pytest.fixture
 def chain_dag():
     return build_sp_dag(parse_graph(CHAIN_TEXT))
@@ -133,6 +181,58 @@ class TestEnumerate:
         a = enumerate_st_paths(chain_dag)
         b = enumerate_st_paths(chain_dag)
         assert a.paths == b.paths
+
+    @staticmethod
+    def _assert_matches_reference(dag):
+        paths, masks = reference_enumerate(dag)
+        catalog = enumerate_st_paths(dag)
+        assert list(catalog.masks) == masks
+        assert list(catalog.paths) == paths
+
+    @pytest.mark.parametrize("shape", list(SERIES_SHAPES))
+    def test_series_matches_reference(self, shape):
+        self._assert_matches_reference(build_sp_dag(_series(*SERIES_SHAPES[shape])))
+
+    def test_source_is_sink_matches_reference(self):
+        dag = build_sp_dag(parse_graph("p dsp 2 1\ns 1\nt 1\na 1 2 1\n"))
+        self._assert_matches_reference(dag)
+
+    @settings(max_examples=100, derandomize=True, deadline=None)
+    @given(
+        st.integers(1, 5), st.integers(1, 4), st.floats(0.3, 1.0),
+        st.integers(0, 10**6), st.booleans(),
+    )
+    def test_layered_matches_reference(self, layers, width, prob, seed, shuffle):
+        # Shuffled arc ids put the lexicographic order out of step with
+        # the topological one.
+        g = gen_layered(layers, width, prob, seed)
+        if shuffle:
+            order = list(g.arcs)
+            random.Random(seed).shuffle(order)
+            arcs = tuple(Arc(i, a.tail, a.head, a.weight) for i, a in enumerate(order))
+            g = ArcWeightedDigraph(n=g.n, arcs=arcs, s=g.s, t=g.t)
+        self._assert_matches_reference(build_sp_dag(g))
+
+    def test_chain_after_diamonds_stays_small(self):
+        # 10 diamonds then a 300-arc chain: 1,024 paths of 320 arcs.  A
+        # catalog that holds each path as an arc tuple needs about
+        # 1,024 x 320 x 8 B = 2.6 MB; the masks need about 1,024 x 72 B.
+        dag = build_sp_dag(_series(("diamonds", 10), ("chain", 300)))
+        tracemalloc.start()
+        try:
+            catalog = enumerate_st_paths(dag)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert list(catalog.masks) == reference_enumerate(dag)[1]
+        assert peak < 1_000_000
+
+    def test_path_of_mask_rejects_non_paths(self, diamond_dag):
+        assert path_of_mask(diamond_dag, 0b1010) == Path((1, 3))
+        with pytest.raises(ValueError, match="by no arc"):
+            path_of_mask(diamond_dag, 0b0011)  # both arcs out of s
+        with pytest.raises(ValueError, match="off its s-t path"):
+            path_of_mask(diamond_dag, 0b0111)  # upper path plus arc 1
 
 
 class TestBruteSolve:

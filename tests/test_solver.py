@@ -20,6 +20,7 @@ from dspaths.oracle import brute_solve, enumerate_st_paths
 from dspaths.solver import (
     Certificate,
     CertificateError,
+    _pairwise_matrix,
     certificate_from_json_dict,
     greedy_phase,
     result_to_json_dict,
@@ -426,6 +427,32 @@ class TestVerify:
         cert = Certificate(k=2, d=0, paths=(), pairwise=(), graph_hash="")
         ok, report = verify_certificate(diamond, cert, 2, 0)
         assert not ok and "expected 2 paths" in report
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_pairwise_matrix_per_pair(self, seed):
+        # Paths drawn with repeats: equal paths share a row, and every
+        # entry is still the per-pair distance.
+        rng = random.Random(seed)
+        dag = random_layered_dag(seed + 500)
+        catalog = enumerate_st_paths(dag).paths
+        paths = [rng.choice(catalog) for _ in range(rng.randint(1, 12))]
+        assert _pairwise_matrix(paths) == tuple(
+            tuple(hamming_distance(p, q) for q in paths) for p in paths
+        )
+
+    def test_large_k_at_d0(self):
+        # k copies of one path: one distinct row, a k x k matrix of zeros.
+        g = gen_grid(2, 2)
+        res = solve(g, 2000, 0)
+        assert res.certificate.pairwise == ((0,) * 2000,) * 2000
+        assert verify_certificate(g, res.certificate, 2000, 0) == (True, None)
+
+    @pytest.mark.parametrize("entry", (-4, 4.0, "4", None))
+    def test_bad_matrix_entry_raises(self, diamond, entry):
+        cert = solve(diamond, 2, 4, FPT).certificate
+        forged = dataclasses.replace(cert, pairwise=((0, entry), (4, 0)))
+        with pytest.raises(CertificateError, match="nonnegative integers"):
+            verify_certificate(diamond, forged, 2, 4)
 
     def test_malformed_matrix_raises(self, diamond):
         cert = Certificate(
