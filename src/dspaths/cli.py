@@ -6,6 +6,11 @@ oracle (``--mode oracle`` on more than ``solver.ORACLE_PATH_LIMIT``
 shortest paths), 5 internal error (an unexpected exception; the message
 names its type).
 JSON goes to stdout (or --json FILE); diagnostics go to stderr.
+
+``solve`` writes a certificate JSON object with the keys ``decision``,
+``k``, ``d``, ``paths`` (one array of input arc ids per path), ``mode``,
+``graph_hash`` and ``stats``.  ``verify`` reads only ``k``, ``d``,
+``paths`` and ``graph_hash``, and ignores any other key.
 """
 
 from __future__ import annotations

@@ -416,9 +416,12 @@ def ball_search(
     """r paths within Hamming distance q of center, pairwise >= d apart.
 
     Iterates the hash family in member order and returns the first
-    feasible selection; every returned list is re-verified against both
-    conditions.  None means no family member yields a selection (exact for
-    verified families, probabilistic for seeded ones).
+    feasible selection.  Both conditions hold by construction: the tables
+    realize only color sets of at most q colors, and a path lies at least
+    as far from another as their color sets do.  ``solve`` verifies the
+    certificate the paths end up in.  None means no family member yields
+    a selection (exact for verified families, probabilistic for seeded
+    ones).
 
     The selection kernel is given the realizable sets largest first (size
     and then mask descending).  A set's size is its path's distance from
@@ -445,10 +448,10 @@ def ball_search(
         # reconstruct asserts that each path lies c.bit_count() from the
         # center, so the radii are read off the chosen sets.
         paths = [tables.reconstruct(c) for c in chosen]
-        pairs = [(i, j) for i in range(r) for j in range(i + 1, r)]
-        apart = [hamming_distance(paths[i], paths[j]) for i, j in pairs]
-        for dist, (i, j) in zip(apart, pairs):
-            assert dist >= (chosen[i] ^ chosen[j]).bit_count()
-        if max(c.bit_count() for c in chosen) <= q and min(apart) >= d:
-            return paths
+        assert all(
+            hamming_distance(paths[i], paths[j]) >= (chosen[i] ^ chosen[j]).bit_count()
+            for i in range(r)
+            for j in range(i + 1, r)
+        )
+        return paths
     return None

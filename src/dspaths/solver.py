@@ -14,7 +14,6 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from itertools import repeat
 from typing import Iterator, Sequence
 
 from . import oracle as oracle_mod
@@ -26,7 +25,6 @@ from .graph import (
     SpDag,
     build_sp_dag,
     graph_hash,
-    hamming_distance,
     shortest_distances,
 )
 
@@ -53,10 +51,13 @@ class GreedyOutcome:
 
 @dataclass(frozen=True)
 class Certificate:
+    """The witness for a yes: k shortest s-t paths of the graph whose
+    ``graph_hash`` is given, in its arc ids, pairwise >= d apart.  The
+    distances are not stored; ``verify_certificate`` computes them."""
+
     k: int
     d: int
     paths: tuple[Path, ...]
-    pairwise: tuple[tuple[int, ...], ...]
     graph_hash: str
 
 
@@ -94,13 +95,7 @@ def greedy_phase(dag: SpDag, k: int, d: int) -> GreedyOutcome:
         if found is None:
             break
         paths.append(found)
-    outcome = GreedyOutcome(paths=tuple(paths), complete=len(paths) == k)
-    assert all(
-        hamming_distance(paths[i], paths[j]) >= _threshold(dag, k, d, j + 1)
-        for j in range(len(paths))
-        for i in range(j)
-    )
-    return outcome
+    return GreedyOutcome(paths=tuple(paths), complete=len(paths) == k)
 
 
 def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
@@ -111,22 +106,6 @@ def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
     for first in range(total + 1):
         for rest in _compositions(total - first, parts - 1):
             yield (first,) + rest
-
-
-def _pairwise_matrix(paths: Sequence[Path]) -> tuple[tuple[int, ...], ...]:
-    """The k x k arc-set distances of paths.  Each path becomes one int
-    mask; the distance of two distinct masks is computed once, and paths
-    with equal arc sets share one row."""
-    index: dict[int, int] = {}
-    classes = [
-        index.setdefault(sum(1 << a for a in p.arc_set), len(index)) for p in paths
-    ]
-    masks = list(index)
-    rows = [
-        tuple(map([(m ^ other).bit_count() for other in masks].__getitem__, classes))
-        for m in masks
-    ]
-    return tuple([rows[c] for c in classes])
 
 
 def solve(g: ArcWeightedDigraph, k: int, d: int, mode: str = "hybrid") -> SolveResult:
@@ -161,13 +140,7 @@ def solve(g: ArcWeightedDigraph, k: int, d: int, mode: str = "hybrid") -> SolveR
         cert = None
         if found is not None:
             paths = tuple(Path(tuple([input_arc[a] for a in p.arcs])) for p in found)
-            cert = Certificate(
-                k=k,
-                d=d,
-                paths=paths,
-                pairwise=_pairwise_matrix(paths),
-                graph_hash=graph_hash(g),
-            )
+            cert = Certificate(k=k, d=d, paths=paths, graph_hash=graph_hash(g))
             ok, report = verify_certificate(g, cert, k, d)
             if not ok:  # pragma: no cover - internal soundness guard
                 raise RuntimeError(f"solver produced an invalid certificate: {report}")
@@ -245,9 +218,10 @@ def verify_certificate(
     g: ArcWeightedDigraph, cert: Certificate, k: int, d: int
 ) -> tuple[bool, str | None]:
     """Check a certificate independently: k paths, each a shortest s-t path
-    of g, pairwise Hamming distances >= d, a pairwise matrix that states
-    those distances, and the certificate's own k and d equal to the ask.
-    Reports the first violation.
+    of g, pairwise Hamming distances >= d, and the certificate's own k and
+    d equal to the ask.  Reports the first violation.  This is the one
+    check of the distances: each is computed here from the paths' arc
+    sets, and none at d = 0, where every pair passes.
 
     One Dijkstra on g gives dist(t); a path is shortest when it chains
     from s to t over arcs of g without repeating a vertex and weighs
@@ -263,17 +237,13 @@ def verify_certificate(
     for i, p in enumerate(cert.paths, start=1):
         if not _is_shortest_st_path(g, best, p):
             return False, f"path {i} not a shortest path"
-    dists = _pairwise_matrix(cert.paths)
-    for i, row in enumerate(dists):
-        if min(row[i + 1 :], default=d) < d:
-            j = next(j for j in range(i + 1, k) if row[j] < d)
-            return False, f"pair ({i + 1},{j + 1}) distance {row[j]} < {d}"
-    for i, (stated, row) in enumerate(zip(cert.pairwise, dists)):
-        if tuple(stated) != row:
-            j = next(j for j in range(k) if stated[j] != row[j])
-            return False, (
-                f"pairwise entry ({i + 1},{j + 1}) is {stated[j]}, distance is {row[j]}"
-            )
+    if d:
+        masks = [sum(1 << a for a in p.arcs) for p in cert.paths]
+        for i, mask in enumerate(masks):
+            for j in range(i + 1, k):
+                dist = (mask ^ masks[j]).bit_count()
+                if dist < d:
+                    return False, f"pair ({i + 1},{j + 1}) distance {dist} < {d}"
     if (cert.k, cert.d) != (k, d):
         return False, f"certificate states k={cert.k}, d={cert.d}; asked k={k}, d={d}"
     return True, None
@@ -296,26 +266,25 @@ def _is_shortest_st_path(g: ArcWeightedDigraph, best: int, p: Path) -> bool:
 def _validate_certificate_shape(cert: Certificate) -> None:
     if not isinstance(cert, Certificate):
         raise CertificateError("not a certificate")
-    n = len(cert.paths)
+    # bool is an int subclass; True is no count and no arc id.
+    if type(cert.k) is not int or type(cert.d) is not int:
+        raise CertificateError("k and d must be integers")
     for p in cert.paths:
-        if not isinstance(p, Path) or not all(isinstance(a, int) for a in p.arcs):
+        if not isinstance(p, Path) or not all(type(a) is int for a in p.arcs):
             raise CertificateError("paths must be sequences of arc ids")
-    if len(cert.pairwise) != n or any(len(row) != n for row in cert.pairwise):
-        raise CertificateError("pairwise matrix must be k x k")
-    for row in cert.pairwise:
-        if not all(map(isinstance, row, repeat(int))) or min(row, default=0) < 0:
-            raise CertificateError("pairwise entries must be nonnegative integers")
 
 
 def result_to_json_dict(result: SolveResult, k: int, d: int) -> dict:
-    """Certificate JSON emitted by the CLI (shared with the oracle mode)."""
+    """Certificate JSON emitted by the CLI: the decision, the ask's k and
+    d, the paths as arrays of input arc ids (empty unless yes), the mode,
+    the graph hash (empty unless yes) and the solve stats.  No distances
+    are written: ``verify_certificate`` computes them from the paths."""
     cert = result.certificate
     return {
         "decision": result.decision,
         "k": k,
         "d": d,
         "paths": [list(p.arcs) for p in cert.paths] if cert else [],
-        "pairwise": [list(row) for row in cert.pairwise] if cert else [],
         "mode": result.mode,
         "graph_hash": cert.graph_hash if cert else "",
         "stats": {
@@ -327,38 +296,28 @@ def result_to_json_dict(result: SolveResult, k: int, d: int) -> dict:
 
 
 def certificate_from_json_dict(data: dict) -> Certificate:
-    """Parse and structurally validate a certificate JSON document."""
+    """Parse and structurally validate a certificate JSON document.  Keys
+    other than k, d, paths and graph_hash are ignored, among them the
+    ``"pairwise"`` matrix that older documents carry."""
     if not isinstance(data, dict):
         raise CertificateError("certificate JSON must be an object")
     try:
         k = data["k"]
         d = data["d"]
         raw_paths = data["paths"]
-        raw_matrix = data["pairwise"]
     except KeyError as exc:
         raise CertificateError(f"missing certificate field {exc}") from None
-    if not isinstance(k, int) or not isinstance(d, int):
-        raise CertificateError("k and d must be integers")
-    if not isinstance(raw_paths, list) or not isinstance(raw_matrix, list):
-        raise CertificateError("paths and pairwise must be arrays")
+    if not isinstance(raw_paths, list):
+        raise CertificateError("paths must be an array")
     paths = []
     for arcs in raw_paths:
         if not isinstance(arcs, list) or not all(
-            isinstance(a, int) and a >= 0 for a in arcs
+            type(a) is int and a >= 0 for a in arcs
         ):
             raise CertificateError("paths must be arrays of arc ids")
         paths.append(Path(tuple(arcs)))
-    matrix = []
-    for row in raw_matrix:
-        if not isinstance(row, list):
-            raise CertificateError("pairwise matrix must be an array of arrays")
-        matrix.append(tuple(row))
     cert = Certificate(
-        k=k,
-        d=d,
-        paths=tuple(paths),
-        pairwise=tuple(matrix),
-        graph_hash=str(data.get("graph_hash", "")),
+        k=k, d=d, paths=tuple(paths), graph_hash=str(data.get("graph_hash", ""))
     )
     _validate_certificate_shape(cert)
     return cert

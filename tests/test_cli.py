@@ -2,6 +2,7 @@ import json
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -134,16 +135,56 @@ def test_solve_json_verifies(diamond_file, tmp_path, mode):
     assert run_cli(argv) == EXIT_YES
 
 
-def test_verify_rejects_false_matrix(diamond_file, tmp_path, capsys):
+@pytest.mark.parametrize("paths, code", (("solved", EXIT_YES), ("wrong", EXIT_NO)))
+def test_verify_ignores_a_stale_pairwise_key(diamond_file, tmp_path, capsys, paths, code):
+    # Older certificates carry a "pairwise" matrix; verify reads the paths
+    # only, so a wrong matrix passes and a wrong path is still rejected.
     cert = tmp_path / "cert.json"
     argv = ["solve", "-g", diamond_file, "-k", "2", "-d", "4", "--json", str(cert)]
     assert run_cli(argv) == EXIT_YES
     doc = json.loads(cert.read_text())
+    assert "pairwise" not in doc
     doc["pairwise"] = [[0, 99], [7, 0]]
+    if paths == "wrong":
+        doc["paths"][1] = [0, 3]
     cert.write_text(json.dumps(doc))
     argv = ["verify", "-g", diamond_file, "-c", str(cert), "-k", "2", "-d", "4"]
-    assert run_cli(argv) == EXIT_NO
-    assert "pairwise entry (1,2) is 99, distance is 4" in capsys.readouterr().err
+    assert run_cli(argv) == code
+    err = capsys.readouterr().err
+    assert ("path 2 not a shortest path" in err) == (code == EXIT_NO)
+
+
+def test_verify_rejects_booleans_as_integers(tmp_path, capsys):
+    # JSON true and false parse to Python bools, which are ints; as k and
+    # as arc id 0 they made this document verify.
+    graph, cert = tmp_path / "grid.txt", tmp_path / "cert.json"
+    graph.write_text(format_graph(gen_grid(1, 1)))
+    cert.write_text('{"k": true, "d": 0, "paths": [[false, 2]]}')
+    argv = ["verify", "-g", str(graph), "-c", str(cert), "-k", "1", "-d", "0"]
+    assert run_cli(argv) == EXIT_ERROR
+    assert "error: paths must be arrays of arc ids" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("mode", (["--mode", "fpt"], []), ids=("fpt", "default"))
+def test_large_k_at_d0(tmp_path, mode):
+    # k copies of one path.  The certificate is its k paths, so the file,
+    # the solve and the verify grow linearly in k; a k x k structure
+    # would hold 10**10 entries here.
+    k = 10**5
+    graph, cert = tmp_path / "grid.txt", tmp_path / "cert.json"
+    graph.write_text(format_graph(gen_grid(2, 2)))
+    solve_argv = ["solve", *mode, "-g", str(graph), "-k", str(k), "-d", "0",
+                  "--json", str(cert)]
+    verify_argv = ["verify", "-g", str(graph), "-c", str(cert), "-k", str(k), "-d", "0"]
+    tracemalloc.start()
+    try:
+        assert run_cli(solve_argv) == EXIT_YES
+        assert cert.stat().st_size < 10 * 2**20
+        assert run_cli(verify_argv) == EXIT_YES
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 200 * 2**20
 
 
 @pytest.mark.parametrize(
