@@ -240,34 +240,29 @@ class BypassTables:
         return result
 
 
-# Below this many masks a row is one XOR and popcount per later position;
-# from it on, rows are built bit-parallel from bit planes.  Per call on
-# random masks of 30-112 bits, the bit-parallel rows were about 5x slower
-# at n = 64, 3x slower at n = 256, 1.4x faster at n = 1,024 and 3x faster
-# from n = 4,096 on.  The rule sits above that crossover, so that the ball
-# search's lists (up to 1,024 masks on the benchmark's bin-packing rows)
-# keep the loop.  With those lists handed over largest first, the
-# (1,1,1,1)/2 call of 1,024 sets takes about 11 ms with the loop and 13 ms
-# bit-parallel, so a rule at 1,024 would not pay.
-_SLICED_ROWS_MIN = 2048
-
-# _BIT_DIGITS[t] is a translate table that maps a byte to the digit "1"
-# if its bit t is set and to "0" otherwise: runs of 2**t zeros and ones.
-_BIT_DIGITS = tuple((b"0" * (1 << t) + b"1" * (1 << t)) * (128 >> t) for t in range(8))
+# The three delta swaps that transpose an 8 x 8 bit matrix held in 64
+# bits, row a in byte a (Warren, Hacker's Delight, 7-3; Knuth, TAOCP 4A,
+# 7.1.3): a shift and the bits it exchanges.
+_TRANSPOSE8 = (
+    (7, 0x00AA00AA00AA00AA),
+    (14, 0x0000CCCC0000CCCC),
+    (28, 0x00000000F0F0F0F0),
+)
 
 
-def _add(planes: list[int], carry: int, p: int = 0) -> None:
-    """Add ``carry`` times 2**p, a 0/1 value per position, to the bit-plane
-    number ``planes`` in place."""
-    planes.extend([0] * (p - len(planes)))
-    while carry:
-        if p == len(planes):
-            planes.append(carry)
-            return
-        plane = planes[p]
-        planes[p] = plane ^ carry
-        carry &= plane
-        p += 1
+def _sliced_pays(bits: int, later: int, n: int) -> bool:
+    """Whether row i of n masks is cheaper bit-sliced than looped, for a
+    mask of ``bits`` set bits with ``later`` positions after it.
+
+    Costs measured on random masks of 40-120 bits at n = 64-16,384, in
+    units of one looped position (0.11-0.16 us): a looped row costs one
+    unit per later position, whatever n.  A bit-sliced row costs about
+    7 + n / 512 units per set bit of the mask, since each column add works
+    on n-bit ints, plus about six bits' worth to compare the planes.  The
+    columns cost about as much as four full looped rows; they are built
+    once, by the first row that takes them, and are not charged to it.
+    """
+    return (bits + 6) * (7 + n // 512) < later
 
 
 def _at_least(a: list[int], b: list[int], full: int) -> int:
@@ -281,53 +276,99 @@ def _at_least(a: list[int], b: list[int], full: int) -> int:
     return gt | eq
 
 
-def _looped_rows(masks: Sequence[int], d: int) -> Callable[[int], int]:
-    n = len(masks)
+def _columns(masks: Sequence[int], width: int) -> list[int]:
+    """The masks transposed: column b has bit j set when bit b of masks[j]
+    is, for b < width.
 
-    def row(i: int) -> int:
-        mi = masks[i]
-        bits = 0
-        for j in range(i + 1, n):
-            if (mi ^ masks[j]).bit_count() >= d:
-                bits |= 1 << j
-        return bits
-
-    return row
-
-
-def _sliced_rows(masks: Sequence[int], d: int) -> Callable[[int], int]:
-    full = (1 << len(masks)) - 1
-    width = max(masks).bit_length()
-    nb = max(1, (width + 7) // 8)
-    buf = b"".join([m.to_bytes(nb, "little") for m in masks])
-    # cols[b] has bit j set when bit b of masks[j] is; position 0 is the
-    # last digit of the reversed string, so it lands on the lowest bit.
-    cols = [
-        int(buf[b // 8 :: nb].translate(_BIT_DIGITS[b % 8])[::-1], 2)
-        for b in range(width)
+    Byte lane l holds byte l of every mask, one byte per position.  Each
+    run of eight positions is a 64-bit block, an 8 x 8 bit matrix, and the
+    delta swaps transpose every block of a lane at once.  Byte t of a
+    block then holds bit t of its eight masks, so column 8l + t is byte t
+    of every block, in block order.
+    """
+    nb = (width + 7) // 8
+    blocks = (len(masks) + 7) // 8
+    pad = bytes(8 * blocks - len(masks))
+    repeat = itertools.repeat
+    buf = b"".join(map(int.to_bytes, masks, repeat(nb), repeat("little")))
+    swaps = [
+        (s, int.from_bytes(k.to_bytes(8, "little") * blocks, "little"))
+        for s, k in _TRANSPOSE8
     ]
-    sizes: list[int] = []  # bit planes of |masks[j]|
-    for col in cols:
-        _add(sizes, col)
+    cols: list[int] = []
+    for lane in range(nb):
+        x = int.from_bytes(buf[lane::nb] + pad, "little")
+        for s, k in swaps:
+            swap = (x ^ (x >> s)) & k
+            x ^= swap ^ (swap << s)
+        flipped = x.to_bytes(8 * blocks, "little")
+        cols += [
+            int.from_bytes(flipped[t::8], "little")
+            for t in range(min(8, width - 8 * lane))
+        ]
+    return cols
 
-    def row(i: int) -> int:
+
+def _row_builder(masks: Sequence[int], d: int) -> Callable[[int], int]:
+    """Row i: the positions j > i with |masks[i] ^ masks[j]| >= d, as an
+    int bitset, built looped or bit-sliced as ``_sliced_pays`` says."""
+    n = len(masks)
+    full = (1 << n) - 1
+    width = max(masks).bit_length()
+    # Position n - 1 first, so that it is the top digit of a looped row.
+    backwards = masks[::-1]
+    cols: list[int] = []  # _columns(masks, width), once a row needs them
+    plus: dict[int, list[int]] = {}  # c -> bit planes of |masks[j]| + c
+
+    def looped(i: int) -> int:
         mi = masks[i]
-        twice: list[int] = []  # bit planes of 2 |masks[i] & masks[j]|
+        digits = [
+            "1" if (mi ^ mj).bit_count() >= d else "0"
+            for mj in backwards[: n - i - 1]
+        ]
+        return int("".join(digits) or "0", 2) << (i + 1)
+
+    def sizes_plus(c: int) -> list[int]:
+        # The bit planes of a list of numbers are its columns.
+        planes = plus.get(c)
+        if planes is None:
+            values = [m.bit_count() + c for m in masks]
+            planes = plus[c] = _columns(values, max(values).bit_length())
+        return planes
+
+    def sliced(i: int) -> int:
+        if len(cols) < width:
+            cols.extend(_columns(masks, width))
+        mi = masks[i]
+        # |mi ^ mj| >= d  <=>  |mj| + (|mi| - d) >= 2 |mi & mj|; the
+        # constant goes to the side where it is positive: into the sizes,
+        # or into the count that the columns are added to.
+        slack = mi.bit_count() - d
+        left = sizes_plus(max(slack, 0))
+        c = max(-slack, 0)
+        right = [full if c >> p & 1 else 0 for p in range(c.bit_length() or 1)]
+        # right += 2 * cols[b] for each set bit b of mi, each a ripple-carry
+        # add from plane 1.
         rest = mi
         while rest:
             low = rest & -rest
-            _add(twice, cols[low.bit_length() - 1], 1)
             rest ^= low
-        # |mi ^ mj| >= d  <=>  |mj| + (|mi| - d) >= 2 |mi & mj|; the
-        # constant goes to the side where it is positive.
-        left, right = list(sizes), twice
-        slack = mi.bit_count() - d
-        side, c = (left, slack) if slack >= 0 else (right, -slack)
-        for p in range(c.bit_length()):
-            if c >> p & 1:
-                _add(side, full, p)
-        ok = _at_least(left, right, full)
-        return ok >> (i + 1) << (i + 1)
+            carry = cols[low.bit_length() - 1]
+            p = 1
+            while carry:
+                if p == len(right):
+                    right.append(carry)
+                    break
+                plane = right[p]
+                right[p] = plane ^ carry
+                carry &= plane
+                p += 1
+        return _at_least(left, right, full) >> (i + 1) << (i + 1)
+
+    def row(i: int) -> int:
+        if _sliced_pays(masks[i].bit_count(), n - i - 1, n):
+            return sliced(i)
+        return looped(i)
 
     return row
 
@@ -348,23 +389,30 @@ def select_dissimilar_color_sets(
     taken lowest first, and a branch is cut when the chosen sets plus the
     remaining candidates cannot reach r.  Row i, the later positions at
     distance >= d from position i, is built the first time i is chosen and
-    another pick is still needed; the last pick is the lowest candidate.
-    The candidate sets of the open picks are kept on an explicit stack, so
-    r is not bounded by the interpreter's recursion limit.
+    another pick is still needed.  The candidate sets of the open picks
+    are kept on an explicit stack, so r is not bounded by the
+    interpreter's recursion limit.  Once r - 2 picks are made, the last
+    two come from one scan, with no stack: the first candidate i whose row
+    meets the candidates after it, then the first candidate in that
+    meet.  The scan stops at the last candidate, which has none after it,
+    so it builds the rows that a search one pick at a time builds.
 
-    Below ``_SLICED_ROWS_MIN`` masks a row takes one XOR and popcount per
-    later position.  From it on, rows are built bit-parallel, with the
-    bit slicing ("sideways addition") of Knuth, TAOCP 4A, 7.1.3: the masks
-    are transposed once into columns (column b holds bit b of every mask,
-    as an int over positions), and a count per position is kept as bit
-    planes (plane p holds bit p of every count).  The planes of |m_j| are
-    the ripple-carry sum of all columns; the planes of |m_i & m_j| are the
-    sum of the columns of m_i's set bits.  Since
+    Each row is built whichever way is cheaper for that row
+    (``_sliced_pays`` holds the measured costs).  Looped, a row takes one
+    XOR and popcount per later position.  Bit-sliced, with the "sideways
+    addition" of Knuth, TAOCP 4A, 7.1.3, it takes one column add per set
+    bit of m_i: the masks are transposed once into columns (column b holds
+    bit b of every mask, as an int over positions), and a count per
+    position is kept as bit planes (plane p holds bit p of every count),
+    so the planes of a list of counts are its columns.  Since
     |m_i ^ m_j| = |m_i| + |m_j| - 2 |m_i & m_j|, position j is in row i
     exactly when |m_j| + max(0, |m_i| - d) >= 2 |m_i & m_j| +
-    max(0, d - |m_i|), which is one integer comparison per position, made
-    for all positions at once from the top plane down.  Both ways give
-    the same rows, so the answer does not depend on which one ran.
+    max(0, d - |m_i|).  The left side's planes are built once per value of
+    the constant; the right side starts from its constant and takes a
+    ripple-carry add of the column of each set bit of m_i.  The test is
+    one integer comparison per position, made for all positions at once
+    from the top plane down.  Both ways give the same rows, so the answer
+    does not depend on which one ran.
     """
     if r == 0:
         return []
@@ -373,9 +421,8 @@ def select_dissimilar_color_sets(
     if d == 0 or r == 1:
         return [masks[0]] * r
     n = len(masks)
-    build = _sliced_rows if n >= _SLICED_ROWS_MIN else _looped_rows
-    row_of = build(masks, d)
-    rows: dict[int, int] = {}
+    build = _row_builder(masks, d)
+    rows: list[int | None] = [None] * n
     chosen: list[int] = []
     stack: list[int] = []  # stack[j]: what was left to try for pick j
     cand = (1 << n) - 1
@@ -386,16 +433,29 @@ def select_dissimilar_color_sets(
             cand = stack.pop()
             chosen.pop()
             continue
+        if len(chosen) == r - 2:
+            while True:
+                low = cand & -cand
+                cand ^= low
+                if not cand:
+                    break  # and backtrack
+                i = low.bit_length() - 1
+                bits = rows[i]
+                if bits is None:
+                    bits = rows[i] = build(i)
+                bits &= cand
+                if bits:
+                    chosen += (i, (bits & -bits).bit_length() - 1)
+                    return [masks[j] for j in chosen]
+            continue
         low = cand & -cand
         cand ^= low
         i = low.bit_length() - 1
         chosen.append(i)
-        if len(chosen) == r:
-            return [masks[j] for j in chosen]
-        bits = rows.get(i)
-        if bits is None:
-            bits = rows[i] = row_of(i)
         stack.append(cand)
+        bits = rows[i]
+        if bits is None:
+            bits = rows[i] = build(i)
         cand &= bits
 
 

@@ -91,12 +91,15 @@ def enumerate_st_paths(dag: SpDag) -> PathCatalog:
 def path_of_mask(dag: SpDag, mask: int) -> Path:
     """The s-t path whose arc-set mask is mask: from s, take the arc of
     the mask out of each vertex.  Raises ``ValueError`` if mask is not the
-    arc set of an s-t path of the dag."""
+    arc set of an s-t path of the dag.  The mask's bits are read once,
+    into a digit string, so a path costs its width plus its length, not
+    their product."""
+    bits = f"{mask:0{dag.base.m}b}"[::-1]  # bits[a] is bit a of mask
     arcs: list[int] = []
     v = 1
     while v != dag.n:
         for arc in dag.outgoing[v]:
-            if mask >> arc.id & 1:
+            if bits[arc.id] == "1":
                 break
         else:
             raise ValueError(f"mask leaves vertex {v} by no arc")

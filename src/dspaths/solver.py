@@ -225,8 +225,8 @@ def verify_certificate(
 
     One Dijkstra on g gives dist(t); a path is shortest when it chains
     from s to t over arcs of g without repeating a vertex and weighs
-    dist(t).  No SP-DAG is built, so the check shares no code with the
-    solver's preprocessing.
+    dist(t); each distinct path is checked once.  No SP-DAG is built, so
+    the check shares no code with the solver's preprocessing.
     """
     _validate_certificate_shape(cert)
     if len(cert.paths) != k:
@@ -234,8 +234,11 @@ def verify_certificate(
     best = shortest_distances(g)[g.t]
     if best is None and k:
         return False, "graph has no s-t path"
+    first: dict[tuple[int, ...], int] = {}  # distinct arc lists, first index
     for i, p in enumerate(cert.paths, start=1):
-        if not _is_shortest_st_path(g, best, p):
+        first.setdefault(tuple(p.arcs), i)
+    for arcs, i in first.items():
+        if not _is_shortest_st_path(g, best, arcs):
             return False, f"path {i} not a shortest path"
     if d:
         masks = [sum(1 << a for a in p.arcs) for p in cert.paths]
@@ -249,9 +252,11 @@ def verify_certificate(
     return True, None
 
 
-def _is_shortest_st_path(g: ArcWeightedDigraph, best: int, p: Path) -> bool:
+def _is_shortest_st_path(
+    g: ArcWeightedDigraph, best: int, arcs: Sequence[int]
+) -> bool:
     v, weight, seen = g.s, 0, {g.s}
-    for aid in p.arcs:
+    for aid in arcs:
         if not 0 <= aid < g.m:
             return False
         arc = g.arcs[aid]
@@ -266,12 +271,18 @@ def _is_shortest_st_path(g: ArcWeightedDigraph, best: int, p: Path) -> bool:
 def _validate_certificate_shape(cert: Certificate) -> None:
     if not isinstance(cert, Certificate):
         raise CertificateError("not a certificate")
-    # bool is an int subclass; True is no count and no arc id.
-    if type(cert.k) is not int or type(cert.d) is not int:
-        raise CertificateError("k and d must be integers")
-    for p in cert.paths:
+    _check_k_and_d(cert.k, cert.d)
+    # One check per Path object: the JSON parser shares one among equal
+    # paths, so a repeated path is checked once.
+    for p in {id(p): p for p in cert.paths}.values():
         if not isinstance(p, Path) or not all(type(a) is int for a in p.arcs):
             raise CertificateError("paths must be sequences of arc ids")
+
+
+def _check_k_and_d(k: object, d: object) -> None:
+    # bool is an int subclass; True is no count and no arc id.
+    if type(k) is not int or type(d) is not int:
+        raise CertificateError("k and d must be integers")
 
 
 def result_to_json_dict(result: SolveResult, k: int, d: int) -> dict:
@@ -298,7 +309,8 @@ def result_to_json_dict(result: SolveResult, k: int, d: int) -> dict:
 def certificate_from_json_dict(data: dict) -> Certificate:
     """Parse and structurally validate a certificate JSON document.  Keys
     other than k, d, paths and graph_hash are ignored, among them the
-    ``"pairwise"`` matrix that older documents carry."""
+    ``"pairwise"`` matrix that older documents carry.  Equal paths share
+    one ``Path``."""
     if not isinstance(data, dict):
         raise CertificateError("certificate JSON must be an object")
     try:
@@ -310,14 +322,18 @@ def certificate_from_json_dict(data: dict) -> Certificate:
     if not isinstance(raw_paths, list):
         raise CertificateError("paths must be an array")
     paths = []
+    parsed: dict[tuple[int, ...], Path] = {}
     for arcs in raw_paths:
         if not isinstance(arcs, list) or not all(
             type(a) is int and a >= 0 for a in arcs
         ):
             raise CertificateError("paths must be arrays of arc ids")
-        paths.append(Path(tuple(arcs)))
-    cert = Certificate(
+        key = tuple(arcs)
+        path = parsed.get(key)
+        if path is None:
+            path = parsed[key] = Path(key)
+        paths.append(path)
+    _check_k_and_d(k, d)
+    return Certificate(
         k=k, d=d, paths=tuple(paths), graph_hash=str(data.get("graph_hash", ""))
     )
-    _validate_certificate_shape(cert)
-    return cert

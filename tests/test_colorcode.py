@@ -308,28 +308,57 @@ class TestSelect:
             )
             assert select_dissimilar_color_sets(masks, r, d) == expected, (masks, r, d)
 
-    @pytest.mark.parametrize(
-        "sliced_min", [colorcode._SLICED_ROWS_MIN, 0], ids=["shipped", "sliced"]
-    )
-    def test_matches_reference(self, monkeypatch, sliced_min):
-        # "shipped" keeps the size rule, so these short lists use the loop;
-        # "sliced" builds every row bit-parallel.
-        monkeypatch.setattr(colorcode, "_SLICED_ROWS_MIN", sliced_min)
+    def test_scan_from_the_root(self):
+        # r = 2, so the last two picks are the whole search: row 0 meets
+        # no later mask at d = 4, and row 1 meets mask 3.
+        masks = [0b1, 0b11, 0b110, 0b1100]
+        assert select_dissimilar_color_sets(masks, 2, 4) == [0b11, 0b1100]
+
+    def test_scan_picks_the_last_two_positions(self):
+        # Masks 1 and 2 sit 1 from mask 0, so the answer is mask 0 with the
+        # last two, which the scan reaches at its last step.
+        masks = [0, 0b1, 0b1, 0b11, 0b1100]
+        assert select_dissimilar_color_sets(masks, 3, 2) == [0, 0b11, 0b1100]
+
+    def test_scan_refutes_a_no(self):
+        # Two pairs of equal masks, each pair 2 from the other: every pick
+        # leaves two candidates, enough by count, and only the scan finds
+        # that they are 0 apart.
+        masks = [0b00, 0b11, 0b00, 0b11]
+        assert select_dissimilar_color_sets(masks, 3, 2) is None
+        assert select_dissimilar_color_sets(masks, 2, 2) == [0b00, 0b11]
+
+    @pytest.mark.parametrize("builder", ["shipped", "sliced"])
+    def test_matches_reference(self, monkeypatch, builder):
+        # "shipped" lets each row take the cheaper way; "sliced" builds
+        # every row bit-parallel.
+        if builder == "sliced":
+            monkeypatch.setattr(colorcode, "_sliced_pays", lambda bits, later, n: True)
         rng = random.Random(6)
         for _ in range(300):
             masks, r, d = random_selection_case(rng)
             expected = reference_select(masks, r, d)
             assert select_dissimilar_color_sets(masks, r, d) == expected, (masks, r, d)
 
-    def test_sliced_rows_past_the_size_rule(self):
-        # 2,100 masks, so the shipped rule takes the bit-parallel rows; at
-        # 70 bits the last of a mask's nine bytes is partly used.
+    def test_sliced_rows_past_the_size_rule(self, monkeypatch):
+        # 2,100 masks of 70 bits, so the shipped rule builds the early rows
+        # bit-parallel and the late ones looped; at 70 bits the last of a
+        # mask's nine bytes is partly used.
         rng = random.Random(11)
         masks = [rng.getrandbits(70) for _ in range(2100)]
-        assert len(masks) >= colorcode._SLICED_ROWS_MIN
+        taken = set()
+        rule = colorcode._sliced_pays
+
+        def recording(bits, later, n):
+            sliced = rule(bits, later, n)
+            taken.add(sliced)
+            return sliced
+
+        monkeypatch.setattr(colorcode, "_sliced_pays", recording)
         for r, d in [(2, 0), (2, 52), (3, 43), (5, 40), (4, 42), (6, 38), (3, 71)]:
             expected = reference_select(masks, r, d)
             assert select_dissimilar_color_sets(masks, r, d) == expected, (r, d)
+        assert taken == {True, False}
 
     @settings(max_examples=200, derandomize=True, deadline=None)
     @given(
@@ -346,9 +375,34 @@ class TestSelect:
     )
     def test_sliced_rows_property(self, case):
         masks, r, d = case
-        with mock.patch.object(colorcode, "_SLICED_ROWS_MIN", 0):
+        with mock.patch.object(colorcode, "_sliced_pays", lambda bits, later, n: True):
             got = select_dissimilar_color_sets(masks, r, d)
         assert got == reference_select(masks, r, d)
+
+    def test_looped_and_sliced_rows_agree(self, monkeypatch):
+        # Every row of lists with zero and repeated masks, at widths 1-130
+        # and at each d from 0 to past the width, built both ways.
+        for width in range(1, 131):
+            rng = random.Random(width)
+            pool = [0] + [rng.getrandbits(width) for _ in range(6)]
+            masks = [rng.choice(pool) for _ in range(rng.randint(1, 40))]
+            for d in sorted({0, 1, width // 2, width, width + 1, rng.randint(0, width)}):
+                rows = {}
+                for sliced in (False, True):
+                    monkeypatch.setattr(
+                        colorcode, "_sliced_pays", lambda bits, later, n, s=sliced: s
+                    )
+                    row = colorcode._row_builder(masks, d)
+                    rows[sliced] = [row(i) for i in range(len(masks))]
+                expected = [
+                    sum(
+                        1 << j
+                        for j in range(i + 1, len(masks))
+                        if (masks[i] ^ masks[j]).bit_count() >= d
+                    )
+                    for i in range(len(masks))
+                ]
+                assert rows[False] == rows[True] == expected, (width, d)
 
 
 class TestBallSearch:

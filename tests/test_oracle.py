@@ -56,9 +56,8 @@ def _binpack(items, bins):
 
 
 # Certificates recorded once the oracle handed the kernel its catalog far
-# first: (graph, k, d, path count, arc lists).  The first and last
-# catalogs are past the kernel's size rule, so their rows are built
-# bit-parallel.
+# first: (graph, k, d, path count, arc lists).  Each catalog is long
+# enough that the kernel builds its early rows bit-parallel.
 ORACLE_PINNED = {
     "binpack111_3": (
         lambda: _binpack((1, 1, 1), 3),
@@ -226,6 +225,13 @@ class TestEnumerate:
             tracemalloc.stop()
         assert list(catalog.masks) == reference_enumerate(dag)[1]
         assert peak < 1_000_000
+
+    def test_path_of_mask_round_trip(self):
+        # 10 diamonds then a 300-arc chain: 1,024 paths of 320 arcs, each
+        # decoded from its 340-bit mask.
+        dag = build_sp_dag(_series(("diamonds", 10), ("chain", 300)))
+        paths, masks = reference_enumerate(dag)
+        assert [path_of_mask(dag, m) for m in masks] == paths
 
     def test_path_of_mask_rejects_non_paths(self, diamond_dag):
         assert path_of_mask(diamond_dag, 0b1010) == Path((1, 3))

@@ -7,7 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import parallel_routes, random_layered_dag, unit_chain
-from dspaths import oracle
+from dspaths import oracle, solver
 from dspaths.generators import BinPackingInstance, gen_binpack, gen_grid, gen_layered
 from dspaths.graph import (
     Path,
@@ -427,6 +427,30 @@ class TestVerify:
             expected = (False, below[0]) if below else (True, None)
             assert verify_certificate(g, cert, k, d) == expected
 
+    def test_each_distinct_path_checked_once(self, diamond, monkeypatch):
+        checked = []
+        check = solver._is_shortest_st_path
+
+        def recording(g, best, arcs):
+            checked.append(tuple(arcs))
+            return check(g, best, arcs)
+
+        monkeypatch.setattr(solver, "_is_shortest_st_path", recording)
+        good, bad = Path((0, 2)), Path((0, 3))
+        paths = (good, Path((0, 2)), good, bad, good, bad)
+        cert = Certificate(k=6, d=0, paths=paths, graph_hash="")
+        report = "path 4 not a shortest path"
+        assert verify_certificate(diamond, cert, 6, 0) == (False, report)
+        assert checked == [(0, 2), (0, 3)]
+
+    def test_bool_in_a_repeated_path(self, diamond):
+        # Path((False, 2)) equals Path((0, 2)), but it is its own object
+        # and is type-checked as one.
+        paths = (Path((0, 2)), Path((False, 2)))
+        cert = Certificate(k=2, d=0, paths=paths, graph_hash="")
+        with pytest.raises(CertificateError):
+            verify_certificate(diamond, cert, 2, 0)
+
     @pytest.mark.parametrize(
         "field", ({"k": True}, {"d": False}, {"paths": (Path((False, 2)),)})
     )
@@ -460,6 +484,12 @@ class TestCertificateJson:
             "compositions_tried",
             "elapsed_ms",
         }
+
+    def test_equal_paths_share_one_path(self, diamond):
+        doc = result_to_json_dict(solve(diamond, 3, 0, FPT), 3, 0)
+        cert = certificate_from_json_dict(doc)
+        assert cert.paths[0] is cert.paths[1] is cert.paths[2]
+        assert verify_certificate(diamond, cert, 3, 0) == (True, None)
 
     @pytest.mark.parametrize(
         "mutate",
