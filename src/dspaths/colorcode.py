@@ -259,8 +259,9 @@ def _sliced_pays(bits: int, later: int, n: int) -> bool:
     unit per later position, whatever n.  A bit-sliced row costs about
     7 + n / 512 units per set bit of the mask, since each column add works
     on n-bit ints, plus about six bits' worth to compare the planes.  The
-    columns cost about as much as four full looped rows; they are built
-    once, by the first row that takes them, and are not charged to it.
+    columns cost about as much as 3 to 5 full looped rows at 40 to 120
+    bits and n >= 256; they are built once, by the first row that takes
+    them, and are not charged to it.
     """
     return (bits + 6) * (7 + n // 512) < later
 
@@ -280,9 +281,10 @@ def _columns(masks: Sequence[int], width: int) -> list[int]:
     """The masks transposed: column b has bit j set when bit b of masks[j]
     is, for b < width.
 
-    Byte lane l holds byte l of every mask, one byte per position.  Each
-    run of eight positions is a 64-bit block, an 8 x 8 bit matrix, and the
-    delta swaps transpose every block of a lane at once.  Byte t of a
+    Byte lane l holds byte l of every mask, one byte per position, padded
+    with zero bytes to whole blocks.  Each run of eight positions is a
+    64-bit block, an 8 x 8 bit matrix, and the delta swaps transpose every
+    block of a lane at once.  Byte t of a
     block then holds bit t of its eight masks, so column 8l + t is byte t
     of every block, in block order.
     """

@@ -95,10 +95,11 @@ def path_of_mask(dag: SpDag, mask: int) -> Path:
     into a digit string, so a path costs its width plus its length, not
     their product."""
     bits = f"{mask:0{dag.base.m}b}"[::-1]  # bits[a] is bit a of mask
+    t, outgoing = dag.n, dag.outgoing
     arcs: list[int] = []
     v = 1
-    while v != dag.n:
-        for arc in dag.outgoing[v]:
+    while v != t:
+        for arc in outgoing[v]:
             if bits[arc.id] == "1":
                 break
         else:

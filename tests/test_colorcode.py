@@ -321,9 +321,9 @@ class TestSelect:
         assert select_dissimilar_color_sets(masks, 3, 2) == [0, 0b11, 0b1100]
 
     def test_scan_refutes_a_no(self):
-        # Two pairs of equal masks, each pair 2 from the other: every pick
-        # leaves two candidates, enough by count, and only the scan finds
-        # that they are 0 apart.
+        # Two pairs of equal masks, each pair 2 from the other: the first
+        # pick leaves two candidates, enough by count, and only the scan
+        # finds that they are 0 apart.
         masks = [0b00, 0b11, 0b00, 0b11]
         assert select_dissimilar_color_sets(masks, 3, 2) is None
         assert select_dissimilar_color_sets(masks, 2, 2) == [0b00, 0b11]
@@ -333,7 +333,7 @@ class TestSelect:
         # "shipped" lets each row take the cheaper way; "sliced" builds
         # every row bit-parallel.
         if builder == "sliced":
-            monkeypatch.setattr(colorcode, "_sliced_pays", lambda bits, later, n: True)
+            monkeypatch.setattr(colorcode, "_sliced_pays", lambda *costs: True)
         rng = random.Random(6)
         for _ in range(300):
             masks, r, d = random_selection_case(rng)
@@ -375,7 +375,7 @@ class TestSelect:
     )
     def test_sliced_rows_property(self, case):
         masks, r, d = case
-        with mock.patch.object(colorcode, "_sliced_pays", lambda bits, later, n: True):
+        with mock.patch.object(colorcode, "_sliced_pays", lambda *costs: True):
             got = select_dissimilar_color_sets(masks, r, d)
         assert got == reference_select(masks, r, d)
 
@@ -390,7 +390,7 @@ class TestSelect:
                 rows = {}
                 for sliced in (False, True):
                     monkeypatch.setattr(
-                        colorcode, "_sliced_pays", lambda bits, later, n, s=sliced: s
+                        colorcode, "_sliced_pays", lambda *costs, s=sliced: s
                     )
                     row = colorcode._row_builder(masks, d)
                     rows[sliced] = [row(i) for i in range(len(masks))]
