@@ -12,15 +12,17 @@ method (Hansen 1980; Martins 1984).  With one reference the sums are
 totally ordered, so a front is its maximum alone.  Results are
 deterministic: traceback prefers the smallest arc id.
 
-Every capped vector is held as one int of r fields, w bits each, with
-w = (2q).bit_length() + 1 (SIMD within a register, Lamport 1975).
-Reference 0 sits in the most significant field, so int order is the
-lexicographic order of the vectors.  Each label component is capped at q
-before it is packed, which changes no capped sum.  A stored field is then
-at most q, and the sum of a field and a label at most 2q < 2**(w-1): the
-top bit of every field, its guard bit, stays clear, and no field carries
-into the next.  With H the guard bit of every field, CAP = q in every
-field and FIELD = 2**w - 1:
+Every vector is held as one int of r fields, w bits each (SIMD within a
+register, Lamport 1975), with w = (q + L + 1).bit_length() + 1 and L the
+longest reference.  Reference 0 sits in the most significant field, so
+int order is the lexicographic order of the vectors.  Labels are packed
+uncapped, which changes no capped sum: for x, g <= q,
+min(q, x + l) = min(q, x + min(q, l)) and max(0, g - l) = max(0, g - min(q, l)).
+A count field is at most L, a label field at most L + 1 and a stored
+field at most q, so every sum is below 2**(w-1): the top bit of every
+field, its guard bit, stays clear, and no field carries into the next.
+With H the guard bit of every field, CAP = q in every field and
+FIELD = 2**w - 1:
 
 - saturating add, min(q, x + l) in every field:
   ``s = x + l; s ^= (s ^ CAP) & (((((s | H) - CAP) & H) >> (w-1)) * FIELD)``.
@@ -44,27 +46,30 @@ from typing import Sequence
 from .graph import Path, SpDag
 
 
-def _label_columns(dag: SpDag, refs: Sequence[Path]) -> list[list[int]]:
-    """Label components of every arc, one column per reference:
-    ``columns[k][i]`` is component k of arc i.  Each column comes from
-    one prefix count of reference-arc heads.
+def _packed_labels(dag: SpDag, refs: Sequence[Path], q: int) -> tuple[int, list[int]]:
+    """The field width w and every arc's packed label, component k in
+    field r-1-k.
 
     For arc e = (v_i, v_j), component k is the size of the symmetric
     difference between {e} and the arcs of reference k whose head lies in
-    topological positions i+1..j.
+    topological positions i+1..j: one packed prefix count of reference-arc
+    heads, plus one, less two in the field of each reference e is on.
     """
     arcs = dag.base.arcs
-    columns = []
-    for ref in refs:
-        heads = [0] * (dag.n + 1)
+    w = (q + max(map(len, refs)) + 1).bit_length() + 1
+    heads = [0] * (dag.n + 1)
+    for k, ref in enumerate(reversed(refs)):  # field k: reference r-1-k
+        unit = 1 << (w * k)
         for aid in ref.arcs:
-            heads[arcs[aid].head] += 1
-        cnt = list(accumulate(heads))
-        mem = ref.arc_set
-        columns.append(
-            [cnt[h] - cnt[t] + (-1 if aid in mem else 1) for aid, t, h, _ in arcs]
-        )
-    return columns
+            heads[arcs[aid].head] += unit
+    cnt = list(accumulate(heads))
+    ones = sum(1 << (w * k) for k in range(len(refs)))
+    label = [cnt[h] - cnt[t] + ones for _, t, h, _ in arcs]
+    for k, ref in enumerate(reversed(refs)):
+        two = 2 << (w * k)
+        for aid in ref.arcs:
+            label[aid] -= two
+    return w, label
 
 
 def _maximal(vectors: list[int], guard: int) -> list[int]:
@@ -83,11 +88,13 @@ def _maximal(vectors: list[int], guard: int) -> list[int]:
 
 def _lex_smallest_path(dag: SpDag) -> Path:
     # Every vertex reaches t, so the greedy smallest-arc walk is the
-    # lexicographically smallest arc-id sequence from s.
+    # lexicographically smallest arc-id sequence from s.  Sweeping the
+    # arcs in descending id leaves each vertex its smallest-id out-arc.
+    first = {arc.tail: arc for arc in reversed(dag.base.arcs)}
     arcs = []
     v = 1
     while v != dag.n:
-        arc = dag.outgoing[v][0]
+        arc = first[v]
         arcs.append(arc.id)
         v = arc.head
     return Path(tuple(arcs))
@@ -101,16 +108,12 @@ def farthest_path(dag: SpDag, refs: Sequence[Path], q: int) -> Path | None:
     if r == 0 or q <= 0:
         return _lex_smallest_path(dag)
 
-    columns = _label_columns(dag, refs)
-    w = (2 * q).bit_length() + 1
+    w, label = _packed_labels(dag, refs, q)
     shift = w - 1
     lows = sum(1 << (w * k) for k in range(r))
     guard = lows << shift
     cap = lows * q
     field = (1 << w) - 1
-    label = [0] * dag.base.m
-    for col in columns:  # reference 0 ends up in the top field
-        label = [(p << w) | (c if c < q else q) for p, c in zip(label, col)]
 
     front: list[list[int]] = [[] for _ in range(dag.n + 1)]
     front[1] = [0]
@@ -123,7 +126,12 @@ def farthest_path(dag: SpDag, refs: Sequence[Path], q: int) -> Path | None:
                 s = x + lab
                 s ^= (s ^ cap) & (((((s | guard) - cap) & guard) >> shift) * field)
                 sums.append(s)
-        if len(sums) > 1:
+        if len(sums) == 2 and r > 1:  # most vertices: skip _maximal's sort
+            a, b = sums
+            if a < b:
+                a, b = b, a
+            sums = [a] if ((a | guard) - b) & guard == guard else [a, b]
+        elif len(sums) > 1:
             sums = [max(sums)] if r == 1 else _maximal(sums, guard)
         front[v] = sums
 
@@ -148,7 +156,7 @@ def farthest_path(dag: SpDag, refs: Sequence[Path], q: int) -> Path | None:
         else:  # pragma: no cover - the DP guarantees a predecessor
             raise AssertionError("traceback failed")
     path = Path(tuple(reversed(arcs_rev)))
-    assert _check_prefix_decomposition(dag, refs, columns, path)
+    assert _check_prefix_decomposition(dag, refs, w, label, path)
     assert all(len(path.arc_set ^ ref.arc_set) >= q for ref in refs)
     return path
 
@@ -156,11 +164,12 @@ def farthest_path(dag: SpDag, refs: Sequence[Path], q: int) -> Path | None:
 def _check_prefix_decomposition(
     dag: SpDag,
     refs: Sequence[Path],
-    columns: Sequence[Sequence[int]],
+    w: int,
+    label: Sequence[int],
     path: Path,
 ) -> bool:
-    """Debug check: prefix distances telescope through the arc labels,
-    ``columns[k][i]`` being component k of arc i's label.
+    """Debug check: prefix distances telescope through the packed arc
+    labels, component k of arc i being field r-1-k, w bits wide, of label[i].
 
     After each path arc (u, v), the distance to reference k is the size
     of the symmetric difference of the path's prefix and the reference's
@@ -169,7 +178,8 @@ def _check_prefix_decomposition(
     check is linear in the path and reference lengths.
     """
     arcs = dag.base.arcs
-    for ref, col in zip(refs, columns):
+    field = (1 << w) - 1
+    for k, ref in enumerate(reversed(refs)):  # field k: reference r-1-k
         mine: set[int] = set()
         theirs: set[int] = set()
         nxt = dist = prev = 0
@@ -182,7 +192,7 @@ def _check_prefix_decomposition(
                 theirs.add(other)
                 dist += -1 if other in mine else 1
                 nxt += 1
-            if dist != prev + col[aid]:
+            if dist != prev + (label[aid] >> w * k & field):
                 return False
             prev = dist
     return True

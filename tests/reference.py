@@ -6,17 +6,18 @@ pair of paths, or a whole decomposition) and answers by brute force;
 builds every path arc by arc, which the oracle's suffix DP must match;
 ``reference_select`` is the selection search with every row built by a
 per-pair loop, and ``reference_farthest_path`` is the farthest-path DP
-with each capped label sum held as a tuple.  They are small and
-obviously correct; speed does not matter here.
+with each capped label sum held as a tuple, its labels built one
+reference at a time and its first path walked along ``dag.outgoing``.
+They are small and obviously correct; speed does not matter here.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 from operator import add
 from typing import Iterable, Sequence
 
-from dspaths.farthest import _label_columns, _lex_smallest_path
 from dspaths.graph import ArcWeightedDigraph, Path, SpDag, hamming_distance
 
 
@@ -79,6 +80,41 @@ def _maximal_tuples(vectors: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
     return kept
 
 
+def _label_columns(dag: SpDag, refs: Sequence[Path]) -> list[list[int]]:
+    """Label components of every arc, one column per reference:
+    ``columns[k][i]`` is component k of arc i.  Each column comes from
+    one prefix count of reference-arc heads.
+
+    For arc e = (v_i, v_j), component k is the size of the symmetric
+    difference between {e} and the arcs of reference k whose head lies in
+    topological positions i+1..j.
+    """
+    arcs = dag.base.arcs
+    columns = []
+    for ref in refs:
+        heads = [0] * (dag.n + 1)
+        for aid in ref.arcs:
+            heads[arcs[aid].head] += 1
+        cnt = list(accumulate(heads))
+        mem = ref.arc_set
+        columns.append(
+            [cnt[h] - cnt[t] + (-1 if aid in mem else 1) for aid, t, h, _ in arcs]
+        )
+    return columns
+
+
+def reference_first_path(dag: SpDag) -> Path:
+    """The walk along each vertex's first out-arc in ``dag.outgoing``:
+    the lexicographically smallest s-t arc-id sequence."""
+    arcs = []
+    v = 1
+    while v != dag.n:
+        arc = dag.outgoing[v][0]
+        arcs.append(arc.id)
+        v = arc.head
+    return Path(tuple(arcs))
+
+
 def arc_labels(dag: SpDag, refs: Sequence[Path]) -> list[tuple[int, ...]]:
     """Uncapped label vectors of every arc: entry i is arc i's."""
     columns = _label_columns(dag, refs)
@@ -92,7 +128,7 @@ def reference_farthest_path(
     and tie-breaking as ``farthest_path``, with no packed arithmetic."""
     r = len(refs)
     if r == 0 or q <= 0:
-        return _lex_smallest_path(dag)
+        return reference_first_path(dag)
 
     labels = arc_labels(dag, refs)
     cap = (q,) * r

@@ -2,7 +2,6 @@ import json
 import re
 import subprocess
 import sys
-import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -29,6 +28,16 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 RUN_CLI = (
     "import sys; sys.path.insert(0, sys.argv[1]); "
     "from dspaths.cli import run_cli; sys.exit(run_cli(sys.argv[2:]))"
+)
+# run_cli on each argv of a JSON list in one fresh interpreter, which
+# then prints the exit codes and its peak resident set in kB (VmHWM):
+# python -c RUN_CLI_PEAK SRC ARGVS
+RUN_CLI_PEAK = (
+    "import json, sys; sys.path.insert(0, sys.argv[1]); "
+    "from dspaths.cli import run_cli; "
+    "codes = [run_cli(argv) for argv in json.loads(sys.argv[2])]; "
+    "status = open('/proc/self/status').read(); "
+    "print(json.dumps([codes, int(status.split('VmHWM:')[1].split()[0])]))"
 )
 
 
@@ -169,22 +178,23 @@ def test_verify_rejects_booleans_as_integers(tmp_path, capsys):
 def test_large_k_at_d0(tmp_path, mode):
     # k copies of one path.  The certificate is its k paths, so the file,
     # the solve and the verify grow linearly in k; a k x k structure
-    # would hold 10**10 entries here.
+    # would hold 10**10 entries here.  Linux carries ru_maxrss over from
+    # the parent through exec, so the child reads its own VmHWM.
     k = 10**5
     graph, cert = tmp_path / "grid.txt", tmp_path / "cert.json"
     graph.write_text(format_graph(gen_grid(2, 2)))
     solve_argv = ["solve", *mode, "-g", str(graph), "-k", str(k), "-d", "0",
                   "--json", str(cert)]
     verify_argv = ["verify", "-g", str(graph), "-c", str(cert), "-k", str(k), "-d", "0"]
-    tracemalloc.start()
-    try:
-        assert run_cli(solve_argv) == EXIT_YES
-        assert cert.stat().st_size < 10 * 2**20
-        assert run_cli(verify_argv) == EXIT_YES
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 200 * 2**20
+    child = subprocess.run(
+        [sys.executable, "-c", RUN_CLI_PEAK, str(SRC),
+         json.dumps([solve_argv, verify_argv])],
+        capture_output=True, text=True, timeout=120, check=True,
+    )
+    codes, peak_kb = json.loads(child.stdout.splitlines()[-1])
+    assert codes == [EXIT_YES, EXIT_YES]
+    assert cert.stat().st_size < 10 * 2**20
+    assert peak_kb * 2**10 < 200 * 2**20
 
 
 @pytest.mark.parametrize(

@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -7,7 +8,7 @@ from hypothesis import strategies as st
 from conftest import random_layered_dag
 from dspaths.farthest import (
     _check_prefix_decomposition,
-    _label_columns,
+    _packed_labels,
     farthest_path,
 )
 from dspaths.generators import gen_grid, gen_layered
@@ -22,7 +23,12 @@ from dspaths.graph import (
 )
 from dspaths.oracle import enumerate_st_paths
 from dspaths.solver import greedy_phase
-from reference import arc_labels, brute_farthest, reference_farthest_path
+from reference import (
+    arc_labels,
+    brute_farthest,
+    reference_farthest_path,
+    reference_first_path,
+)
 
 FORKED_TEXT = """\
 p dsp 5 5
@@ -177,19 +183,86 @@ class TestPrefixCheck:
             dag = build_sp_dag(gen_grid(6, 6))
             refs = random_walks(dag, rng.randint(1, 3), rng)
             path = random_walks(dag, 1, rng)[0]
-        columns = _label_columns(dag, refs)
-        assert _check_prefix_decomposition(dag, refs, columns, path)
+        w, label = _packed_labels(dag, refs, rng.randint(1, dag.base.m + 1))
+        assert _check_prefix_decomposition(dag, refs, w, label, path)
+        r = len(refs)
         for aid in path.arcs:
-            for k in range(len(refs)):
+            for k in range(r):
                 for delta in (-1, 1):
-                    wrong = [list(col) for col in columns]
-                    wrong[k][aid] += delta
-                    assert not _check_prefix_decomposition(dag, refs, wrong, path)
+                    wrong = list(label)
+                    wrong[aid] += delta << (w * (r - 1 - k))
+                    assert not _check_prefix_decomposition(dag, refs, w, wrong, path)
+
+
+def decoded(w, label, r):
+    """Each packed label as its r fields, reference 0's field first."""
+    field = (1 << w) - 1
+    return [tuple(lab >> (w * (r - 1 - k)) & field for k in range(r)) for lab in label]
+
+
+def width_edge_refs(span):
+    """diamond_pair(span) and five references, each sharing a whole side
+    with the far path long1 + long2, the one path they leave."""
+    g, ((chain1, long1), (chain2, long2)) = diamond_pair(span)
+    refs = [
+        Path(chain1 + chain2),
+        Path(long1 + chain2),
+        Path(chain1 + long2),
+        Path(chain1 + chain2),
+        Path(long1 + chain2),
+    ]
+    return build_sp_dag(g), refs, Path(long1 + long2)
+
+
+class TestPackedLabels:
+    @settings(max_examples=100, derandomize=True, deadline=None)
+    @given(FARTHEST_ASKS)
+    def test_fields_decode_to_reference_columns(self, case):
+        # q runs from 1 to m + 1; at small q the references are far
+        # longer than 2q.
+        grid, a, b, seed, r = case
+        g = gen_grid(a, b) if grid else gen_layered(a, b, 0.5, seed)
+        dag = build_sp_dag(g)
+        refs = random_walks(dag, r, random.Random(seed))
+        expected = arc_labels(dag, refs)
+        for q in range(1, dag.base.m + 2):
+            w, label = _packed_labels(dag, refs, q)
+            assert decoded(w, label, r) == expected
+
+    @pytest.mark.parametrize(
+        "span, q", [(7, 1), (12, 7), (12, 6), (30, 3), (30, 2), (20, 22), (20, 23)]
+    )
+    def test_width_edges(self, span, q):
+        # The longest reference has L = 2 * span arcs, and q + L + 1 is a
+        # power of two, or one less: the widest sum a field must hold.
+        # The far path is span + 1 from two references, so a larger q
+        # has no path.
+        dag, refs, far = width_edge_refs(span)
+        w, label = _packed_labels(dag, refs, q)
+        assert decoded(w, label, len(refs)) == arc_labels(dag, refs)
+        expected = far if q <= span + 1 else None
+        assert farthest_path(dag, refs, q) == expected
+        assert reference_farthest_path(dag, refs, q) == expected
 
 
 class TestFarthestPath:
     def test_no_refs_returns_lex_smallest(self, diamond_dag):
         assert farthest_path(diamond_dag, [], 5).arcs == (0, 2)
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_first_path_matches_outgoing_walk(self, seed):
+        # Input arcs in random order, so arc ids do not follow the tails.
+        g = gen_layered(6, 4, 0.5, seed)
+        order = list(g.arcs)
+        random.Random(seed).shuffle(order)
+        arcs = tuple(Arc(i, a.tail, a.head, a.weight) for i, a in enumerate(order))
+        dag = build_sp_dag(replace(g, arcs=arcs))
+        assert farthest_path(dag, [], 0) == reference_first_path(dag)
+
+    def test_greedy_phase_builds_no_outgoing(self):
+        dag = build_sp_dag(gen_grid(6, 6))
+        greedy_phase(dag, 4, 4)
+        assert "outgoing" not in dag.__dict__
 
     def test_single_path_graph(self):
         dag = build_sp_dag(parse_graph("p dsp 3 2\ns 1\nt 3\na 1 2 1\na 2 3 1\n"))
@@ -299,22 +372,21 @@ class TestAgainstTupleDp:
                 dag, refs, q
             )
 
+    def test_every_q_on_a_grid(self):
+        dag = build_sp_dag(gen_grid(6, 6))
+        refs = random_walks(dag, 3, random.Random(0))
+        for q in range(1, dag.base.m + 2):
+            assert farthest_path(dag, refs, q) == reference_farthest_path(
+                dag, refs, q
+            )
+
     @pytest.mark.parametrize("q", [1, 2, 4, 32, 64])
     def test_field_width_edge(self, q):
-        # 2q is a power of two, so a field has no bit to spare: a capped sum
-        # reaches 2q on the far path, whose long arcs have labels of 8q + 1,
-        # far above 2q.  Five references leave only that path: each other
-        # path shares a whole side with some reference.
-        g, ((chain1, long1), (chain2, long2)) = diamond_pair(8 * q)
-        dag = build_sp_dag(g)
-        refs = [
-            Path(chain1 + chain2),
-            Path(long1 + chain2),
-            Path(chain1 + long2),
-            Path(chain1 + chain2),
-            Path(long1 + chain2),
-        ]
-        far = Path(long1 + long2)
-        assert max(arc_labels(dag, refs)[long2[0]]) == 8 * q + 1
+        # The far path's long arcs have labels of 8q + 1, far above q,
+        # and a sum of q and such a label must not reach a guard bit.
+        # Five references leave only that path.
+        dag, refs, far = width_edge_refs(8 * q)
+        long2 = far.arcs[1]
+        assert max(arc_labels(dag, refs)[long2]) == 8 * q + 1
         assert farthest_path(dag, refs, q) == far
         assert reference_farthest_path(dag, refs, q) == far
