@@ -100,14 +100,13 @@ def _lex_smallest_path(dag: SpDag) -> Path:
     return Path(tuple(arcs))
 
 
-def farthest_path(dag: SpDag, refs: Sequence[Path], q: int) -> Path | None:
-    """Return a shortest path at distance >= q from every reference path,
-    or None if none exists.  Every path meets a q <= 0.
-    """
+def _forward_pass(
+    dag: SpDag, refs: Sequence[Path], q: int
+) -> tuple[int, list[int], list[list[int]]]:
+    """The field width w, every arc's packed label, and each vertex's
+    front: its maximal capped label sums, in descending int order, over
+    the s-v paths.  ``front[0]`` is unused.  Needs r >= 1 and q >= 1."""
     r = len(refs)
-    if r == 0 or q <= 0:
-        return _lex_smallest_path(dag)
-
     w, label = _packed_labels(dag, refs, q)
     shift = w - 1
     lows = sum(1 << (w * k) for k in range(r))
@@ -134,6 +133,23 @@ def farthest_path(dag: SpDag, refs: Sequence[Path], q: int) -> Path | None:
         elif len(sums) > 1:
             sums = [max(sums)] if r == 1 else _maximal(sums, guard)
         front[v] = sums
+    return w, label, front
+
+
+def farthest_path(dag: SpDag, refs: Sequence[Path], q: int) -> Path | None:
+    """Return a shortest path at distance >= q from every reference path,
+    or None if none exists.  Every path meets a q <= 0.
+    """
+    r = len(refs)
+    if r == 0 or q <= 0:
+        return _lex_smallest_path(dag)
+
+    w, label, front = _forward_pass(dag, refs, q)
+    shift = w - 1
+    lows = sum(1 << (w * k) for k in range(r))
+    guard = lows << shift
+    cap = lows * q
+    incoming = dag.incoming
 
     def reaches(v: int, gamma: int) -> bool:
         return any(((x | guard) - gamma) & guard == guard for x in front[v])

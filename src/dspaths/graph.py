@@ -99,6 +99,7 @@ def parse_graph(source: str | Iterable[str]) -> ArcWeightedDigraph:
     def fail(lineno: int, msg: str) -> GraphParseError:
         return GraphParseError(f"line {lineno}: {msg}")
 
+    new = tuple.__new__  # an Arc without the named tuple's Python-level __new__
     for lineno, raw in enumerate(lines, start=1):
         if "#" in raw:
             raw = raw.split("#", 1)[0]
@@ -106,9 +107,32 @@ def parse_graph(source: str | Iterable[str]) -> ArcWeightedDigraph:
         if not fields:
             continue
         kind = fields[0]
-        if n is None and kind != "p":
+        # Arc lines are nearly all of a file: test them first, once the
+        # header is read.
+        if kind == "a" and n is not None:
+            if len(fields) != 4:
+                raise fail(lineno, "malformed arc line")
+            try:
+                tail, head = int(fields[1]), int(fields[2])
+            except ValueError:
+                raise fail(lineno, "malformed arc line") from None
+            if not (1 <= tail <= n and 1 <= head <= n):
+                raise fail(lineno, "vertex id out of range")
+            token = fields[3]
+            weight = weights.get(token)
+            if weight is None:
+                try:
+                    weight = weights[token] = _parse_weight(token)
+                except ValueError as exc:
+                    raise fail(lineno, str(exc)) from None
+            if weight <= 0:
+                raise fail(lineno, "non-positive weight")
+            if len(arcs) >= m:
+                raise fail(lineno, f"more than {m} arc lines")
+            arcs.append(new(Arc, (len(arcs), tail, head, weight)))
+        elif n is None and kind != "p":
             raise fail(lineno, "expected 'p dsp <n> <m>' header first")
-        if kind == "p":
+        elif kind == "p":
             if n is not None:
                 raise fail(lineno, "duplicate header")
             if len(fields) != 4 or fields[1] != "dsp":
@@ -136,27 +160,6 @@ def parse_graph(source: str | Iterable[str]) -> ArcWeightedDigraph:
                 if t is not None:
                     raise fail(lineno, "duplicate 't' line")
                 t = v
-        elif kind == "a":
-            if len(fields) != 4:
-                raise fail(lineno, "malformed arc line")
-            try:
-                tail, head = int(fields[1]), int(fields[2])
-            except ValueError:
-                raise fail(lineno, "malformed arc line") from None
-            if not (1 <= tail <= n and 1 <= head <= n):
-                raise fail(lineno, "vertex id out of range")
-            token = fields[3]
-            weight = weights.get(token)
-            if weight is None:
-                try:
-                    weight = weights[token] = _parse_weight(token)
-                except ValueError as exc:
-                    raise fail(lineno, str(exc)) from None
-            if weight <= 0:
-                raise fail(lineno, "non-positive weight")
-            if len(arcs) >= m:
-                raise fail(lineno, f"more than {m} arc lines")
-            arcs.append(Arc(len(arcs), tail, head, weight))
         else:
             raise fail(lineno, f"unknown line type {kind!r}")
 
@@ -204,10 +207,15 @@ class SpDag:
     maps its answer back to input ids once.  The renumbering is monotone,
     so every smallest-id tie-break is the same in either numbering.
     Each tuple of ``incoming`` and ``outgoing`` is in ascending id order.
+    ``dist`` is the list ``shortest_distances`` returned for the input
+    graph, in input vertex ids: the s-v distance, or None where v is
+    unreachable.  ``solve`` hands it to ``verify_certificate``, so a solve
+    runs one Dijkstra.
     """
 
     base: ArcWeightedDigraph
     input_arc: tuple[int, ...]  # input_arc[i] = input id of arc i
+    dist: list[int | None]  # dist[v] for input vertex v; index 0 unused
 
     @property
     def n(self) -> int:
@@ -249,21 +257,31 @@ class SpDag:
 
 def shortest_distances(g: ArcWeightedDigraph) -> list[int | None]:
     """Dijkstra from g.s: ``dist[v]`` is the shortest s-v distance, or None
-    if v is unreachable (index 0 is unused)."""
+    if v is unreachable (index 0 is unused).
+
+    ``dist`` holds the tentative distances while the search runs.  A
+    vertex is pushed only when its tentative distance strictly falls, and
+    a popped entry that no longer holds it is skipped; weights are
+    positive, so the entry that does pops once, after every shorter one,
+    and settles the vertex.
+    """
     out: list[list[Arc]] = [[] for _ in range(g.n + 1)]
     for a in g.arcs:
         out[a.tail].append(a)
     dist: list[int | None] = [None] * (g.n + 1)
+    dist[g.s] = 0
     pq: list[tuple[int, int]] = [(0, g.s)]
     push, pop = heapq.heappush, heapq.heappop
     while pq:
         d, v = pop(pq)
-        if dist[v] is not None:
+        if d != dist[v]:
             continue
-        dist[v] = d
         for _, _, head, weight in out[v]:
-            if dist[head] is None:
-                push(pq, (d + weight, head))
+            nd = d + weight
+            known = dist[head]
+            if known is None or nd < known:
+                dist[head] = nd
+                push(pq, (nd, head))
     return dist
 
 
@@ -310,9 +328,10 @@ def build_sp_dag(g: ArcWeightedDigraph) -> SpDag:
         renum[orig] = i
     # g.arcs, and so the surviving arcs, ascend by input id: numbering
     # them in this order keeps every tie-break on arc ids the same.
-    arcs = tuple(
-        Arc(i, renum[tail], renum[head], weight)
+    new = tuple.__new__
+    arcs = tuple([
+        new(Arc, (i, renum[tail], renum[head], weight))
         for i, (_, tail, head, weight) in enumerate(surviving)
-    )
+    ])
     base = ArcWeightedDigraph(n=len(order), arcs=arcs, s=1, t=len(order))
-    return SpDag(base=base, input_arc=tuple([a.id for a in surviving]))
+    return SpDag(base=base, input_arc=tuple([a.id for a in surviving]), dist=dist)

@@ -132,8 +132,10 @@ def solve(g: ArcWeightedDigraph, k: int, d: int, mode: str = "hybrid") -> SolveR
     compositions_tried = 0
 
     # The engines work in the dag's arc numbering; ``finish`` maps the
-    # answer back to input ids, the one place that does.
+    # answer back to input ids, the one place that does.  It checks a yes
+    # against the distances the dag was built from.
     input_arc: tuple[int, ...] = ()
+    dist: list[int | None] | None = None
 
     def finish(decision: str, found: Sequence[Path] | None) -> SolveResult:
         elapsed = int((time.monotonic() - start) * 1000)
@@ -141,7 +143,7 @@ def solve(g: ArcWeightedDigraph, k: int, d: int, mode: str = "hybrid") -> SolveR
         if found is not None:
             paths = tuple(Path(tuple([input_arc[a] for a in p.arcs])) for p in found)
             cert = Certificate(k=k, d=d, paths=paths, graph_hash=graph_hash(g))
-            ok, report = verify_certificate(g, cert, k, d)
+            ok, report = verify_certificate(g, cert, k, d, dist=dist)
             if not ok:  # pragma: no cover - internal soundness guard
                 raise RuntimeError(f"solver produced an invalid certificate: {report}")
         return SolveResult(
@@ -159,7 +161,7 @@ def solve(g: ArcWeightedDigraph, k: int, d: int, mode: str = "hybrid") -> SolveR
         return finish("yes", ())
 
     dag = build_sp_dag(g)
-    input_arc = dag.input_arc
+    input_arc, dist = dag.input_arc, dag.dist
 
     if mode != "fpt":
         path_count = oracle_mod.count_st_paths(dag, cap=ORACLE_PATH_LIMIT + 1)
@@ -215,7 +217,11 @@ def solve(g: ArcWeightedDigraph, k: int, d: int, mode: str = "hybrid") -> SolveR
 
 
 def verify_certificate(
-    g: ArcWeightedDigraph, cert: Certificate, k: int, d: int
+    g: ArcWeightedDigraph,
+    cert: Certificate,
+    k: int,
+    d: int,
+    dist: Sequence[int | None] | None = None,
 ) -> tuple[bool, str | None]:
     """Check a certificate independently: k paths, each a shortest s-t path
     of g, pairwise Hamming distances >= d, and the certificate's own k and
@@ -223,15 +229,28 @@ def verify_certificate(
     check of the distances: each is computed here from the paths' arc
     sets, and none at d = 0, where every pair passes.
 
-    One Dijkstra on g gives dist(t); a path is shortest when it chains
-    from s to t over arcs of g without repeating a vertex and weighs
-    dist(t); each distinct path is checked once.  No SP-DAG is built, so
-    the check shares no code with the solver's preprocessing.
+    ``dist`` gives a distance per vertex of g (None: unreached); without
+    it, ``shortest_distances(g)`` supplies them.  Either way they are
+    checked as a feasible dual potential (Ahuja, Magnanti & Orlin,
+    *Network Flows*, 1993, ch. 4-5): a list of n + 1 ints or Nones with
+    dist[s] = 0, in which every arc (u, v, w) of g with a distance at u
+    has one at v and dist[v] <= dist[u] + w.  Summed along any s-t path
+    those inequalities telescope to weight >= dist[t].  A path is then
+    shortest when it chains from s to t over arcs of g without repeating
+    a vertex and weighs exactly dist[t]; each distinct path is checked
+    once.  A wrong ``dist`` is either infeasible, and rejected, or still
+    a lower bound on every s-t path, so it can reject a certificate but
+    never accept one.  No SP-DAG is built, so the check shares no code
+    with the solver's preprocessing.
     """
     _validate_certificate_shape(cert)
     if len(cert.paths) != k:
         return False, f"expected {k} paths, got {len(cert.paths)}"
-    best = shortest_distances(g)[g.t]
+    if dist is None:
+        dist = shortest_distances(g)
+    if not _is_feasible_potential(g, dist):
+        return False, "distances are not a feasible potential"
+    best = dist[g.t]
     if best is None and k:
         return False, "graph has no s-t path"
     first: dict[tuple[int, ...], int] = {}  # distinct arc lists, first index
@@ -244,12 +263,28 @@ def verify_certificate(
         masks = [sum(1 << a for a in p.arcs) for p in cert.paths]
         for i, mask in enumerate(masks):
             for j in range(i + 1, k):
-                dist = (mask ^ masks[j]).bit_count()
-                if dist < d:
-                    return False, f"pair ({i + 1},{j + 1}) distance {dist} < {d}"
+                apart = (mask ^ masks[j]).bit_count()
+                if apart < d:
+                    return False, f"pair ({i + 1},{j + 1}) distance {apart} < {d}"
     if (cert.k, cert.d) != (k, d):
         return False, f"certificate states k={cert.k}, d={cert.d}; asked k={k}, d={d}"
     return True, None
+
+
+def _is_feasible_potential(
+    g: ArcWeightedDigraph, dist: Sequence[int | None]
+) -> bool:
+    if len(dist) != g.n + 1 or not set(map(type, dist)) <= {int, type(None)}:
+        return False
+    if dist[g.s] != 0:
+        return False
+    for _, tail, head, weight in g.arcs:
+        du = dist[tail]
+        if du is not None:
+            dv = dist[head]
+            if dv is None or dv > du + weight:
+                return False
+    return True
 
 
 def _is_shortest_st_path(

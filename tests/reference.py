@@ -6,8 +6,9 @@ pair of paths, or a whole decomposition) and answers by brute force;
 builds every path arc by arc, which the oracle's suffix DP must match;
 ``reference_select`` is the selection search with every row built by a
 per-pair loop, and ``reference_farthest_path`` is the farthest-path DP
-with each capped label sum held as a tuple, its labels built one
-reference at a time and its first path walked along ``dag.outgoing``.
+with each capped label sum held as a tuple (``reference_fronts`` is its
+forward pass), its labels built one reference at a time and its first
+path walked along ``dag.outgoing``.
 They are small and obviously correct; speed does not matter here.
 """
 
@@ -121,15 +122,13 @@ def arc_labels(dag: SpDag, refs: Sequence[Path]) -> list[tuple[int, ...]]:
     return [tuple(col[i] for col in columns) for i in range(dag.base.m)]
 
 
-def reference_farthest_path(
+def reference_fronts(
     dag: SpDag, refs: Sequence[Path], q: int
-) -> Path | None:
-    """The farthest-path DP on label tuples: the same fronts, traceback
-    and tie-breaking as ``farthest_path``, with no packed arithmetic."""
+) -> tuple[list[tuple[int, ...]], list[list[tuple[int, ...]]]]:
+    """The forward pass on label tuples: every arc's label, and each
+    vertex's maximal capped label sums in descending lexicographic order
+    (``front[0]`` is unused).  Needs r >= 1 and q >= 1."""
     r = len(refs)
-    if r == 0 or q <= 0:
-        return reference_first_path(dag)
-
     labels = arc_labels(dag, refs)
     cap = (q,) * r
     front: list[list[tuple[int, ...]]] = [[] for _ in range(dag.n + 1)]
@@ -140,6 +139,20 @@ def reference_farthest_path(
             for arc in dag.incoming[v]
             for vec in front[arc.tail]
         ])
+    return labels, front
+
+
+def reference_farthest_path(
+    dag: SpDag, refs: Sequence[Path], q: int
+) -> Path | None:
+    """The farthest-path DP on label tuples: the same fronts, traceback
+    and tie-breaking as ``farthest_path``, with no packed arithmetic."""
+    r = len(refs)
+    if r == 0 or q <= 0:
+        return reference_first_path(dag)
+
+    labels, front = reference_fronts(dag, refs, q)
+    cap = (q,) * r
 
     def reaches(v, gamma):
         return any(all(x >= g for x, g in zip(vec, gamma)) for vec in front[v])

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from conftest import random_layered_dag
 from dspaths.farthest import (
     _check_prefix_decomposition,
+    _forward_pass,
     _packed_labels,
     farthest_path,
 )
@@ -28,6 +29,7 @@ from reference import (
     brute_farthest,
     reference_farthest_path,
     reference_first_path,
+    reference_fronts,
 )
 
 FORKED_TEXT = """\
@@ -243,6 +245,22 @@ class TestPackedLabels:
         expected = far if q <= span + 1 else None
         assert farthest_path(dag, refs, q) == expected
         assert reference_farthest_path(dag, refs, q) == expected
+
+
+class TestFronts:
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @given(FARTHEST_ASKS.filter(lambda case: case[4] <= 4))
+    def test_packed_fronts_match_reference(self, case):
+        # Every front, decoded field by field, is the reference's tuple
+        # front in the same order: nondominated and descending.
+        grid, a, b, seed, r = case
+        g = gen_grid(a, b) if grid else gen_layered(a, b, 0.5, seed)
+        dag = build_sp_dag(g)
+        refs = random_walks(dag, r, random.Random(seed))
+        for q in range(1, dag.base.m + 2):
+            w, _, front = _forward_pass(dag, refs, q)
+            expected = reference_fronts(dag, refs, q)[1]
+            assert [decoded(w, f, r) for f in front] == expected
 
 
 class TestFarthestPath:

@@ -25,6 +25,25 @@ from dspaths.graph import (
 from dspaths.oracle import enumerate_st_paths
 
 
+# (text, line named in the error, fragment of the message)
+PARSE_ERRORS = [
+    ("p dsp 2 1\ns 1\nt 2\na 1 2 0\n", 4, "non-positive"),
+    ("p dsp 2 1\ns 1\nt 2\na 1 2 0.0\n", 4, "non-positive"),
+    ("p dsp 2 1\np dsp 2 1\ns 1\nt 2\na 1 2 1\n", 2, "duplicate header"),
+    ("p dsp 2 1\ns 1\ns 2\nt 2\na 1 2 1\n", 3, "duplicate 's'"),
+    ("p dsp 2 1\ns 1\nt 2\na 1 3 1\n", 4, "out of range"),
+    ("p dsp 2 1\ns 3\nt 2\na 1 2 1\n", 2, "out of range"),
+    ("p dsp 2 1\ns 1\nt 2\na 1 2 1.1234567\n", 4, "bad weight"),
+    ("p dsp 2 1\ns 1\nt 2\na 1 2 -1\n", 4, "bad weight"),
+    ("s 1\np dsp 2 1\nt 2\na 1 2 1\n", 1, "header first"),
+    ("p dsp 2 1\ns 1\nt 2\nz 1 2\n", 4, "unknown line"),
+    ("p dsp 2 1\ns 1\nt 2\na 1 2 1\na 2 1 1\n", 5, "more than"),
+    ("p dsp 2 1\ns 1\nt 2\na 1 2\n", 4, "malformed arc line"),
+    ("p dsp 2 1\ns 1\nt 2\na x 2 1\n", 4, "malformed arc line"),
+    ("a 1 2 1\np dsp 2 1\ns 1\nt 2\n", 1, "header first"),
+]
+
+
 class TestParse:
     def test_minimal_file(self):
         g = parse_graph("p dsp 2 1\ns 1\nt 2\na 1 2 1.0\n")
@@ -53,26 +72,15 @@ class TestParse:
         assert [a.weight for a in g.arcs] == [WEIGHT_SCALE] * 4
 
     @pytest.mark.parametrize(
-        "text,fragment",
-        [
-            ("p dsp 2 1\ns 1\nt 2\na 1 2 0\n", "non-positive"),
-            ("p dsp 2 1\ns 1\nt 2\na 1 2 0.0\n", "non-positive"),
-            ("p dsp 2 1\np dsp 2 1\ns 1\nt 2\na 1 2 1\n", "duplicate header"),
-            ("p dsp 2 1\ns 1\ns 2\nt 2\na 1 2 1\n", "duplicate 's'"),
-            ("p dsp 2 1\ns 1\nt 2\na 1 3 1\n", "out of range"),
-            ("p dsp 2 1\ns 3\nt 2\na 1 2 1\n", "out of range"),
-            ("p dsp 2 1\ns 1\nt 2\na 1 2 1.1234567\n", "bad weight"),
-            ("p dsp 2 1\ns 1\nt 2\na 1 2 -1\n", "bad weight"),
-            ("s 1\np dsp 2 1\nt 2\na 1 2 1\n", "header first"),
-            ("p dsp 2 1\ns 1\nt 2\nz 1 2\n", "unknown line"),
-            ("p dsp 2 1\ns 1\nt 2\na 1 2 1\na 2 1 1\n", "more than"),
-        ],
+        "text,line,fragment",
+        PARSE_ERRORS,
+        ids=[f"{text}-{fragment}" for text, _, fragment in PARSE_ERRORS],
     )
-    def test_errors_name_line(self, text, fragment):
+    def test_errors_name_line(self, text, line, fragment):
         with pytest.raises(GraphParseError) as exc:
             parse_graph(text)
         assert fragment in str(exc.value)
-        assert "line" in str(exc.value)
+        assert str(exc.value).startswith(f"line {line}: ")
 
     @pytest.mark.parametrize(
         "bad,fragment", [("0", "non-positive"), ("1.1234567", "bad weight")]
@@ -184,6 +192,9 @@ class TestSpDagAgainstNetworkx:
             for a in g.arcs:
                 mg.add_edge(a.tail, a.head, weight=a.weight)
             ds = nx.single_source_dijkstra_path_length(mg, g.s)
+            # Every vertex, reached or not, against networkx.
+            dist = shortest_distances(g)
+            assert dist == [None] + [ds.get(v) for v in range(1, g.n + 1)]
             if g.t not in ds:
                 seen["unreachable"] += 1
                 with pytest.raises(NoShortestPathError):
@@ -197,6 +208,7 @@ class TestSpDagAgainstNetworkx:
                 and ds[a.tail] + a.weight + dt[a.head] == ds[g.t]
             }
             dag = build_sp_dag(g)
+            assert dag.dist == dist
             # Arc i of the dag is input arc input_arc[i], which ascends.
             assert [a.id for a in dag.base.arcs] == list(range(dag.base.m))
             assert set(dag.input_arc) == on
@@ -215,7 +227,6 @@ class TestSpDagAgainstNetworkx:
             assert sorted(orig_vertex) == list(range(1, dag.n + 1))
             assert set(orig_vertex.values()) == verts and len(verts) == dag.n
             # Tight against Dijkstra, and topological by (distance, input id).
-            dist = shortest_distances(g)
             order = [orig_vertex[v] for v in range(1, dag.n + 1)]
             assert [dist[v] for v in order] == [ds[v] for v in order]
             assert order == sorted(order, key=lambda v: (dist[v], v))

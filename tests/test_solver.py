@@ -6,15 +6,17 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import parallel_routes, random_layered_dag, unit_chain
-from dspaths import oracle, solver
+from conftest import parallel_routes, random_layered_dag, random_multidigraph, unit_chain
+from dspaths import graph, oracle, solver
 from dspaths.generators import BinPackingInstance, gen_binpack, gen_grid, gen_layered
 from dspaths.graph import (
+    NoShortestPathError,
     Path,
     build_sp_dag,
     format_graph,
     hamming_distance,
     parse_graph,
+    shortest_distances,
 )
 from dspaths.oracle import brute_solve, enumerate_st_paths
 from dspaths.solver import (
@@ -32,6 +34,68 @@ FPT = "fpt"
 
 def dag_to_graph(dag):
     return parse_graph(format_graph(dag.base))
+
+
+def random_walk(g, rng):
+    """Arc ids of a walk from s along random out-arcs, up to n arcs; it
+    may stop anywhere and repeat vertices."""
+    arcs, v = [], g.s
+    for _ in range(rng.randint(0, g.n)):
+        out = [a for a in g.arcs if a.tail == v]
+        if not out:
+            break
+        arc = rng.choice(out)
+        arcs.append(arc.id)
+        v = arc.head
+    return Path(tuple(arcs))
+
+
+def with_one_path_altered(g, paths, rng):
+    """paths with one of them changed: an arc dropped, replaced by a
+    random arc, or a random arc inserted."""
+    i = rng.randrange(len(paths))
+    arcs = list(paths[i].arcs)
+    how = rng.randrange(3) if arcs else 2
+    if how == 0:
+        del arcs[rng.randrange(len(arcs))]
+    elif how == 1:
+        arcs[rng.randrange(len(arcs))] = rng.randrange(g.m)
+    else:
+        arcs.insert(rng.randint(0, len(arcs)), rng.randrange(g.m))
+    return paths[:i] + (Path(tuple(arcs)),) + paths[i + 1 :]
+
+
+def tampered(g, dist, path, how):
+    """A copy of g's distances, wrong in one way; path is a shortest s-t
+    path of at least two arcs."""
+    bad = list(dist)
+    first = g.arcs[path.arcs[0]]  # (s, v, w), v interior
+    if how == "t lowered":
+        bad[g.t] -= 1
+    elif how == "t raised":
+        bad[g.t] += 1
+    elif how == "interior raised":
+        bad[first.head] = dist[g.s] + first.weight + 1
+    elif how == "head unreached":
+        bad[first.head] = None
+    elif how == "s not zero":
+        bad[g.s] = 1
+    elif how == "one too long":
+        bad.append(0)
+    elif how == "one too short":
+        bad.pop()
+    elif how == "float":
+        bad[g.t] = float(dist[g.t])
+    return bad
+
+
+LAYERED_ASKS = st.tuples(
+    st.integers(1, 6),
+    st.integers(1, 4),
+    st.integers(0, 10**6),
+    st.integers(1, 4),
+    st.integers(0, 8),
+)
 
 
 class TestGreedy:
@@ -240,6 +304,21 @@ class TestSolve:
                         assert hamming_distance(p1, p2) >= d
             return
         pytest.skip("no incomplete greedy outcome sampled")
+
+    @pytest.mark.parametrize("mode", ("fpt", "oracle"))
+    def test_one_dijkstra_per_solve(self, monkeypatch, mode):
+        # build_sp_dag runs it; the certificate check reads dag.dist.
+        runs = []
+
+        def counting(g):
+            runs.append(g)
+            return shortest_distances(g)
+
+        monkeypatch.setattr(graph, "shortest_distances", counting)
+        monkeypatch.setattr(solver, "shortest_distances", counting)
+        g = gen_grid(4, 4)
+        assert solve(g, 2, 4, mode).decision == "yes"
+        assert runs == [g]
 
     def test_determinism_byte_identical(self, diamond):
         docs = []
@@ -458,6 +537,86 @@ class TestVerify:
         cert = dataclasses.replace(solve(diamond, 1, 0, FPT).certificate, **field)
         with pytest.raises(CertificateError):
             verify_certificate(diamond, cert, 1, 0)
+
+    @settings(max_examples=80, derandomize=True, deadline=None)
+    @given(LAYERED_ASKS)
+    def test_given_distances_decide_as_dijkstra_on_layered_dags(self, case):
+        # Solved certificates (at d = 0 when the ask is a no), then twice
+        # with one path altered.
+        layers, width, seed, k, d = case
+        g = gen_layered(layers, width, 0.5, seed)
+        dist = shortest_distances(g)
+        res = solve(g, k, d, FPT)
+        paths = (res.certificate or solve(g, k, 0, FPT).certificate).paths
+        rng = random.Random(seed)
+        asked = [paths, with_one_path_altered(g, paths, rng)]
+        asked.append(with_one_path_altered(g, asked[-1], rng))
+        for ps in asked:
+            cert = Certificate(k=k, d=d, paths=ps, graph_hash="")
+            got = verify_certificate(g, cert, k, d, dist=dist)
+            assert got == verify_certificate(g, cert, k, d)
+        if res.decision == "yes":
+            got = verify_certificate(g, res.certificate, k, d, dist=dist)
+            assert got == (True, None)
+
+    def test_given_distances_decide_as_dijkstra_on_multidigraphs(self):
+        # Self-loops, parallel arcs, dead ends, unreachable t and s == t.
+        # Paths are solved ones, one altered, and random walks.  A
+        # distance list with one entry moved accepts only what the true
+        # one accepts.
+        rng = random.Random(1437)
+        for _ in range(600):
+            g = random_multidigraph(rng)
+            if not g.m:
+                continue
+            dist = shortest_distances(g)
+            k, d = rng.randint(1, 3), rng.randint(0, 2)
+            try:
+                solved = solve(g, k, 0, FPT).certificate.paths
+            except NoShortestPathError:
+                solved = ()
+            pool = list(solved) + [random_walk(g, rng) for _ in range(2)]
+            paths = tuple(rng.choice(pool) for _ in range(k))
+            bad = list(dist)
+            bad[rng.randint(0, g.n)] = rng.choice((None, 0, 1, rng.randint(0, 10**7)))
+            for ps in (paths, with_one_path_altered(g, paths, rng), solved):
+                if len(ps) != k:
+                    continue
+                cert = Certificate(k=k, d=d, paths=ps, graph_hash="")
+                expected = verify_certificate(g, cert, k, d)
+                assert verify_certificate(g, cert, k, d, dist=dist) == expected
+                if verify_certificate(g, cert, k, d, dist=bad)[0]:
+                    assert expected == (True, None)
+
+    @pytest.mark.parametrize(
+        "how",
+        (
+            "t lowered",
+            "t raised",
+            "interior raised",
+            "head unreached",
+            "s not zero",
+            "one too long",
+            "one too short",
+            "float",
+        ),
+    )
+    def test_tampered_distances_only_reject(self, how):
+        # Each certificate passes under the true distances.  A lower
+        # dist[t] is still a feasible potential, so it fails the path
+        # weights; every other change breaks the potential itself.
+        graphs = [gen_grid(4, 4)] + [gen_layered(4, 3, 0.5, s) for s in range(3)]
+        for g in graphs:
+            dist = shortest_distances(g)
+            cert = solve(g, 2, 0, FPT).certificate
+            assert verify_certificate(g, cert, 2, 0, dist=dist) == (True, None)
+            bad = tampered(g, dist, cert.paths[0], how)
+            report = (
+                "path 1 not a shortest path"
+                if how == "t lowered"
+                else "distances are not a feasible potential"
+            )
+            assert verify_certificate(g, cert, 2, 0, dist=bad) == (False, report)
 
 
 class TestCertificateJson:
