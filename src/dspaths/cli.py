@@ -187,6 +187,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         raise SystemExit2(f"cannot read {args.certificate}: {exc}")
     except json.JSONDecodeError as exc:
         raise SystemExit2(f"malformed JSON: {exc}")
+    except RecursionError:
+        raise SystemExit2("malformed JSON: nested too deeply") from None
     cert = certificate_from_json_dict(data)
     # The hash names the graph the certificate was solved on; solve writes
     # it and only verify reads it.  An empty hash is not checked.

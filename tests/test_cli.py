@@ -230,6 +230,19 @@ def test_verify_rejects_misstated_ask(diamond_file, tmp_path, capsys):
     assert "certificate states k=7, d=99; asked k=2, d=4" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("where", ("top", "paths"))
+def test_verify_deeply_nested_json_is_malformed(diamond_file, tmp_path, capsys, where):
+    # json.loads raises RecursionError, not JSONDecodeError, on deep nesting.
+    nested = "[" * 200_000 + "]" * 200_000
+    if where == "paths":
+        nested = '{"k": 2, "d": 4, "paths": ' + nested + "}"
+    cert = tmp_path / "cert.json"
+    cert.write_text(nested)
+    argv = ["verify", "-g", diamond_file, "-c", str(cert), "-k", "2", "-d", "4"]
+    assert run_cli(argv) == EXIT_ERROR
+    assert "error: malformed JSON: nested too deeply" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("exc", (RuntimeError("boom"), RecursionError("too deep")))
 def test_internal_error(diamond_file, monkeypatch, capsys, exc):
     def fail(*args, **kwargs):

@@ -1,5 +1,6 @@
 import itertools
 import random
+import signal
 from unittest import mock
 
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_layered_dag, random_multidigraph
-from dspaths import colorcode
+from dspaths import colorcode, oracle
 from dspaths.colorcode import (
     EXHAUSTIVE,
     SEEDED,
@@ -26,6 +27,7 @@ from dspaths.graph import (
     parse_graph,
 )
 from dspaths.oracle import enumerate_st_paths
+from dspaths.solver import solve
 from reference import (
     brute_ball,
     brute_realizable_sets,
@@ -58,6 +60,35 @@ def random_selection_case(rng):
     else:
         masks = [rng.getrandbits(width) if width else 0 for _ in range(n)]
     return masks, rng.randint(0, 5), rng.randint(0, width + 2)
+
+
+def twin_heavy_case(rng):
+    """Masks drawn from a few random column classes, with repeats: each
+    class is a run of bits that a mask holds whole or not at all, as the
+    bin-packing reduction's paths hold whole chains.  Few distinct values
+    among many positions make candidate sets recur in the search."""
+    runs = [rng.randint(1, 4) for _ in range(rng.randint(2, 6))]
+    starts = list(itertools.accumulate(runs, initial=0))
+    classes = [((1 << size) - 1) << at for size, at in zip(runs, starts)]
+    values = [
+        sum(c for c in classes if rng.random() < 0.5)
+        for _ in range(rng.randint(2, 7))
+    ]
+    masks = [rng.choice(values) for _ in range(rng.randint(4, 18))]
+    return masks, rng.randint(2, 5), rng.randint(1, starts[-1])
+
+
+def first_combination(masks, r, d):
+    """The first r-subset in itertools.combinations order (lexicographic
+    in input positions) whose pairs are all >= d apart."""
+    return next(
+        (
+            list(sub)
+            for sub in itertools.combinations(masks, r)
+            if all((a ^ b).bit_count() >= d for a, b in itertools.combinations(sub, 2))
+        ),
+        None,
+    )
 
 
 class TestHashFamily:
@@ -286,27 +317,104 @@ class TestSelect:
         masks = list(range(1, 1201))
         assert select_dissimilar_color_sets(masks, 1200, 1) == masks
 
+    def test_huge_r_answers_at_once(self):
+        # Nothing the search sets up may grow with r.
+        masks = list(range(64))
+        assert select_dissimilar_color_sets(masks, 10**9, 1) is None
+
     def test_matches_first_combination(self):
-        # Reference: the first r-subset in itertools.combinations order
-        # (lexicographic in input positions) whose pairs are all >= d.
         rng = random.Random(2402)
         for _ in range(200):
             bits = rng.randint(1, 10)
             masks = [rng.getrandbits(bits) for _ in range(rng.randint(0, 14))]
             r = rng.randint(2, 4)
             d = rng.randint(1, 6)
-            expected = next(
-                (
-                    list(sub)
-                    for sub in itertools.combinations(masks, r)
-                    if all(
-                        (a ^ b).bit_count() >= d
-                        for a, b in itertools.combinations(sub, 2)
-                    )
-                ),
-                None,
-            )
+            expected = first_combination(masks, r, d)
             assert select_dissimilar_color_sets(masks, r, d) == expected, (masks, r, d)
+
+    @pytest.mark.parametrize("store", ["shipped", "one set"])
+    def test_twin_heavy_masks(self, monkeypatch, store):
+        # "one set" empties the store of exhausted candidate sets before
+        # every record, so the search runs through the emptying path.
+        if store == "one set":
+            monkeypatch.setattr(colorcode, "_FAILED_SETS_PER_MASK", 0)
+        rng = random.Random(22)
+        found = set()
+        for _ in range(600):
+            masks, r, d = twin_heavy_case(rng)
+            expected = first_combination(masks, r, d)
+            assert reference_select(masks, r, d) == expected, (masks, r, d)
+            assert select_dissimilar_color_sets(masks, r, d) == expected, (masks, r, d)
+            found.add((r, expected is not None))
+        assert found == {(r, yes) for r in range(2, 6) for yes in (False, True)}
+
+    @pytest.mark.parametrize(
+        "masks, expected",
+        [
+            # Picking mask 0 leaves masks 3-5, which hold no three pairwise
+            # 2 apart.  Picking masks 1 and 2 leaves the same three, and
+            # now two more are needed, which masks 3 and 4 give.
+            ([0b00, 0b01, 0b10, 0b1100, 0b110000, 0b110000],
+             [0b01, 0b10, 0b1100, 0b110000]),
+            # Picking masks 0 and 3 leaves masks 5 and 6, equal, and fails;
+            # masks 4-6 were still to try there.  Picking masks 1 and 2
+            # leaves masks 4-6 as a start set, and masks 4 and 5 complete it.
+            ([0b0, 0b1, 0b10, 0b11, 0b111, 0b11000, 0b11000],
+             [0b1, 0b10, 0b111, 0b11000]),
+        ],
+        ids=["fewer-picks", "left-to-try"],
+    )
+    def test_recurring_candidate_sets(self, masks, expected):
+        assert reference_select(masks, 4, 2) == expected
+        assert select_dissimilar_color_sets(masks, 4, 2) == expected
+
+    def test_exhausted_sets_are_skipped(self):
+        # Eight groups of ten masks: masks of one group are less than d
+        # apart, masks of different groups at least d, so no nine are
+        # pairwise d apart.  A search without the store tries every pick of
+        # one mask from each of seven groups, about 10**8 nodes; with it,
+        # every pick from a group leaves the same candidates, all the masks
+        # of later groups, and the search ends after a few hundred nodes.
+        masks = [
+            0b1111 << 4 * group | 1 << 32 + 5 * group + x // 2
+            for group in range(8)
+            for x in range(10)
+        ]
+
+        def too_slow(signum, frame):
+            raise TimeoutError("exhausted candidate sets were searched again")
+
+        previous = signal.signal(signal.SIGALRM, too_slow)
+        signal.setitimer(signal.ITIMER_REAL, 5.0)
+        try:
+            assert select_dissimilar_color_sets(masks, 9, 4) is None
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, previous)
+
+    @pytest.mark.parametrize("mode", ["fpt", "oracle"])
+    @pytest.mark.parametrize("items, yes", [((2, 2, 2), False), ((1, 1, 1, 1), True)])
+    def test_binpack_rows_at_their_asks(self, monkeypatch, mode, items, yes):
+        # The kernel calls of the benchmark's bin-packing rows: the
+        # realizable sets of the ball search, or the oracle's masks.
+        inst = gen_binpack(BinPackingInstance(items, 2, sum(items) // 2))
+        calls = []
+        kernel = select_dissimilar_color_sets
+
+        def recording(masks, r, d):
+            calls.append((list(masks), r, d))
+            return kernel(masks, r, d)
+
+        monkeypatch.setattr(colorcode, "select_dissimilar_color_sets", recording)
+        monkeypatch.setattr(oracle, "select_dissimilar_color_sets", recording)
+        assert solve(inst.graph, inst.ask_k, inst.ask_d, mode).decision == (
+            "yes" if yes else "no"
+        )
+        assert calls
+        for masks, r, d in calls:
+            got = kernel(masks, r, d)
+            assert got == reference_select(masks, r, d)
+        assert (got is not None) == yes
 
     def test_scan_from_the_root(self):
         # r = 2, so the last two picks are the whole search: row 0 meets
