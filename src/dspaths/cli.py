@@ -9,8 +9,10 @@ JSON goes to stdout (or --json FILE); diagnostics go to stderr.
 
 ``solve`` writes a certificate JSON object with the keys ``decision``,
 ``k``, ``d``, ``paths`` (one array of input arc ids per path), ``mode``,
-``graph_hash`` and ``stats``.  ``verify`` reads only ``k``, ``d``,
-``paths`` and ``graph_hash``, and ignores any other key.
+``graph_hash`` and ``stats`` (``greedy_paths``, ``compositions_tried``,
+which counts the ball searches run, and ``elapsed_ms``).  ``verify``
+reads only ``k``, ``d``, ``paths`` and ``graph_hash``, and ignores any
+other key.
 """
 
 from __future__ import annotations

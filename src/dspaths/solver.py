@@ -1,20 +1,19 @@
 """Full decision pipeline: greedy farthest-path phase, ball partition,
-composition enumeration, certificate assembly and verification.
+ball filling, certificate assembly and verification.
 
 The greedy phase asks for each new path to be very far (THRESHOLD_BASE
 raised to a decreasing power, times d) from the previous ones.  If it
 stalls before k paths, every shortest path lies in a strict ball around
 exactly one greedy path and paths in different balls are automatically d
-apart, so the solver enumerates how many solution paths to place in each
-ball and delegates to the color-coded ball search.
+apart, so the solver fills the balls, last first, each with as many of
+the needed paths as the color-coded ball search finds in it.
 """
 
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from . import oracle as oracle_mod
 from .colorcode import ball_search, ball_search_exact
@@ -63,6 +62,8 @@ class Certificate:
 
 @dataclass(frozen=True)
 class SolveStats:
+    """``compositions_tried`` counts the ball searches run."""
+
     greedy_paths: int
     compositions_tried: int
     elapsed_ms: int
@@ -98,16 +99,6 @@ def greedy_phase(dag: SpDag, k: int, d: int) -> GreedyOutcome:
     return GreedyOutcome(paths=tuple(paths), complete=len(paths) == k)
 
 
-def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
-    """Nonnegative integer tuples summing to total, lexicographic order."""
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
-
-
 def solve(g: ArcWeightedDigraph, k: int, d: int, mode: str = "hybrid") -> SolveResult:
     """Decide whether g has k shortest s-t paths pairwise >= d apart.
 
@@ -118,10 +109,10 @@ def solve(g: ArcWeightedDigraph, k: int, d: int, mode: str = "hybrid") -> SolveR
 
     Returns a verified certificate on yes, its paths in the input file's
     arc ids.  A plain "no" is exact; it degrades to "probabilistic_no"
-    only if some failing ball search had to fall back to a seeded coloring
-    family (``colorcode.ball_search_exact`` says which ones did; a
-    radius-0 ball holds only its center, so its failure is exact).  Raises ``ValueError`` on a negative k or d or an
-    unknown mode.
+    only if some ball search failed while coloring with a seeded family
+    (``colorcode.ball_search_exact`` says which ones do; a radius-0 ball
+    holds only its center, so its failure is exact).  Raises
+    ``ValueError`` on a negative k or d or an unknown mode.
     """
     if k < 0 or d < 0:
         raise ValueError("k and d must be nonnegative")
@@ -129,7 +120,7 @@ def solve(g: ArcWeightedDigraph, k: int, d: int, mode: str = "hybrid") -> SolveR
         raise ValueError(f"mode must be one of {MODES}")
     start = time.monotonic()
     greedy_count = 0
-    compositions_tried = 0
+    ball_searches = 0
 
     # The engines work in the dag's arc numbering; ``finish`` maps the
     # answer back to input ids, the one place that does.  It checks a yes
@@ -152,7 +143,7 @@ def solve(g: ArcWeightedDigraph, k: int, d: int, mode: str = "hybrid") -> SolveR
             mode=mode,
             stats=SolveStats(
                 greedy_paths=greedy_count,
-                compositions_tried=compositions_tried,
+                compositions_tried=ball_searches,
                 elapsed_ms=elapsed,
             ),
         )
@@ -179,39 +170,25 @@ def solve(g: ArcWeightedDigraph, k: int, d: int, mode: str = "hybrid") -> SolveR
     if greedy.complete:
         return finish("yes", greedy.paths)
 
-    kp = len(greedy.paths)
-    radius = _threshold(dag, k, d, kp + 1) - 1
-    m = dag.base.m
-    memo: dict[tuple[int, int], list[Path] | None] = {}
-    min_failed: dict[int, int] = {}
+    # Paths in different balls are d apart and a ball with r paths pairwise
+    # d apart has r - 1, so filling each ball with as many needed paths as
+    # it holds, last ball first, finds the lexicographically first counts.
+    radius = _threshold(dag, k, d, greedy_count + 1) - 1
+    need = k
+    chosen: list[Path] = []
     seeded_failure = False
-
-    def search_ball(i: int, r: int) -> list[Path] | None:
-        nonlocal seeded_failure
-        if min_failed.get(i, math.inf) <= r:
-            return None
-        key = (i, r)
-        if key not in memo:
+    for i in reversed(range(greedy_count)):
+        for r in range(need, need - 1 if i == 0 else 0, -1):
+            ball_searches += 1
             found = ball_search(dag, greedy.paths[i], radius, r, d)
-            memo[key] = found
-            if found is None:
-                min_failed[i] = min(min_failed.get(i, math.inf), r)
-                if not ball_search_exact(m, radius, r):
-                    seeded_failure = True
-        return memo[key]
-
-    for comp in _compositions(k, kp):
-        compositions_tried += 1
-        assignment: list[Path] = []
-        for i, r in enumerate(comp):
-            if r == 0:
-                continue
-            found = search_ball(i, r)
-            if found is None:
+            if found is not None:
+                chosen[:0] = found
+                need -= r
                 break
-            assignment.extend(found)
-        else:
-            return finish("yes", assignment)
+            if not ball_search_exact(dag.base.m, radius, r):
+                seeded_failure = True
+        if need == 0:
+            return finish("yes", chosen)
 
     return finish("probabilistic_no" if seeded_failure else "no", None)
 
@@ -323,8 +300,9 @@ def _check_k_and_d(k: object, d: object) -> None:
 def result_to_json_dict(result: SolveResult, k: int, d: int) -> dict:
     """Certificate JSON emitted by the CLI: the decision, the ask's k and
     d, the paths as arrays of input arc ids (empty unless yes), the mode,
-    the graph hash (empty unless yes) and the solve stats.  No distances
-    are written: ``verify_certificate`` computes them from the paths."""
+    the graph hash (empty unless yes) and the solve stats, whose
+    ``compositions_tried`` counts ball searches.  No distances are
+    written: ``verify_certificate`` computes them from the paths."""
     cert = result.certificate
     return {
         "decision": result.decision,

@@ -8,18 +8,22 @@ builds every path arc by arc, which the oracle's suffix DP must match;
 per-pair loop, and ``reference_farthest_path`` is the farthest-path DP
 with each capped label sum held as a tuple (``reference_fronts`` is its
 forward pass), its labels built one reference at a time and its first
-path walked along ``dag.outgoing``.
+path walked along ``dag.outgoing``.  ``reference_ball_phase`` is the
+solver's ball phase as a search over every split of k among the greedy
+balls.
 They are small and obviously correct; speed does not matter here.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, product
 from operator import add
 from typing import Iterable, Sequence
 
+from dspaths.colorcode import ball_search, ball_search_exact
 from dspaths.graph import ArcWeightedDigraph, Path, SpDag, hamming_distance
+from dspaths.solver import _threshold
 
 
 @dataclass(frozen=True)
@@ -233,6 +237,47 @@ def reference_select(masks: Sequence[int], r: int, d: int) -> list[int] | None:
     if not extend((1 << n) - 1):
         return None
     return [masks[i] for i in chosen]
+
+
+def reference_ball_phase(
+    dag: SpDag, greedy_paths: Sequence[Path], k: int, d: int
+) -> tuple[str, list[Path] | None]:
+    """The ball phase of ``solve`` after a greedy phase that stopped at
+    ``greedy_paths``, as a composition search: every split of k into one
+    count per ball, in lexicographic order, each ball's paths found by
+    ``ball_search`` and placed in ball order.  A split stops at its first
+    ball that fails.  A ball is searched at most once per count, and
+    never at a count at or above one it failed at.  Returns the decision
+    and, on yes, the paths in dag arc ids; a "no" is hedged when a failed
+    search colored with a seeded family."""
+    radius = _threshold(dag, k, d, len(greedy_paths) + 1) - 1
+    found: dict[tuple[int, int], list[Path] | None] = {}
+    failed: dict[int, int] = {}  # ball -> smallest count it failed at
+    seeded = False
+
+    def search(i: int, r: int) -> list[Path] | None:
+        nonlocal seeded
+        if r >= failed.get(i, r + 1):
+            return None
+        if (i, r) not in found:
+            found[i, r] = ball_search(dag, greedy_paths[i], radius, r, d)
+            if found[i, r] is None:
+                failed[i] = r
+                seeded |= not ball_search_exact(dag.base.m, radius, r)
+        return found[i, r]
+
+    for split in product(range(k + 1), repeat=len(greedy_paths)):
+        if sum(split) != k:
+            continue
+        paths: list[Path] = []
+        for i, r in enumerate(split):
+            part = search(i, r) if r else []
+            if part is None:
+                break
+            paths += part
+        else:
+            return "yes", paths
+    return ("probabilistic_no" if seeded else "no"), None
 
 
 def brute_realizable_sets(

@@ -1,0 +1,85 @@
+"""Static checks of the package source: no unused imports and no unused
+private module-level names.  Only the stdlib ``ast`` module reads the
+code; nothing is imported or run.
+"""
+
+from __future__ import annotations
+
+import ast
+from collections import Counter
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "dspaths"
+MODULES = sorted(PACKAGE.glob("*.py"))
+TREES = {path.name: ast.parse(path.read_text(), filename=str(path)) for path in MODULES}
+
+
+def loaded_names(tree: ast.AST) -> Counter[str]:
+    """Names the code reads, bare or as attributes, with their counts."""
+    names: Counter[str] = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            names[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            names[node.attr] += 1
+    return names
+
+
+def imported_names(tree: ast.Module) -> set[str]:
+    """Names that the module's import statements bind, ``__future__``
+    features aside."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names |= {a.asname or a.name.partition(".")[0] for a in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            names |= {a.asname or a.name for a in node.names}
+    return names
+
+
+def private_definitions(tree: ast.Module) -> dict[str, ast.stmt]:
+    """Module-level functions, classes and assignments named ``_x``."""
+    names = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names[node.name] = node
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update((t.id, node) for t in targets if isinstance(t, ast.Name))
+    return {n: node for n, node in names.items() if n[0] == "_" and n[:2] != "__"}
+
+
+def unreferenced(trees: list[ast.Module]) -> set[str]:
+    """Private names that no code reads outside their own definition, so
+    a function that only calls itself counts as unused."""
+    used = sum(map(loaded_names, trees), Counter())
+    return {
+        n
+        for tree in trees
+        for n, node in private_definitions(tree).items()
+        if used[n] == loaded_names(node)[n]
+    }
+
+
+# The package's __init__ imports to re-export, so its names are used by
+# importing them.
+@pytest.mark.parametrize("name", sorted(set(TREES) - {"__init__.py"}))
+def test_no_unused_imports(name):
+    tree = TREES[name]
+    assert imported_names(tree) - set(loaded_names(tree)) == set()
+
+
+def test_private_names_referenced():
+    assert unreferenced(list(TREES.values())) == set()
+
+
+def test_checks_catch_leftovers():
+    tree = ast.parse(
+        "import math\nfrom typing import Iterator, Sequence\n"
+        "def _compositions(n): return _compositions(n - 1) if n else ()\n"
+        "def f(x: Sequence[int]) -> None: pass\n"
+    )
+    assert imported_names(tree) - set(loaded_names(tree)) == {"math", "Iterator"}
+    assert unreferenced([tree]) == {"_compositions"}

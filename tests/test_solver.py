@@ -19,6 +19,7 @@ from dspaths.graph import (
     shortest_distances,
 )
 from dspaths.oracle import brute_solve, enumerate_st_paths
+from reference import reference_ball_phase
 from dspaths.solver import (
     Certificate,
     CertificateError,
@@ -218,10 +219,11 @@ class TestSolve:
         assert [list(p.arcs) for p in res.certificate.paths] == self.BALL_CERTIFICATES[name]
 
     # Certificates of asks on two parallel_routes that split k = 4 over
-    # both greedy balls: the compositions (0, 4) and (1, 3) fail, since a
-    # route with one diamond has two paths, and (2, 2) succeeds.  Recorded
-    # once the ball search took its largest sets first, so each ball gives
-    # its far path before its center: (length, diamonds, d) -> arc lists.
+    # both greedy balls.  A route with one diamond has two paths, so the
+    # searches are (ball 1, r=4), (1, 3) and (1, 2), then (0, 2).
+    # Recorded once the ball search took its largest sets first, so each
+    # ball gives its far path before its center: (length, diamonds, d) ->
+    # arc lists.
     MULTI_BALL_CERTIFICATES = {
         (10, 1, 2): [
             [1, 3, *range(4, 12)], [0, 2, *range(4, 12)],
@@ -242,9 +244,23 @@ class TestSolve:
         length, diamonds, d = shape
         res = solve(parallel_routes(2, length, diamonds), 4, d, FPT)
         assert res.decision == "yes"
-        assert res.stats.greedy_paths == 2 and res.stats.compositions_tried == 3
+        assert res.stats.greedy_paths == 2 and res.stats.compositions_tried == 4
         paths = [list(p.arcs) for p in res.certificate.paths]
         assert paths == self.MULTI_BALL_CERTIFICATES[shape]
+
+    def test_three_ball_certificate_pinned(self):
+        # parallel_routes(3, 27, 1) at k=5, d=2: the greedy phase stops
+        # after three paths; ball 2 gives two paths after four searches,
+        # ball 1 two after two, and ball 0 its center.  Recorded when the
+        # solver still searched every composition.
+        res = solve(parallel_routes(3, 27, 1), 5, 2, FPT)
+        assert res.decision == "yes"
+        assert res.stats.greedy_paths == 3 and res.stats.compositions_tried == 7
+        assert [list(p.arcs) for p in res.certificate.paths] == [
+            [0, 2, *range(4, 29)],
+            [30, 32, *range(33, 58)], [29, 31, *range(33, 58)],
+            [59, 61, *range(62, 87)], [58, 60, *range(62, 87)],
+        ]
 
     # (routes, length, diamonds) and the asks decided on it.  (3, 23, 1)
     # at k=4, d=5 and (3, 27, 1) at k=5, d=2 stop the greedy phase after
@@ -265,6 +281,37 @@ class TestSolve:
             res = solve(g, k, d, FPT)
             expected = brute_solve(dag, k, d)
             assert (res.decision == "yes") == (expected is not None), (k, d)
+
+    # Asks whose greedy phase stops with several balls: MULTI_BALL_GRID,
+    # the two small-batch graphs that reach two balls at k=3, d=2, and
+    # parallel_routes of 2 to 4 routes.
+    BALL_PHASE_ASKS = [
+        *((parallel_routes(*shape), asks) for shape, asks in MULTI_BALL_GRID.items()),
+        (gen_layered(3, 3, 0.6, 22), [(3, 2)]),
+        (gen_layered(3, 3, 0.6, 37), [(3, 2)]),
+        *(
+            (parallel_routes(routes, length, diamonds),
+             [(k, d) for k in range(2, 7) for d in range(1, 9)])
+            for routes, length, diamonds in ((2, 15, 1), (2, 17, 2), (3, 23, 1), (4, 9, 1))
+        ),
+    ]
+
+    @pytest.mark.parametrize("case", range(len(BALL_PHASE_ASKS)))
+    def test_ball_phase_matches_composition_search(self, case):
+        g, asks = self.BALL_PHASE_ASKS[case]
+        dag = build_sp_dag(g)
+        for k, d in asks:
+            greedy = greedy_phase(dag, k, d)
+            res = solve(g, k, d, FPT)
+            if greedy.complete:
+                decision, paths = "yes", greedy.paths
+            else:
+                decision, paths = reference_ball_phase(dag, greedy.paths, k, d)
+            cert = res.certificate
+            assert res.decision == decision, (k, d)
+            assert (cert and [p.arcs for p in cert.paths]) == (
+                paths and [tuple(dag.input_arc[a] for a in p.arcs) for p in paths]
+            ), (k, d)
 
     @pytest.mark.parametrize("seed", range(12))
     def test_ball_partition_soundness(self, seed):
