@@ -28,7 +28,9 @@ from .graph import Arc, Path, SpDag, hamming_distance
 EXHAUSTIVE = "exhaustive-verified"
 SEEDED = "seeded-monte-carlo"
 
-_MAX_CANDIDATES = 10**6
+# An exhaustive family tracks every s-subset of [m] until a member covers
+# it.  The slowest build at m = 16 is (16, 9): about 2 s and 704 members,
+# for C(16, 9) = 11,440 subsets; m = 17 would mean up to C(17, 8) = 24,310.
 _EXHAUSTIVE_MAX_UNIVERSE = 16
 _SEEDED_MEMBERS = 64
 # The selection kernel stores at most this many exhausted candidate sets
@@ -43,17 +45,14 @@ _SEEDED_MEMBERS = 64
 _FAILED_SETS_PER_MASK = 4
 
 
-class FamilyConstructionError(RuntimeError):
-    """Exhaustive-verified construction found no perfect family."""
-
-
 @dataclass(frozen=True)
 class HashFamily:
     """Colorings of universe positions 0..m-1 with colors 1..num_colors.
 
     In exhaustive-verified mode every subset of ``num_colors`` positions is
-    rainbow under some member (checked at construction).  In seeded mode
-    the members are pseudo-random and perfection is only probabilistic.
+    rainbow under some member: each member is built to cover a subset that
+    no earlier member covers, until none is left.  In seeded mode the
+    members are pseudo-random and perfection is only probabilistic.
     """
 
     m: int
@@ -77,18 +76,24 @@ def _rainbow(member: tuple[int, ...], subset: tuple[int, ...]) -> bool:
     return True
 
 
+def _coloring(i: int, m: int, s: int) -> list[int]:
+    """Candidate i: m colors in 1..s drawn from ``random.Random(i)``."""
+    rng = random.Random(i)
+    return [rng.randint(1, s) for _ in range(m)]
+
+
 @lru_cache(maxsize=None)
 def build_hash_family(m: int, s: int) -> HashFamily:
     """Construct a family of colorings of [m] with s colors.
 
     The family depends only on (m, s), and so does its regime.  At s == m
     the identity coloring is the one member.  Where
-    ``exhaustive_family_feasible(m, s)`` holds, random colorings drawn from
-    ``random.Random(0)`` accumulate until all s-subsets are rainbow under
-    some member; the family is pruned greedily and then re-verified
-    exhaustively.  Otherwise the family is ``_SEEDED_MEMBERS`` pseudo-random
-    colorings, member i drawn from ``random.Random(i)``, and perfection is
-    only probabilistic.
+    ``exhaustive_family_feasible(m, s)`` holds, member i is candidate i
+    recolored so that the first s-subset no earlier member makes rainbow
+    takes the colors 1..s.  Each member thus covers at least the subset it
+    targets, so the loop ends after at most C(m, s) members with a family
+    that is perfect by construction.  Otherwise the family is the first
+    ``_SEEDED_MEMBERS`` candidates, and perfection is only probabilistic.
     """
     if not 1 <= s <= m:
         raise ValueError("need 1 <= s <= m")
@@ -96,43 +101,18 @@ def build_hash_family(m: int, s: int) -> HashFamily:
         member = tuple(range(1, m + 1))
         return HashFamily(m=m, num_colors=s, mode=EXHAUSTIVE, members=(member,))
     if not exhaustive_family_feasible(m, s):
-        rngs = [random.Random(idx) for idx in range(_SEEDED_MEMBERS)]
-        members = tuple(tuple(rng.randint(1, s) for _ in range(m)) for rng in rngs)
+        members = tuple(tuple(_coloring(i, m, s)) for i in range(_SEEDED_MEMBERS))
         return HashFamily(m=m, num_colors=s, mode=SEEDED, members=members)
 
-    subsets = list(itertools.combinations(range(m), s))
-    uncovered = set(subsets)
-    rng = random.Random(0)
-    pool: list[tuple[int, ...]] = []
-    for _ in range(_MAX_CANDIDATES):
-        if not uncovered:
-            break
-        candidate = tuple(rng.randint(1, s) for _ in range(m))
-        newly = [sub for sub in uncovered if _rainbow(candidate, sub)]
-        if newly:
-            pool.append(candidate)
-            uncovered.difference_update(newly)
-    if uncovered:
-        raise FamilyConstructionError(
-            f"no perfect family within {_MAX_CANDIDATES} candidates for (m={m}, s={s})"
-        )
-
-    # Greedy max-coverage re-selection keeps the family small.
-    coverage = [
-        frozenset(sub for sub in subsets if _rainbow(member, sub)) for member in pool
-    ]
-    remaining = set(subsets)
+    uncovered = set(itertools.combinations(range(m), s))
     selected: list[tuple[int, ...]] = []
-    while remaining:
-        best = max(range(len(pool)), key=lambda i: (len(coverage[i] & remaining), -i))
-        selected.append(pool[best])
-        remaining -= coverage[best]
-
-    members = tuple(selected)
-    for sub in subsets:
-        if not any(_rainbow(member, sub) for member in members):
-            raise FamilyConstructionError("verification failed")  # pragma: no cover
-    return HashFamily(m=m, num_colors=s, mode=EXHAUSTIVE, members=members)
+    while uncovered:
+        coloring = _coloring(len(selected), m, s)
+        for color, pos in enumerate(min(uncovered), 1):
+            coloring[pos] = color
+        selected.append(tuple(coloring))
+        uncovered = {sub for sub in uncovered if not _rainbow(selected[-1], sub)}
+    return HashFamily(m=m, num_colors=s, mode=EXHAUSTIVE, members=tuple(selected))
 
 
 class BypassTables:

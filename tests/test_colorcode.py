@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+import math
 import random
 import signal
 from unittest import mock
@@ -144,6 +146,56 @@ class TestHashFamily:
         fam = build_hash_family.__wrapped__(6, 2)
         assert fam.mode == EXHAUSTIVE
         assert fam == build_hash_family.__wrapped__(6, 2)
+
+    @pytest.mark.parametrize("m", range(2, 11))
+    def test_exhaustive_families_perfect_and_lean(self, m):
+        # Every member makes rainbow some s-subset that no earlier member
+        # does, so there are at most C(m, s) members and none is idle.
+        for s in range(1, m):
+            fam = build_hash_family.__wrapped__(m, s)
+            assert fam.mode == EXHAUSTIVE
+            assert len(fam.members) <= math.comb(m, s)
+            covered = set()
+            for member in fam.members:
+                rainbow = {
+                    sub
+                    for sub in itertools.combinations(range(m), s)
+                    if len({member[i] for i in sub}) == s
+                }
+                assert rainbow - covered, (m, s)
+                covered |= rainbow
+            assert len(covered) == math.comb(m, s), (m, s)
+
+    @pytest.mark.parametrize("m,s", [(16, 15), (16, 14), (15, 14), (16, 12)])
+    def test_large_exhaustive_families_build_at_once(self, m, s):
+        def too_slow(signum, frame):
+            raise TimeoutError(f"building the ({m}, {s}) family took over 5 s")
+
+        previous = signal.signal(signal.SIGALRM, too_slow)
+        signal.setitimer(signal.ITIMER_REAL, 5.0)
+        try:
+            fam = build_hash_family.__wrapped__(m, s)
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, previous)
+        assert fam.mode == EXHAUSTIVE
+        for sub in itertools.combinations(range(m), s):
+            assert any(len({member[i] for i in sub}) == s for member in fam.members)
+
+    # sha256 of repr(members).  The exhaustive regime starts its members
+    # from the seeded regime's candidates; the seeded members, and with
+    # them every probabilistic_no, must not move.
+    SEEDED_DIGESTS = {
+        (20, 6): "86901f36dfa7ec95cfbbdd0ad7b2f092937b88c87cbf02bd568427da784daf99",
+        (36, 12): "aa5c8d93dd72d1ea68addd29bbad69a2af4eba71f2f8eacb0ff064f4022631fd",
+    }
+
+    @pytest.mark.parametrize("m,s", sorted(SEEDED_DIGESTS))
+    def test_seeded_members_pinned(self, m, s):
+        fam = build_hash_family.__wrapped__(m, s)
+        assert fam.mode == SEEDED
+        digest = hashlib.sha256(repr(fam.members).encode()).hexdigest()
+        assert digest == self.SEEDED_DIGESTS[m, s]
 
     def test_bad_args(self):
         with pytest.raises(ValueError):

@@ -1,11 +1,12 @@
-"""Static checks of the package source: no unused imports and no unused
-private module-level names.  Only the stdlib ``ast`` module reads the
-code; nothing is imported or run.
+"""Static checks of the package source: no unused imports, no unused
+private module-level names and no exception class that is never raised.
+Only the stdlib ``ast`` module reads the code; nothing is imported or run.
 """
 
 from __future__ import annotations
 
 import ast
+import builtins
 from collections import Counter
 from pathlib import Path
 
@@ -63,6 +64,51 @@ def unreferenced(trees: list[ast.Module]) -> set[str]:
     }
 
 
+def _name(node: ast.expr) -> str | None:
+    if isinstance(node, ast.Call):
+        node = node.func
+    if isinstance(node, ast.Name):
+        return node.id
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    return None
+
+
+def exception_classes(trees: list[ast.Module]) -> set[str]:
+    """Classes that derive, directly or through each other, from a
+    builtin exception."""
+    bases = {
+        node.name: {_name(base) for base in node.bases}
+        for tree in trees
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ClassDef)
+    }
+
+    def is_exception(name: str | None) -> bool:
+        builtin = getattr(builtins, name or "", None)
+        return isinstance(builtin, type) and issubclass(builtin, BaseException)
+
+    found: set[str] = set()
+    while True:
+        more = {
+            c for c, names in bases.items()
+            if any(n in found or is_exception(n) for n in names)
+        }
+        if more == found:
+            return found
+        found = more
+
+
+def raised_names(trees: list[ast.Module]) -> set[str]:
+    """Names that some ``raise`` statement raises, called or bare."""
+    return {
+        _name(node.exc)
+        for tree in trees
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Raise) and node.exc is not None
+    }
+
+
 # The package's __init__ imports to re-export, so its names are used by
 # importing them.
 @pytest.mark.parametrize("name", sorted(set(TREES) - {"__init__.py"}))
@@ -83,3 +129,23 @@ def test_checks_catch_leftovers():
     )
     assert imported_names(tree) - set(loaded_names(tree)) == {"math", "Iterator"}
     assert unreferenced([tree]) == {"_compositions"}
+
+
+def test_exception_classes_raised():
+    trees = list(TREES.values())
+    assert exception_classes(trees) - raised_names(trees) == set()
+
+
+def test_exception_check_catches_leftovers():
+    tree = ast.parse(
+        "class BuildError(RuntimeError): pass\n"
+        "class ParseError(ValueError): pass\n"
+        "class LineError(ParseError): pass\n"
+        "class Helper: pass\n"
+        "def f(x):\n"
+        "    if x: raise ParseError('bad')\n"
+        "    raise ValueError\n"
+    )
+    classes = exception_classes([tree])
+    assert classes == {"BuildError", "ParseError", "LineError"}
+    assert classes - raised_names([tree]) == {"BuildError", "LineError"}

@@ -1,13 +1,15 @@
 import dataclasses
+import itertools
 import json
 import random
+import signal
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import parallel_routes, random_layered_dag, random_multidigraph, unit_chain
-from dspaths import graph, oracle, solver
+from dspaths import colorcode, graph, oracle, solver
 from dspaths.generators import BinPackingInstance, gen_binpack, gen_grid, gen_layered
 from dspaths.graph import (
     NoShortestPathError,
@@ -436,6 +438,53 @@ class TestProperties:
             assert not exists
         else:
             assert (decision == "yes") == exists
+
+
+class TestExhaustiveFamilies:
+    """fpt asks on SP-DAGs of at most 16 arcs, whose ball searches color
+    with exhaustive families: every no is exact."""
+
+    def test_small_layered_asks_match_oracle(self, monkeypatch):
+        built = set()
+        build = colorcode.build_hash_family
+
+        def recording(m, s):
+            family = build(m, s)
+            built.add((family.mode, s < m))
+            return family
+
+        monkeypatch.setattr(colorcode, "build_hash_family", recording)
+        for layers, width, seed in itertools.product((3, 4), (3, 4), range(30)):
+            g = gen_layered(layers, width, 0.6, seed)
+            dag = build_sp_dag(g)
+            if dag.base.m > 16:
+                continue
+            for k, d in itertools.product(range(2, 5), range(1, 2 * layers + 4)):
+                decision = solve(g, k, d, FPT).decision
+                assert decision != "probabilistic_no", (layers, width, seed, k, d)
+                exists = brute_solve(dag, k, d) is not None
+                assert (decision == "yes") == exists, (layers, width, seed, k, d)
+        assert (colorcode.EXHAUSTIVE, True) in built
+
+    def test_diamond_then_chain_no_at_once(self):
+        # A diamond then a 12-arc chain: 16 arcs and two paths 4 apart.
+        # The ball search colors with the (16, 15) family.
+        g = parallel_routes(1, 14, 1)
+        dag = build_sp_dag(g)
+        assert dag.base.m == 16
+
+        def too_slow(signum, frame):
+            raise TimeoutError("the (16, 15) family took over 5 s to build")
+
+        previous = signal.signal(signal.SIGALRM, too_slow)
+        signal.setitimer(signal.ITIMER_REAL, 5.0)
+        try:
+            decision = solve(g, 3, 2, FPT).decision
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, previous)
+        assert decision == "no"
+        assert brute_solve(dag, 3, 2) is None
 
 
 class TestHybrid:
