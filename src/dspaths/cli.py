@@ -133,25 +133,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:
-    if args.family == "grid":
-        graph = generators.gen_grid(args.width, args.height)
-        sidecar = {
-            "ask_k": 1,
-            "ask_d": 0,
-            "ell": args.width + args.height,
-            "doubled": False,
-            "decomposition": None,
-        }
-    elif args.family == "layered":
-        graph = generators.gen_layered(args.layers, args.width, args.arc_prob, args.seed)
-        sidecar = {
-            "ask_k": 1,
-            "ask_d": 0,
-            "ell": args.layers + 1,
-            "doubled": False,
-            "decomposition": None,
-        }
-    else:
+    if args.family == "binpack":
         try:
             items = tuple(int(x) for x in args.items.split(","))
         except ValueError:
@@ -165,8 +147,17 @@ def _cmd_gen(args: argparse.Namespace) -> int:
         inst = generators.gen_binpack(
             generators.BinPackingInstance(items=items, bins=args.bins, capacity=capacity)
         )
-        graph = inst.graph
-        sidecar = generators.sidecar_dict(inst)
+    else:
+        if args.family == "grid":
+            graph = generators.gen_grid(args.width, args.height)
+            ell = args.width + args.height
+        else:
+            graph = generators.gen_layered(args.layers, args.width, args.arc_prob, args.seed)
+            ell = args.layers + 1
+        inst = generators.GeneratedInstance(
+            graph=graph, ask_k=1, ask_d=0, meta={"ell": ell}, decomposition=None
+        )
+    graph, sidecar = inst.graph, generators.sidecar_dict(inst)
 
     out = FsPath(args.output)
     try:

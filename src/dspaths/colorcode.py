@@ -119,18 +119,22 @@ class BypassTables:
     """Colorful-bypass tables for one (dag, center path, coloring).
 
     The coloring is a family member: ``coloring[i]`` is the color of arc
-    i, ``dag.base.arcs[i]``.  One forward sweep over the SP-DAG in
-    topological order fills the tables.  A detour leaves the center at
-    position j; its mask is the union of its arcs' charges (see the
-    module docstring).  Each vertex off the center keeps its detour masks grouped by j, each mapped to the
-    smallest-id arc into the vertex that builds it.  Center position p
-    keeps the masks, with at most ``max_size`` colors, of the colorful
-    bypasses of the center prefix up to p: a mask inherited over the
-    center arc maps to None, any other to the (j, detour mask) that first
-    built it, j and then the detour mask smallest.  A detour meets the
-    prefix masks of position j only where it rejoins the center.
-    ``reconstruct`` replays these entries from t back to s, so the rules
-    for a colorful bypass are applied once, while the tables are filled.
+    i, ``dag.base.arcs[i]``.  A center arc has charge 0 and every other
+    arc the charge of the module docstring, so the color set of an s-v
+    path is the union of its arcs' charges, and the path is colorful when
+    they are disjoint.  One forward sweep over the SP-DAG in topological
+    order fills ``tables[v] = (bits, masks, arc)``: the color sets of the
+    colorful s-v paths with at most ``max_size`` colors are ``bits | m``
+    for each m in masks that misses bits and stays within max_size.  A
+    vertex before t with one in-arc ORs that arc's charge into its tail's
+    bits and shares the tail's masks, so a chain costs one step per arc
+    whatever the number of sets through it, as in
+    ``oracle.enumerate_st_paths``; its arc is that in-arc.  Every other
+    vertex has bits 0, arc None and a dict from each of its sets to the
+    smallest-id in-arc that builds it.  ``reconstruct`` walks from t back
+    to s, taking the vertex's arc or else the arc stored for the current
+    set, so a set's path is its realization whose arc ids, read from t
+    back to s, are lexicographically smallest.
     """
 
     def __init__(
@@ -145,21 +149,19 @@ class BypassTables:
         cverts = dag.path_vertices(center)
         if cverts[-1] != dag.n:
             raise ValueError("center must be an s-t path")
-        position = {v: p for p, v in enumerate(cverts)}
 
         # xor[v] and count[v]: the colors and the number of center arcs
         # with head <= v, so the center arcs with heads in u+1..v form a
         # rainbow window exactly when xor[v] ^ xor[u] has count[v] -
         # count[u] bits.
-        bits = [0] * (dag.n + 1)
+        head_bit = [0] * (dag.n + 1)
         for aid, head in zip(center.arcs, cverts[1:]):
-            bits[head] = 1 << (coloring[aid] - 1)
-        xor = list(itertools.accumulate(bits, operator.xor))
-        count = list(itertools.accumulate(int(b != 0) for b in bits))
-        on_center = set(center.arcs)
-        charges: dict[int, int] = {}
+            head_bit[head] = 1 << (coloring[aid] - 1)
+        xor = list(itertools.accumulate(head_bit, operator.xor))
+        count = list(itertools.accumulate(int(b != 0) for b in head_bit))
+        charges = dict.fromkeys(center.arcs, 0)
         for a in dag.base.arcs:
-            if a.id in on_center:
+            if a.id in charges:
                 continue
             window = xor[a.head] ^ xor[a.tail]
             own = 1 << (coloring[a.id] - 1)
@@ -168,62 +170,52 @@ class BypassTables:
                 if charge.bit_count() <= max_size:
                     charges[a.id] = charge
 
-        detours: list[dict[int, dict[int, Arc]]] = [{} for _ in range(dag.n + 1)]
-        prefix: list[dict[int, tuple[int, int] | None]] = [{0: None}]
+        # A vertex that no colorful path within max_size reaches keeps
+        # an empty table.
+        tables: list[tuple[int, dict[int, Arc | None], Arc | None]]
+        tables = [(0, {}, None)] * (dag.n + 1)
+        tables[1] = (0, {0: None}, None)
         for v in range(2, dag.n + 1):
-            groups = detours[v]
-            for arc in dag.incoming[v]:
+            arcs = dag.incoming[v]
+            if len(arcs) == 1 and v < dag.n:
+                arc = arcs[0]
                 charge = charges.get(arc.id)
-                if charge is None:
-                    continue
-                j = position.get(arc.tail)
-                if j is not None:
-                    groups.setdefault(j, {}).setdefault(charge, arc)
-                    continue
-                for j, masks in detours[arc.tail].items():
-                    into = groups.setdefault(j, {})
-                    for mask in masks:
-                        if not mask & charge:
-                            ext = mask | charge
-                            if ext.bit_count() <= max_size:
-                                into.setdefault(ext, arc)
-            if v not in position:
+                bits, masks, _ = tables[arc.tail]
+                if charge is not None and not bits & charge:
+                    tables[v] = (bits | charge, masks, arc)
                 continue
-            cur = dict.fromkeys(prefix[-1])
-            for j in sorted(groups):
-                for detour in sorted(groups[j]):
-                    for rest in prefix[j]:
-                        if not rest & detour:
-                            full = rest | detour
-                            if full.bit_count() <= max_size:
-                                cur.setdefault(full, (j, detour))
-            prefix.append(cur)
-        self._charges, self._detours, self._prefix = charges, detours, prefix
+            sets: dict[int, Arc | None] = {}
+            for arc in reversed(arcs):
+                charge = charges.get(arc.id)
+                bits, masks, _ = tables[arc.tail]
+                if charge is None or bits & charge:
+                    continue
+                bits |= charge
+                sets.update(
+                    (full, arc)
+                    for m in masks
+                    if not m & bits and (full := bits | m).bit_count() <= max_size
+                )
+            tables[v] = (0, sets, None)
+        self._charges, self._tables = charges, tables
 
     @property
     def realizable_sets(self) -> tuple[int, ...]:
-        return tuple(sorted(self._prefix[-1], key=lambda c: (c.bit_count(), c)))
+        return tuple(sorted(self._tables[-1][1], key=lambda c: (c.bit_count(), c)))
 
     def reconstruct(self, mask: int) -> Path:
         """Path whose bypass against the center is mask-colorful."""
-        if mask not in self._prefix[-1]:
+        if mask not in self._tables[-1][1]:
             raise ValueError("color set is not realizable")
         arcs: list[int] = []
-        pos, v, cur = len(self._prefix) - 1, self.dag.n, mask
-        while pos:
-            step = self._prefix[pos][cur]
-            if step is None:
-                aid = self.center.arcs[pos - 1]
-                arcs.append(aid)
-                pos, v = pos - 1, self.dag.base.arcs[aid].tail
-                continue
-            pos, detour = step
-            cur ^= detour
-            while detour:
-                arc = self._detours[v][pos][detour]
-                arcs.append(arc.id)
-                detour ^= self._charges[arc.id]
-                v = arc.tail
+        v, cur = self.dag.n, mask
+        while v != 1:
+            _, masks, arc = self._tables[v]
+            if arc is None:
+                arc = masks[cur]
+            arcs.append(arc.id)
+            cur ^= self._charges[arc.id]
+            v = arc.tail
         result = Path(tuple(reversed(arcs)))
         assert self.dag.is_st_path(result)
         assert hamming_distance(self.center, result) == mask.bit_count()

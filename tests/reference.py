@@ -280,18 +280,22 @@ def reference_ball_phase(
     return ("probabilistic_no" if seeded else "no"), None
 
 
-def brute_realizable_sets(
+def brute_realizations(
     dag: SpDag, center: Path, coloring: Sequence[int], q: int
-) -> set[int]:
+) -> dict[int, Path]:
     """Color sets of the colorful bypasses P XOR center with at most q
-    colors, over every s-t path P; ``coloring[i]`` is arc i's color."""
-    sets = set()
+    colors, over every s-t path P, each mapped to the P that realizes it
+    whose arc ids, read from t back to s, are lexicographically smallest;
+    ``coloring[i]`` is arc i's color."""
+    found: dict[int, Path] = {}
     for p in reference_enumerate(dag)[0]:
         bypass = center.arc_set ^ p.arc_set
         colors = {coloring[aid] for aid in bypass}
         if len(colors) == len(bypass) <= q:
-            sets.add(sum(1 << (c - 1) for c in colors))
-    return sets
+            c = sum(1 << (c - 1) for c in colors)
+            if c not in found or p.arcs[::-1] < found[c].arcs[::-1]:
+                found[c] = p
+    return found
 
 
 def minimal_bypass_decomposition(

@@ -285,6 +285,29 @@ def test_gen_round_trip(tmp_path, args):
         assert run_cli(argv) == EXIT_YES
 
 
+@pytest.mark.parametrize(
+    "args,ell",
+    (
+        (["grid", "--width", "3", "--height", "2"], 5),
+        (["layered", "--layers", "3", "--width", "2", "--seed", "5"], 4),
+    ),
+)
+def test_gen_sidecar_bytes(tmp_path, args, ell):
+    # A grid or layered graph is asked at k = 1, d = 0 and has no
+    # decomposition; only ell differs between the two.
+    graph = tmp_path / "g.txt"
+    assert run_cli(["gen", *args, "-o", str(graph)]) == EXIT_YES
+    assert graph.with_suffix(".json").read_text() == (
+        "{\n"
+        '  "ask_k": 1,\n'
+        '  "ask_d": 0,\n'
+        f'  "ell": {ell},\n'
+        '  "doubled": false,\n'
+        '  "decomposition": null\n'
+        "}\n"
+    )
+
+
 def test_six_item_binpack_row_in_reach(tmp_path):
     # (1,1,1,1,1,1) in 2 bins at its own ask, k = 4 and d = 42: the ball
     # search selects from 16,384 realizable sets, largest first.  It takes

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_layered_dag, random_multidigraph
+from conftest import parallel_routes, random_layered_dag, random_multidigraph
 from dspaths import colorcode, oracle
 from dspaths.colorcode import (
     EXHAUSTIVE,
@@ -32,7 +32,7 @@ from dspaths.oracle import enumerate_st_paths
 from dspaths.solver import solve
 from reference import (
     brute_ball,
-    brute_realizable_sets,
+    brute_realizations,
     minimal_bypass_decomposition,
     reference_select,
 )
@@ -237,24 +237,67 @@ BRUTE_FORCE_DAGS = {
     "grid": lambda: [build_sp_dag(gen_grid(w, h)) for w, h in ((1, 4), (2, 3), (3, 3))],
     "binpack": lambda: [_binpack_dag(items) for items in ((1, 1), (1, 1, 2), (1, 2, 3))],
     "multidigraph": lambda: _multidigraph_dags(60),
+    "chains": lambda: [
+        build_sp_dag(parallel_routes(routes, length, diamonds))
+        for routes, length, diamonds in ((2, 5, 1), (2, 7, 2), (3, 7, 1), (2, 9, 2))
+    ],
 }
+
+
+def chain_arcs(dag, center):
+    """The arcs off the center into a vertex before t with one in-arc:
+    the arcs that extend a shared chain in ``BypassTables``."""
+    on_center = set(center.arcs)
+    return [
+        arcs[0]
+        for v, arcs in enumerate(dag.incoming)
+        if len(arcs) == 1 and v < dag.n and arcs[0].id not in on_center
+    ]
+
+
+def colliding_chain_coloring(dag, center):
+    """The identity coloring, except that the first off-center chain arc
+    whose tail is also reached by one takes that arc's color, so that
+    the chain's own charges collide."""
+    coloring = list(range(1, dag.base.m + 1))
+    into = {a.head: a for a in chain_arcs(dag, center)}
+    for a in into.values():
+        if a.tail in into:
+            coloring[a.id] = coloring[into[a.tail].id]
+            return tuple(coloring)
+    raise ValueError("no chain of two arcs off the center")
+
+
+def chain_collides(dag, center, coloring):
+    """Whether two off-center chain arcs, one into the other's tail,
+    share a color."""
+    into = {a.head: a for a in chain_arcs(dag, center)}
+    return any(
+        a.tail in into and coloring[a.id] == coloring[into[a.tail].id]
+        for a in into.values()
+    )
 
 
 def check_against_brute_force(dag, center, coloring, q):
     """The realizable sets are the brute-force ones, in (size, mask)
-    order, and each reconstructs to a path whose bypass has exactly
-    those colors."""
+    order, and each reconstructs to the path that realizes it whose arc
+    ids, read from t back to s, are lexicographically smallest.  Returns
+    the reconstructed paths."""
     tables = BypassTables(dag, center, coloring, q)
-    expected = brute_realizable_sets(dag, center, coloring, q)
+    expected = brute_realizations(dag, center, coloring, q)
     assert tables.realizable_sets == tuple(
         sorted(expected, key=lambda c: (c.bit_count(), c))
     ), q
+    paths = []
     for c in tables.realizable_sets:
         path = tables.reconstruct(c)
         assert dag.is_st_path(path)
         bypass = center.arc_set ^ path.arc_set
         colors = [coloring[aid] for aid in bypass]
         assert len(set(colors)) == len(colors) and mask(*colors) == c
+        assert path == expected[c], (q, c)
+        paths.append(path)
+    return paths
 
 
 class TestBypassTables:
@@ -291,9 +334,12 @@ class TestBypassTables:
     @pytest.mark.parametrize("kind", sorted(BRUTE_FORCE_DAGS))
     def test_realizable_sets_match_brute_force(self, kind):
         # Identity colorings and 2- and 5-color ones (so that center
-        # windows are not always rainbow), q from 0 to past twice the path
-        # length, in steps of 5 on paths of 8 arcs or more.
-        seen = {"s == t": 0, "parallel": 0, "not rainbow": 0}
+        # windows are not always rainbow), plus on chains one coloring
+        # under which a chain's own charges collide; q from 0 to past
+        # twice the path length, in steps of 5 on paths of 8 arcs or more.
+        seen = dict.fromkeys(
+            ("s == t", "parallel", "not rainbow", "shared chain", "collided chain"), 0
+        )
         for idx, dag in enumerate(BRUTE_FORCE_DAGS[kind]()):
             rng = random.Random(idx)
             paths = enumerate_st_paths(dag).paths
@@ -305,14 +351,31 @@ class TestBypassTables:
                 members += [
                     tuple(rng.randint(1, colors) for _ in range(m)) for colors in (2, 5)
                 ]
+                if kind == "chains":
+                    members.append(colliding_chain_coloring(dag, center))
+                chain_heads = {a.head for a in chain_arcs(dag, center)}
                 for coloring in members:
                     seen["not rainbow"] += len({coloring[a] for a in center.arcs}) < len(center)
+                    seen["collided chain"] += chain_collides(dag, center, coloring)
                     for q in range(0, 2 * len(center) + 2, 1 if len(center) < 8 else 5):
-                        check_against_brute_force(dag, center, coloring, q)
-        if kind == "multidigraph":
-            assert all(seen.values()), seen
-        else:
-            assert seen["not rainbow"], seen
+                        for path in check_against_brute_force(dag, center, coloring, q):
+                            seen["shared chain"] += bool(
+                                chain_heads & set(dag.path_vertices(path))
+                            )
+        required = {
+            "multidigraph": ("s == t", "parallel", "not rainbow"),
+            "chains": ("not rainbow", "shared chain", "collided chain"),
+        }.get(kind, ("not rainbow",))
+        assert all(seen[key] for key in required), seen
+
+    def test_reconstruct_tie_break_pinned(self):
+        # Two paths realize the color set {1, 2, 3, 4}: arcs 2, 8, 17, 19
+        # and 3, 13, 18, 19.  Read from t back to s, 19, 17, ... comes
+        # first, so that is the one reconstructed.
+        dag = build_sp_dag(gen_layered(3, 4, 0.7, seed=166))
+        coloring = (3, 4, 3, 2, 2, 2, 4, 1, 3, 4, 3, 2, 3, 1, 1, 4, 1, 2, 1, 4, 3)
+        tables = BypassTables(dag, Path((2, 9, 18, 19)), coloring, 4)
+        assert tables.reconstruct(mask(1, 2, 3, 4)) == Path((2, 8, 17, 19))
 
     @pytest.mark.parametrize("seed", range(25))
     def test_reconstruct_all_realizables_on_grids(self, seed):

@@ -1,5 +1,6 @@
 """Static checks of the package source: no unused imports, no unused
-private module-level names and no exception class that is never raised.
+private module-level names or attributes and no exception class that is
+never raised.
 Only the stdlib ``ast`` module reads the code; nothing is imported or run.
 """
 
@@ -61,6 +62,31 @@ def unreferenced(trees: list[ast.Module]) -> set[str]:
         for tree in trees
         for n, node in private_definitions(tree).items()
         if used[n] == loaded_names(node)[n]
+    }
+
+
+def stored_private_attributes(trees: list[ast.Module]) -> set[str]:
+    """Attributes named ``_x`` that the code assigns on ``self``."""
+    return {
+        node.attr
+        for tree in trees
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.ctx, ast.Store)
+        and isinstance(node.value, ast.Name)
+        and node.value.id == "self"
+        and node.attr[0] == "_"
+        and node.attr[:2] != "__"
+    }
+
+
+def read_attributes(trees: list[ast.Module]) -> set[str]:
+    """Attribute names that the code reads, on any object."""
+    return {
+        node.attr
+        for tree in trees
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
     }
 
 
@@ -129,6 +155,25 @@ def test_checks_catch_leftovers():
     )
     assert imported_names(tree) - set(loaded_names(tree)) == {"math", "Iterator"}
     assert unreferenced([tree]) == {"_compositions"}
+
+
+def test_private_attributes_read():
+    trees = list(TREES.values())
+    assert stored_private_attributes(trees) - read_attributes(trees) == set()
+
+
+def test_attribute_check_catches_leftovers():
+    tree = ast.parse(
+        "class Tables:\n"
+        "    def __init__(self, charges):\n"
+        "        self._charges, self._prefix = charges, [{0: None}]\n"
+        "        self.public = None\n"
+        "    def charge(self, aid):\n"
+        "        return self._charges[aid]\n"
+    )
+    trees = [tree]
+    assert stored_private_attributes(trees) == {"_charges", "_prefix"}
+    assert stored_private_attributes(trees) - read_attributes(trees) == {"_prefix"}
 
 
 def test_exception_classes_raised():
