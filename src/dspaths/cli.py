@@ -1,10 +1,10 @@
 """Command-line front end: solve, gen, verify.
 
 Exit codes are the machine contract: 0 yes / verified, 1 no / rejected,
-2 usage or input errors, 3 probabilistic no, 4 instance too large for the
-oracle (``--mode oracle`` on more than ``solver.ORACLE_PATH_LIMIT``
-shortest paths), 5 internal error (an unexpected exception; the message
-names its type).
+2 usage or input errors (any ``ValueError`` a command raises), 3
+probabilistic no, 4 instance too large for the oracle (``--mode oracle``
+on more than ``solver.ORACLE_PATH_LIMIT`` shortest paths), 5 internal
+error (an unexpected exception; the message names its type).
 JSON goes to stdout (or --json FILE); diagnostics go to stderr.
 
 ``solve`` writes a certificate JSON object with the keys ``decision``,
@@ -12,7 +12,8 @@ JSON goes to stdout (or --json FILE); diagnostics go to stderr.
 ``graph_hash`` and ``stats`` (``greedy_paths``, ``compositions_tried``,
 which counts the ball searches run, and ``elapsed_ms``).  ``verify``
 reads only ``k``, ``d``, ``paths`` and ``graph_hash``, and ignores any
-other key.
+other key.  ``gen binpack`` gives each of its ``--bins`` bins the
+capacity item sum / bins, the only one the reduction accepts.
 """
 
 from __future__ import annotations
@@ -79,9 +80,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_binpack.add_argument(
         "--items", required=True, help="comma-separated positive integers"
     )
-    p_binpack.add_argument("--bins", type=int, required=True)
     p_binpack.add_argument(
-        "--capacity", type=int, help="bin capacity (default: sum/bins)"
+        "--bins", type=int, required=True, help="bins, each of capacity item sum / bins"
     )
     p_binpack.add_argument("-o", "--output", required=True)
 
@@ -98,12 +98,8 @@ def _read_graph(path: str):
     try:
         text = FsPath(path).read_text()
     except OSError as exc:
-        raise SystemExit2(f"cannot read {path}: {exc}")
+        raise ValueError(f"cannot read {path}: {exc}")
     return parse_graph(text)
-
-
-class SystemExit2(Exception):
-    """Input or usage error; maps to exit code 2."""
 
 
 def _emit_json(doc: dict, out_path: str | None) -> None:
@@ -112,7 +108,7 @@ def _emit_json(doc: dict, out_path: str | None) -> None:
         try:
             FsPath(out_path).write_text(text)
         except OSError as exc:
-            raise SystemExit2(f"cannot write {out_path}: {exc}")
+            raise ValueError(f"cannot write {out_path}: {exc}")
     else:
         sys.stdout.write(text)
 
@@ -137,15 +133,13 @@ def _cmd_gen(args: argparse.Namespace) -> int:
         try:
             items = tuple(int(x) for x in args.items.split(","))
         except ValueError:
-            raise SystemExit2("--items must be comma-separated integers")
-        total = sum(items)
-        capacity = args.capacity
-        if capacity is None:
-            if args.bins <= 0 or total % args.bins != 0:
-                raise SystemExit2("item sum is not divisible by --bins")
-            capacity = total // args.bins
+            raise ValueError("--items must be comma-separated integers")
+        total, bins = sum(items), args.bins
+        if bins >= 2 and total % bins:
+            raise ValueError("item sum is not divisible by --bins")
+        capacity = total // max(bins, 1)  # validate rejects bins < 2
         inst = generators.gen_binpack(
-            generators.BinPackingInstance(items=items, bins=args.bins, capacity=capacity)
+            generators.BinPackingInstance(items=items, bins=bins, capacity=capacity)
         )
     else:
         if args.family == "grid":
@@ -164,7 +158,7 @@ def _cmd_gen(args: argparse.Namespace) -> int:
         out.write_text(format_graph(graph))
         out.with_suffix(".json").write_text(json.dumps(sidecar, indent=2) + "\n")
     except OSError as exc:
-        raise SystemExit2(f"cannot write output: {exc}")
+        raise ValueError(f"cannot write output: {exc}")
     print(
         f"wrote {out} ({graph.n} vertices, {graph.m} arcs) and {out.with_suffix('.json')}",
         file=sys.stderr,
@@ -177,11 +171,11 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     try:
         data = json.loads(FsPath(args.certificate).read_text())
     except OSError as exc:
-        raise SystemExit2(f"cannot read {args.certificate}: {exc}")
+        raise ValueError(f"cannot read {args.certificate}: {exc}")
     except json.JSONDecodeError as exc:
-        raise SystemExit2(f"malformed JSON: {exc}")
+        raise ValueError(f"malformed JSON: {exc}")
     except RecursionError:
-        raise SystemExit2("malformed JSON: nested too deeply") from None
+        raise ValueError("malformed JSON: nested too deeply") from None
     cert = certificate_from_json_dict(data)
     # The hash names the graph the certificate was solved on; solve writes
     # it and only verify reads it.  An empty hash is not checked.
@@ -208,10 +202,8 @@ def run_cli(argv: list[str] | None = None) -> int:
             return _cmd_solve(args)
         if args.command == "gen":
             return _cmd_gen(args)
-        if args.command == "verify":
-            return _cmd_verify(args)
-        raise SystemExit2(f"unknown command {args.command!r}")
-    except (SystemExit2, ValueError) as exc:
+        return _cmd_verify(args)
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
     except Exception as exc:

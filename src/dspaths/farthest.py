@@ -46,9 +46,11 @@ from typing import Sequence
 from .graph import Path, SpDag
 
 
-def _packed_labels(dag: SpDag, refs: Sequence[Path], q: int) -> tuple[int, list[int]]:
-    """The field width w and every arc's packed label, component k in
-    field r-1-k.
+def _packed_labels(
+    dag: SpDag, refs: Sequence[Path], q: int
+) -> tuple[int, int, int, list[int]]:
+    """The field width w, the guard bits H and CAP of the module docstring,
+    and every arc's packed label, component k in field r-1-k.
 
     For arc e = (v_i, v_j), component k is the size of the symmetric
     difference between {e} and the arcs of reference k whose head lies in
@@ -69,7 +71,7 @@ def _packed_labels(dag: SpDag, refs: Sequence[Path], q: int) -> tuple[int, list[
         two = 2 << (w * k)
         for aid in ref.arcs:
             label[aid] -= two
-    return w, label
+    return w, ones << (w - 1), ones * q, label
 
 
 def _maximal(vectors: list[int], guard: int) -> list[int]:
@@ -102,16 +104,12 @@ def _lex_smallest_path(dag: SpDag) -> Path:
 
 def _forward_pass(
     dag: SpDag, refs: Sequence[Path], q: int
-) -> tuple[int, list[int], list[list[int]]]:
-    """The field width w, every arc's packed label, and each vertex's
-    front: its maximal capped label sums, in descending int order, over
-    the s-v paths.  ``front[0]`` is unused.  Needs r >= 1 and q >= 1."""
-    r = len(refs)
-    w, label = _packed_labels(dag, refs, q)
+) -> tuple[int, int, int, list[int], list[list[int]]]:
+    """What ``_packed_labels`` returns, then each vertex's front: its
+    maximal capped label sums, in descending int order, over the s-v
+    paths.  ``front[0]`` is unused.  Needs r >= 1 and q >= 1."""
+    w, guard, cap, label = _packed_labels(dag, refs, q)
     shift = w - 1
-    lows = sum(1 << (w * k) for k in range(r))
-    guard = lows << shift
-    cap = lows * q
     field = (1 << w) - 1
 
     front: list[list[int]] = [[] for _ in range(dag.n + 1)]
@@ -125,30 +123,26 @@ def _forward_pass(
                 s = x + lab
                 s ^= (s ^ cap) & (((((s | guard) - cap) & guard) >> shift) * field)
                 sums.append(s)
-        if len(sums) == 2 and r > 1:  # most vertices: skip _maximal's sort
+        if len(sums) == 2:  # most vertices: skip _maximal's sort
             a, b = sums
             if a < b:
                 a, b = b, a
             sums = [a] if ((a | guard) - b) & guard == guard else [a, b]
         elif len(sums) > 1:
-            sums = [max(sums)] if r == 1 else _maximal(sums, guard)
+            sums = _maximal(sums, guard)
         front[v] = sums
-    return w, label, front
+    return w, guard, cap, label, front
 
 
 def farthest_path(dag: SpDag, refs: Sequence[Path], q: int) -> Path | None:
     """Return a shortest path at distance >= q from every reference path,
     or None if none exists.  Every path meets a q <= 0.
     """
-    r = len(refs)
-    if r == 0 or q <= 0:
+    if not refs or q <= 0:
         return _lex_smallest_path(dag)
 
-    w, label, front = _forward_pass(dag, refs, q)
+    w, guard, cap, label, front = _forward_pass(dag, refs, q)
     shift = w - 1
-    lows = sum(1 << (w * k) for k in range(r))
-    guard = lows << shift
-    cap = lows * q
     incoming = dag.incoming
 
     def reaches(v: int, gamma: int) -> bool:

@@ -88,11 +88,11 @@ def _threshold(dag: SpDag, k: int, d: int, i: int) -> int:
 
 def greedy_phase(dag: SpDag, k: int, d: int) -> GreedyOutcome:
     """Collect up to k paths, the i-th at distance >= THRESHOLD_BASE^(k-i) * d
-    from all previous ones; stops at the first failure."""
+    from all previous ones; stops at the first failure.  The first path,
+    with no previous ones, is the lexicographically smallest."""
     paths: list[Path] = []
     for i in range(1, k + 1):
-        threshold = 0 if i == 1 else _threshold(dag, k, d, i)
-        found = farthest_path(dag, paths, threshold)
+        found = farthest_path(dag, paths, _threshold(dag, k, d, i))
         if found is None:
             break
         paths.append(found)

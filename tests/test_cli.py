@@ -1,3 +1,4 @@
+import hashlib
 import json
 import re
 import subprocess
@@ -306,6 +307,49 @@ def test_gen_sidecar_bytes(tmp_path, args, ell):
         '  "decomposition": null\n'
         "}\n"
     )
+
+
+# sha256 of the graph file and of its sidecar.  Each bin has capacity
+# item sum / bins, the only capacity the reduction accepts.
+BINPACK_DIGESTS = {
+    ("1,2,3", "2"): (
+        "42e706c8618947c2bcfb031f7da42886abef07c0ab9529940e0aa2bf9ebfa231",
+        "ce9bf376f0e2453263de5eb414d973d21b5cc7c3a1d949c75f335a8355863d80",
+    ),
+    ("1,1,2,2", "3"): (
+        "13064ffe25b943d5942aacb9e77f09f8a65ad7091b3681d9dbf55f713ab4d1a6",
+        "b0e39c63c6a9d2d1c8e03057b9ee0acf29991a524a83d6ef6812a74a6f909564",
+    ),
+}
+
+
+@pytest.mark.parametrize("items,bins", sorted(BINPACK_DIGESTS))
+def test_gen_binpack_bytes(tmp_path, items, bins):
+    graph = tmp_path / "g.txt"
+    argv = ["gen", "binpack", "--items", items, "--bins", bins, "-o", str(graph)]
+    assert run_cli(argv) == EXIT_YES
+    digests = tuple(
+        hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in (graph, graph.with_suffix(".json"))
+    )
+    assert digests == BINPACK_DIGESTS[items, bins]
+
+
+@pytest.mark.parametrize(
+    "args,message",
+    (
+        (["--bins", "0"], "error: bins must be at least 2"),
+        (["--bins", "-2"], "error: bins must be at least 2"),
+        (["--bins", "1"], "error: bins must be at least 2"),
+        (["--bins", "4"], "error: item sum is not divisible by --bins"),
+        (["--bins", "2", "--capacity", "3"], "unrecognized arguments: --capacity 3"),
+    ),
+)
+def test_gen_binpack_usage_errors(tmp_path, capsys, args, message):
+    argv = ["gen", "binpack", "--items", "1,2,3", *args, "-o", str(tmp_path / "g.txt")]
+    assert run_cli(argv) == EXIT_ERROR
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "g.txt").exists()
 
 
 def test_six_item_binpack_row_in_reach(tmp_path):

@@ -20,6 +20,7 @@ from dspaths.colorcode import (
     build_hash_family,
     select_dissimilar_color_sets,
 )
+from dspaths.farthest import farthest_path
 from dspaths.generators import BinPackingInstance, gen_binpack, gen_grid, gen_layered
 from dspaths.graph import (
     NoShortestPathError,
@@ -28,7 +29,7 @@ from dspaths.graph import (
     hamming_distance,
     parse_graph,
 )
-from dspaths.oracle import enumerate_st_paths
+from dspaths.oracle import brute_solve, enumerate_st_paths
 from dspaths.solver import solve
 from reference import (
     brute_ball,
@@ -667,6 +668,29 @@ class TestBallSearch:
                 for i in range(r)
                 for j in range(i + 1, r)
             )
+
+    IDENTITY_GRAPHS = {
+        "layered": lambda: [
+            gen_layered(*shape, seed)
+            for shape in ((4, 4, 0.6), (5, 4, 0.6), (6, 3, 0.5))
+            for seed in range(20)
+        ],
+        "grid": lambda: [gen_grid(w, h) for w in range(1, 5) for h in range(1, 5)],
+    }
+
+    @pytest.mark.parametrize("kind", sorted(IDENTITY_GRAPHS))
+    def test_ball_at_m_is_the_oracle(self, kind):
+        # Every shortest path lies within m of any center, and m colors
+        # make the family the identity, so the ball of radius m around
+        # the first greedy path decides every ask as the oracle does.
+        for g in self.IDENTITY_GRAPHS[kind]():
+            dag = build_sp_dag(g)
+            m = dag.base.m
+            center = farthest_path(dag, [], 0)
+            for k in range(1, 5):
+                for d in range(min(m, 14) + 1):
+                    got = ball_search(dag, center, m, k, d)
+                    assert (got is None) == (brute_solve(dag, k, d) is None), (k, d)
 
     def test_deterministic(self, diamond_dag, upper):
         runs = [ball_search(diamond_dag, upper, 4, 2, 4) for _ in range(3)]

@@ -185,7 +185,7 @@ class TestPrefixCheck:
             dag = build_sp_dag(gen_grid(6, 6))
             refs = random_walks(dag, rng.randint(1, 3), rng)
             path = random_walks(dag, 1, rng)[0]
-        w, label = _packed_labels(dag, refs, rng.randint(1, dag.base.m + 1))
+        w, _, _, label = _packed_labels(dag, refs, rng.randint(1, dag.base.m + 1))
         assert _check_prefix_decomposition(dag, refs, w, label, path)
         r = len(refs)
         for aid in path.arcs:
@@ -228,7 +228,7 @@ class TestPackedLabels:
         refs = random_walks(dag, r, random.Random(seed))
         expected = arc_labels(dag, refs)
         for q in range(1, dag.base.m + 2):
-            w, label = _packed_labels(dag, refs, q)
+            w, _, _, label = _packed_labels(dag, refs, q)
             assert decoded(w, label, r) == expected
 
     @pytest.mark.parametrize(
@@ -240,7 +240,7 @@ class TestPackedLabels:
         # The far path is span + 1 from two references, so a larger q
         # has no path.
         dag, refs, far = width_edge_refs(span)
-        w, label = _packed_labels(dag, refs, q)
+        w, _, _, label = _packed_labels(dag, refs, q)
         assert decoded(w, label, len(refs)) == arc_labels(dag, refs)
         expected = far if q <= span + 1 else None
         assert farthest_path(dag, refs, q) == expected
@@ -258,7 +258,7 @@ class TestFronts:
         dag = build_sp_dag(g)
         refs = random_walks(dag, r, random.Random(seed))
         for q in range(1, dag.base.m + 2):
-            w, _, front = _forward_pass(dag, refs, q)
+            w, _, _, _, front = _forward_pass(dag, refs, q)
             expected = reference_fronts(dag, refs, q)[1]
             assert [decoded(w, f, r) for f in front] == expected
 
