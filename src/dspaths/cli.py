@@ -1,11 +1,14 @@
 """Command-line front end: solve, gen, verify.
 
-Exit codes are the machine contract: 0 yes / verified, 1 no / rejected,
-2 usage or input errors (any ``ValueError`` a command raises), 3
-probabilistic no, 4 instance too large for the oracle (``--mode oracle``
-on more than ``solver.ORACLE_PATH_LIMIT`` shortest paths), 5 internal
-error (an unexpected exception; the message names its type).
-JSON goes to stdout (or --json FILE); diagnostics go to stderr.
+Exit codes are the machine contract: 0 ``EXIT_YES`` yes / verified, 1
+``EXIT_NO`` no / rejected (every "no" that ``solve`` answers is exact), 2
+``EXIT_ERROR`` usage or input errors (any ``ValueError`` a command
+raises), 4 ``EXIT_TOO_LARGE`` too large: past the oracle's path limit
+(``--mode oracle`` on more than ``solver.ORACLE_PATH_LIMIT`` shortest
+paths), or past the memory available (a ``MemoryError``), 5
+``EXIT_INTERNAL`` internal error (an unexpected exception; the message
+names its type).  Code 3 is not used.  JSON goes to stdout (or --json
+FILE); diagnostics go to stderr.
 
 ``solve`` writes a certificate JSON object with the keys ``decision``,
 ``k``, ``d``, ``paths`` (one array of input arc ids per path), ``mode``,
@@ -38,7 +41,6 @@ from .solver import (
 EXIT_YES = 0
 EXIT_NO = 1
 EXIT_ERROR = 2
-EXIT_PROBABILISTIC_NO = 3
 EXIT_TOO_LARGE = 4
 EXIT_INTERNAL = 5
 
@@ -121,11 +123,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_TOO_LARGE
     _emit_json(result_to_json_dict(result, args.k, args.d), args.json)
-    if result.decision == "yes":
-        return EXIT_YES
-    if result.decision == "probabilistic_no":
-        return EXIT_PROBABILISTIC_NO
-    return EXIT_NO
+    return EXIT_YES if result.decision == "yes" else EXIT_NO
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:
@@ -206,6 +204,9 @@ def run_cli(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
+    except MemoryError:
+        print("error: instance too large: out of memory", file=sys.stderr)
+        return EXIT_TOO_LARGE
     except Exception as exc:
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INTERNAL

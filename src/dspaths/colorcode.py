@@ -61,11 +61,6 @@ class HashFamily:
     members: tuple[tuple[int, ...], ...]
 
 
-def exhaustive_family_feasible(m: int, s: int) -> bool:
-    """Whether exhaustive-verified construction is supported for (m, s)."""
-    return s >= m or m <= _EXHAUSTIVE_MAX_UNIVERSE
-
-
 def _rainbow(member: tuple[int, ...], subset: tuple[int, ...]) -> bool:
     seen = 0
     for pos in subset:
@@ -87,8 +82,8 @@ def build_hash_family(m: int, s: int) -> HashFamily:
     """Construct a family of colorings of [m] with s colors.
 
     The family depends only on (m, s), and so does its regime.  At s == m
-    the identity coloring is the one member.  Where
-    ``exhaustive_family_feasible(m, s)`` holds, member i is candidate i
+    the identity coloring is the one member.  Up to
+    ``_EXHAUSTIVE_MAX_UNIVERSE`` positions, member i is candidate i
     recolored so that the first s-subset no earlier member makes rainbow
     takes the colors 1..s.  Each member thus covers at least the subset it
     targets, so the loop ends after at most C(m, s) members with a family
@@ -100,7 +95,7 @@ def build_hash_family(m: int, s: int) -> HashFamily:
     if s == m:
         member = tuple(range(1, m + 1))
         return HashFamily(m=m, num_colors=s, mode=EXHAUSTIVE, members=(member,))
-    if not exhaustive_family_feasible(m, s):
+    if m > _EXHAUSTIVE_MAX_UNIVERSE:
         members = tuple(tuple(_coloring(i, m, s)) for i in range(_SEEDED_MEMBERS))
         return HashFamily(m=m, num_colors=s, mode=SEEDED, members=members)
 
@@ -467,13 +462,6 @@ def select_dissimilar_color_sets(
         start = cand = bits
 
 
-def ball_search_exact(m: int, q: int, r: int) -> bool:
-    """Whether a failed ``ball_search`` at radius q for r paths on an m-arc
-    dag is an exact "no": the radius-0 ball holds only its center, and
-    otherwise the family built for min(q * r, m) colors is not seeded."""
-    return q <= 0 or exhaustive_family_feasible(m, min(q * r, m))
-
-
 def ball_search(
     dag: SpDag,
     center: Path,
@@ -487,9 +475,12 @@ def ball_search(
     feasible selection.  Both conditions hold by construction: the tables
     realize only color sets of at most q colors, and a path lies at least
     as far from another as their color sets do.  ``solve`` verifies the
-    certificate the paths end up in.  None means no family member yields
-    a selection (exact for verified families, probabilistic for seeded
-    ones).
+    certificate the paths end up in.  None is exact: an exhaustive family
+    is perfect, and a seeded one is followed by the identity coloring,
+    colors 1..m, the one member of ``build_hash_family(m, m)``.  Under it
+    a bypass's color set is its arc-set difference from the center, so
+    the tables list every path of the ball and the kernel sees their true
+    distances.  It goes last because its tables are the largest.
 
     The selection kernel is given the realizable sets largest first (size
     and then mask descending).  A set's size is its path's distance from
@@ -507,8 +498,11 @@ def ball_search(
 
     m = dag.base.m
     family = build_hash_family(m, min(q * r, m))
+    members = family.members
+    if family.mode == SEEDED:
+        members += build_hash_family(m, m).members
 
-    for member in family.members:
+    for member in members:
         tables = BypassTables(dag, center, member, q)
         chosen = select_dissimilar_color_sets(tables.realizable_sets[::-1], r, d)
         if chosen is None:

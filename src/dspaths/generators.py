@@ -139,17 +139,12 @@ def gen_layered(
         for u in layer_vertices(layers):
             if rng.random() < arc_prob:
                 pairs.append((u, t))
-        adj: dict[int, list[int]] = {}
-        for u, v in pairs:
-            adj.setdefault(u, []).append(v)
+        # The pairs run layer by layer, so one pass in order finds every
+        # vertex that s reaches.
         seen = {1}
-        stack = [1]
-        while stack:
-            u = stack.pop()
-            for v in adj.get(u, ()):
-                if v not in seen:
-                    seen.add(v)
-                    stack.append(v)
+        for u, v in pairs:
+            if u in seen:
+                seen.add(v)
         if t in seen:
             arcs = tuple(
                 Arc(i, u, v, WEIGHT_SCALE) for i, (u, v) in enumerate(pairs)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from . import oracle as oracle_mod
-from .colorcode import ball_search, ball_search_exact
+from .colorcode import ball_search
 from .farthest import farthest_path
 from .graph import (
     ArcWeightedDigraph,
@@ -71,7 +71,7 @@ class SolveStats:
 
 @dataclass(frozen=True)
 class SolveResult:
-    decision: str  # "yes" | "no" | "probabilistic_no"
+    decision: str  # "yes" | "no"
     certificate: Certificate | None
     mode: str
     stats: SolveStats
@@ -108,10 +108,8 @@ def solve(g: ArcWeightedDigraph, k: int, d: int, mode: str = "hybrid") -> SolveR
     raises ``OracleBudgetError`` past it.  The paths are counted once.
 
     Returns a verified certificate on yes, its paths in the input file's
-    arc ids.  A plain "no" is exact; it degrades to "probabilistic_no"
-    only if some ball search failed while coloring with a seeded family
-    (``colorcode.ball_search_exact`` says which ones do; a radius-0 ball
-    holds only its center, so its failure is exact).  Raises
+    arc ids.  Every "no" is exact, in every mode: a failed
+    ``colorcode.ball_search`` is exact whatever its family.  Raises
     ``ValueError`` on a negative k or d or an unknown mode.
     """
     if k < 0 or d < 0:
@@ -176,7 +174,6 @@ def solve(g: ArcWeightedDigraph, k: int, d: int, mode: str = "hybrid") -> SolveR
     radius = _threshold(dag, k, d, greedy_count + 1) - 1
     need = k
     chosen: list[Path] = []
-    seeded_failure = False
     for i in reversed(range(greedy_count)):
         for r in range(need, need - 1 if i == 0 else 0, -1):
             ball_searches += 1
@@ -185,12 +182,10 @@ def solve(g: ArcWeightedDigraph, k: int, d: int, mode: str = "hybrid") -> SolveR
                 chosen[:0] = found
                 need -= r
                 break
-            if not ball_search_exact(dag.base.m, radius, r):
-                seeded_failure = True
         if need == 0:
             return finish("yes", chosen)
 
-    return finish("probabilistic_no" if seeded_failure else "no", None)
+    return finish("no", None)
 
 
 def verify_certificate(

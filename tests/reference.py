@@ -21,7 +21,7 @@ from itertools import accumulate, product
 from operator import add
 from typing import Iterable, Sequence
 
-from dspaths.colorcode import ball_search, ball_search_exact
+from dspaths.colorcode import ball_search
 from dspaths.graph import ArcWeightedDigraph, Path, SpDag, hamming_distance
 from dspaths.solver import _threshold
 
@@ -248,22 +248,18 @@ def reference_ball_phase(
     ``ball_search`` and placed in ball order.  A split stops at its first
     ball that fails.  A ball is searched at most once per count, and
     never at a count at or above one it failed at.  Returns the decision
-    and, on yes, the paths in dag arc ids; a "no" is hedged when a failed
-    search colored with a seeded family."""
+    and, on yes, the paths in dag arc ids."""
     radius = _threshold(dag, k, d, len(greedy_paths) + 1) - 1
     found: dict[tuple[int, int], list[Path] | None] = {}
     failed: dict[int, int] = {}  # ball -> smallest count it failed at
-    seeded = False
 
     def search(i: int, r: int) -> list[Path] | None:
-        nonlocal seeded
         if r >= failed.get(i, r + 1):
             return None
         if (i, r) not in found:
             found[i, r] = ball_search(dag, greedy_paths[i], radius, r, d)
             if found[i, r] is None:
                 failed[i] = r
-                seeded |= not ball_search_exact(dag.base.m, radius, r)
         return found[i, r]
 
     for split in product(range(k + 1), repeat=len(greedy_paths)):
@@ -277,7 +273,7 @@ def reference_ball_phase(
             paths += part
         else:
             return "yes", paths
-    return ("probabilistic_no" if seeded else "no"), None
+    return "no", None
 
 
 def brute_realizations(

@@ -14,14 +14,12 @@ from dspaths.cli import (
     EXIT_ERROR,
     EXIT_INTERNAL,
     EXIT_NO,
-    EXIT_PROBABILISTIC_NO,
     EXIT_TOO_LARGE,
     EXIT_YES,
     run_cli,
 )
 from dspaths.generators import BinPackingInstance, gen_binpack, gen_grid
 from dspaths.graph import format_graph, graph_hash, parse_graph
-from dspaths.solver import SolveResult, SolveStats
 
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -254,16 +252,36 @@ def test_internal_error(diamond_file, monkeypatch, capsys, exc):
     assert f"internal error: {type(exc).__name__}: {exc}" in capsys.readouterr().err
 
 
-def test_probabilistic_no(diamond_file, monkeypatch, tmp_path):
-    stats = SolveStats(greedy_paths=1, compositions_tried=1, elapsed_ms=0)
-    result = SolveResult(
-        decision="probabilistic_no", certificate=None, mode="fpt", stats=stats
+def test_probabilistic_no(tmp_path):
+    # Every ball search of this ask colors 22 arcs with a seeded family,
+    # none of whose members finds a selection.  The identity coloring
+    # after them makes the "no" exact, so it exits 1, not with a hedge.
+    graph, out = tmp_path / "routes.txt", tmp_path / "out.json"
+    graph.write_text(format_graph(parallel_routes(2, 9, 1)))
+    argv = ["solve", "-g", str(graph), "-k", "3", "-d", "5", "--mode", "fpt",
+            "--json", str(out)]
+    assert run_cli(argv) == EXIT_NO
+    assert json.loads(out.read_text())["decision"] == "no"
+
+
+def test_out_of_memory_is_too_large(tmp_path):
+    # The header names 4 * 10**8 vertices, and the graph layer allocates
+    # a slot per vertex.  Under a 256 MB address-space cap that raises
+    # MemoryError, which is a too-large input, not an internal error.
+    graph = tmp_path / "huge.txt"
+    graph.write_text("p dsp 400000000 1\ns 1\nt 2\na 1 2 1\n")
+    cap = (
+        "import resource; "
+        "hard = resource.getrlimit(resource.RLIMIT_AS)[1]; "
+        "resource.setrlimit(resource.RLIMIT_AS, (256 * 2**20, hard)); "
     )
-    monkeypatch.setattr(dspaths.cli, "solve", lambda *args: result)
-    out = tmp_path / "out.json"
-    argv = ["solve", "-g", diamond_file, "-k", "2", "-d", "4", "--mode", "fpt", "--json", str(out)]
-    assert run_cli(argv) == EXIT_PROBABILISTIC_NO
-    assert json.loads(out.read_text())["decision"] == "probabilistic_no"
+    argv = ["solve", "-g", str(graph), "-k", "1", "-d", "0"]
+    proc = subprocess.run(
+        [sys.executable, "-c", cap + RUN_CLI, str(SRC), *argv],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == EXIT_TOO_LARGE, proc.stderr
+    assert "error: instance too large: out of memory" in proc.stderr
 
 
 @pytest.mark.parametrize(

@@ -16,7 +16,6 @@ from dspaths.colorcode import (
     SEEDED,
     BypassTables,
     ball_search,
-    ball_search_exact,
     build_hash_family,
     select_dissimilar_color_sets,
 )
@@ -185,7 +184,7 @@ class TestHashFamily:
 
     # sha256 of repr(members).  The exhaustive regime starts its members
     # from the seeded regime's candidates; the seeded members, and with
-    # them every probabilistic_no, must not move.
+    # them which certificates the seeded searches find, must not move.
     SEEDED_DIGESTS = {
         (20, 6): "86901f36dfa7ec95cfbbdd0ad7b2f092937b88c87cbf02bd568427da784daf99",
         (36, 12): "aa5c8d93dd72d1ea68addd29bbad69a2af4eba71f2f8eacb0ff064f4022631fd",
@@ -205,16 +204,30 @@ class TestHashFamily:
             build_hash_family(3, 4)
 
 
+def doubled_chain(m: int):
+    """A unit chain of m arcs whose first min(m // 2, 6) steps are pairs
+    of parallel arcs, so two shortest paths are 2 apart per step where
+    they differ."""
+    pairs = min(m // 2, 6)
+    steps = [2] * pairs + [1] * (m - 2 * pairs)
+    arcs = "".join(f"a {v} {v + 1} 1\n" * c for v, c in enumerate(steps, 1))
+    n = len(steps) + 1
+    return parse_graph(f"p dsp {n} {m}\ns 1\nt {n}\n{arcs}")
+
+
 @pytest.mark.parametrize("m", (4, 16, 17, 40))
 @pytest.mark.parametrize("q,r", ((0, 1), (0, 3), (1, 1), (1, 2), (1, 3), (2, 2), (9, 2)))
 def test_ball_search_exact_table(m, q, r):
-    # A failed search is exact at radius 0 and wherever the family that
-    # ball_search builds is not seeded.
-    exact = ball_search_exact(m, q, r)
-    if q == 0:
-        assert exact
-    else:
-        assert exact == (build_hash_family(m, min(q * r, m)).mode != SEEDED)
+    # A failed search is exact in every regime: at radius 0, with the
+    # identity (q * r >= m), with exhaustive families (m <= 16) and with
+    # seeded ones (m = 17 and 40).  It finds r paths exactly when the
+    # brute-force ball holds r paths pairwise d apart.
+    dag = build_sp_dag(doubled_chain(m))
+    assert dag.base.m == m
+    center = farthest_path(dag, [], 0)
+    for d in range(2 * q + 2):
+        expected = brute_ball(dag, center, q, r, d) is not None
+        assert (ball_search(dag, center, q, r, d) is not None) == expected, d
 
 
 def _multidigraph_dags(count):

@@ -1,6 +1,7 @@
 """Static checks of the package source: no unused imports, no unused
-private module-level names or attributes and no exception class that is
-never raised.
+private module-level names or attributes, no exception class that is
+never raised, and a ``cli`` docstring that lists exactly the exit codes
+the module defines.
 Only the stdlib ``ast`` module reads the code; nothing is imported or run.
 """
 
@@ -8,6 +9,7 @@ from __future__ import annotations
 
 import ast
 import builtins
+import re
 from collections import Counter
 from pathlib import Path
 
@@ -135,6 +137,27 @@ def raised_names(trees: list[ast.Module]) -> set[str]:
     }
 
 
+def documented_exit_codes(tree: ast.Module) -> set[tuple[str, int | None]]:
+    """(name, code) for each ``EXIT_X`` that the module docstring names,
+    as "N ``EXIT_X``", or with code None where no number precedes it."""
+    doc = ast.get_docstring(tree) or ""
+    return {
+        (name, int(code) if code else None)
+        for code, name in re.findall(r"(?:(\d+)\s+)?``(EXIT_\w+)``", doc)
+    }
+
+
+def defined_exit_codes(tree: ast.Module) -> set[tuple[str, int]]:
+    """(name, code) for each module-level ``EXIT_X = N``."""
+    return {
+        (target.id, node.value.value)
+        for node in tree.body
+        if isinstance(node, ast.Assign) and isinstance(node.value, ast.Constant)
+        for target in node.targets
+        if isinstance(target, ast.Name) and target.id.startswith("EXIT_")
+    }
+
+
 # The package's __init__ imports to re-export, so its names are used by
 # importing them.
 @pytest.mark.parametrize("name", sorted(set(TREES) - {"__init__.py"}))
@@ -194,3 +217,20 @@ def test_exception_check_catches_leftovers():
     classes = exception_classes([tree])
     assert classes == {"BuildError", "ParseError", "LineError"}
     assert classes - raised_names([tree]) == {"BuildError", "LineError"}
+
+
+def test_cli_docstring_lists_its_exit_codes():
+    tree = TREES["cli.py"]
+    assert defined_exit_codes(tree)
+    assert documented_exit_codes(tree) == defined_exit_codes(tree)
+
+
+def test_exit_code_check_catches_leftovers():
+    tree = ast.parse(
+        '"""Exit codes: 0 ``EXIT_YES`` yes, 3 ``EXIT_HEDGED`` hedged no,\n'
+        '``EXIT_NO`` no."""\n'
+        "EXIT_YES = 0\nEXIT_NO = 1\nEXIT_TOO_LARGE = 4\n"
+    )
+    documented, defined = documented_exit_codes(tree), defined_exit_codes(tree)
+    assert documented - defined == {("EXIT_HEDGED", 3), ("EXIT_NO", None)}
+    assert defined - documented == {("EXIT_NO", 1), ("EXIT_TOO_LARGE", 4)}

@@ -430,14 +430,9 @@ class TestProperties:
     @settings(max_examples=100, derandomize=True, deadline=None)
     @given(LAYERED_ASKS)
     def test_fpt_agrees_with_oracle(self, case):
-        # A definite fpt answer is the oracle's; a hedged one is a no.
         g, dag, k, d = layered_ask(case)
         decision = solve(g, k, d, FPT).decision
-        exists = brute_solve(dag, k, d) is not None
-        if decision == "probabilistic_no":
-            assert not exists
-        else:
-            assert (decision == "yes") == exists
+        assert (decision == "yes") == (brute_solve(dag, k, d) is not None)
 
 
 class TestExhaustiveFamilies:
@@ -461,7 +456,6 @@ class TestExhaustiveFamilies:
                 continue
             for k, d in itertools.product(range(2, 5), range(1, 2 * layers + 4)):
                 decision = solve(g, k, d, FPT).decision
-                assert decision != "probabilistic_no", (layers, width, seed, k, d)
                 exists = brute_solve(dag, k, d) is not None
                 assert (decision == "yes") == exists, (layers, width, seed, k, d)
         assert (colorcode.EXHAUSTIVE, True) in built
@@ -485,6 +479,52 @@ class TestExhaustiveFamilies:
             signal.signal(signal.SIGALRM, previous)
         assert decision == "no"
         assert brute_solve(dag, 3, 2) is None
+
+
+class TestSeededFamilies:
+    """fpt asks whose ball searches color with seeded families, which are
+    not perfect: the identity coloring, tried after their members, makes
+    every answer exact."""
+
+    def test_failed_search_ends_with_the_identity(self, monkeypatch):
+        # Greedy takes one path per route, then stalls at threshold 5, so
+        # the radius is 4.  Ball 2 fails at r = 3 (12 colors) and r = 2 (8
+        # colors), gives r = 1, and ball 1 fails at r = 2: each failure
+        # colors all 22 arcs with the 64 seeded members, then once with
+        # the identity.
+        colorings = []
+        base = colorcode.BypassTables
+
+        class Recording(base):
+            def __init__(self, dag, center, coloring, max_size):
+                colorings.append(tuple(coloring))
+                super().__init__(dag, center, coloring, max_size)
+
+        monkeypatch.setattr(colorcode, "BypassTables", Recording)
+        assert solve(parallel_routes(2, 9, 1), 3, 5, FPT).decision == "no"
+        identity = (tuple(range(1, 23)),)
+        searches = []
+        for s in (12, 8, 8):
+            family = colorcode.build_hash_family(22, s)
+            assert family.mode == colorcode.SEEDED and len(family.members) == 64
+            searches += family.members + identity
+        assert colorings == searches
+
+    def test_seeded_miss_is_a_verified_yes(self):
+        # Greedy stops at one path, and the radius-8 ball needs 16 colors
+        # on 17 arcs.  No seeded member separates the two paths 9 apart;
+        # the identity coloring does.
+        g = gen_layered(6, 3, 0.5, 5)
+        assert build_sp_dag(g).base.m == 17
+        res = solve(g, 2, 9, FPT)
+        assert res.decision == "yes" and res.stats.greedy_paths == 1
+        assert verify_certificate(g, res.certificate, 2, 9) == (True, None)
+
+    @pytest.mark.parametrize("length, d", ((9, 5), (9, 6), (10, 5)))
+    def test_parallel_routes_no_is_exact(self, length, d):
+        g = parallel_routes(2, length, 1)
+        assert solve(g, 3, d, FPT).decision == "no"
+        assert brute_solve(build_sp_dag(g), 3, d) is None
 
 
 class TestHybrid:
