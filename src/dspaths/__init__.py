@@ -2,8 +2,9 @@
 s-t paths with pairwise arc-set Hamming distance at least d.
 
 ``solve`` runs the paper's pipeline (shortest-path DAG, greedy farthest
-paths, color-coded ball search) or the exact path-enumeration engine of
-``oracle``; ``verify_certificate`` checks a "yes" independently; the
+paths, color-coded ball search); its default ``hybrid`` mode runs the
+exact path-enumeration engine of ``oracle`` instead where the shortest
+paths are few.  ``verify_certificate`` checks a "yes" independently; the
 generators build grid, layered and bin-packing hardness instances.
 """
 
@@ -45,7 +46,6 @@ from .oracle import (
 from .solver import (
     Certificate,
     CertificateError,
-    OracleBudgetError,
     SolveResult,
     greedy_phase,
     solve,

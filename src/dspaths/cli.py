@@ -3,20 +3,21 @@
 Exit codes are the machine contract: 0 ``EXIT_YES`` yes / verified, 1
 ``EXIT_NO`` no / rejected (every "no" that ``solve`` answers is exact), 2
 ``EXIT_ERROR`` usage or input errors (any ``ValueError`` a command
-raises), 4 ``EXIT_TOO_LARGE`` too large: past the oracle's path limit
-(``--mode oracle`` on more than ``solver.ORACLE_PATH_LIMIT`` shortest
-paths), or past the memory available (a ``MemoryError``), 5
-``EXIT_INTERNAL`` internal error (an unexpected exception; the message
-names its type).  Code 3 is not used.  JSON goes to stdout (or --json
-FILE); diagnostics go to stderr.
+raises), 4 ``EXIT_TOO_LARGE`` too large: past the memory available (a
+``MemoryError``), 5 ``EXIT_INTERNAL`` internal error (an unexpected
+exception; the message names its type).  Code 3 is not used.  JSON goes
+to stdout (or --json FILE); diagnostics go to stderr.
 
-``solve`` writes a certificate JSON object with the keys ``decision``,
-``k``, ``d``, ``paths`` (one array of input arc ids per path), ``mode``,
-``graph_hash`` and ``stats`` (``greedy_paths``, ``compositions_tried``,
-which counts the ball searches run, and ``elapsed_ms``).  ``verify``
-reads only ``k``, ``d``, ``paths`` and ``graph_hash``, and ignores any
-other key.  ``gen binpack`` gives each of its ``--bins`` bins the
-capacity item sum / bins, the only one the reduction accepts.
+``solve --mode`` is ``fpt`` or the default ``hybrid`` (see
+``solver.solve``).  ``solve`` writes a certificate JSON object with the
+keys ``decision``, ``k``, ``d``, ``paths`` (one array of input arc ids
+per path), ``mode``, ``graph_hash`` and ``stats`` (``greedy_paths``,
+``compositions_tried``, which counts the ball searches run, and
+``elapsed_ms``).  ``verify`` reads only ``k``, ``d``, ``paths`` and
+``graph_hash``, and ignores any other key.  ``gen binpack`` gives each
+of its ``--bins`` bins the capacity item sum / bins, the only one the
+reduction accepts.  ``gen -o X`` writes its sidecar JSON to X with the
+suffix ``.json``, so X must not end in ``.json``.
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ from . import generators
 from .graph import format_graph, graph_hash, parse_graph
 from .solver import (
     MODES,
-    OracleBudgetError,
     certificate_from_json_dict,
     result_to_json_dict,
     solve,
@@ -116,17 +116,16 @@ def _emit_json(doc: dict, out_path: str | None) -> None:
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:
-    g = _read_graph(args.graph)
-    try:
-        result = solve(g, args.k, args.d, args.mode)
-    except OracleBudgetError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_TOO_LARGE
+    result = solve(_read_graph(args.graph), args.k, args.d, args.mode)
     _emit_json(result_to_json_dict(result, args.k, args.d), args.json)
     return EXIT_YES if result.decision == "yes" else EXIT_NO
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:
+    out = FsPath(args.output)
+    sidecar_path = out.with_suffix(".json")
+    if sidecar_path == out:
+        raise ValueError(f"-o {out} is also its sidecar's path (suffix .json)")
     if args.family == "binpack":
         try:
             items = tuple(int(x) for x in args.items.split(","))
@@ -151,14 +150,13 @@ def _cmd_gen(args: argparse.Namespace) -> int:
         )
     graph, sidecar = inst.graph, generators.sidecar_dict(inst)
 
-    out = FsPath(args.output)
     try:
         out.write_text(format_graph(graph))
-        out.with_suffix(".json").write_text(json.dumps(sidecar, indent=2) + "\n")
+        sidecar_path.write_text(json.dumps(sidecar, indent=2) + "\n")
     except OSError as exc:
         raise ValueError(f"cannot write output: {exc}")
     print(
-        f"wrote {out} ({graph.n} vertices, {graph.m} arcs) and {out.with_suffix('.json')}",
+        f"wrote {out} ({graph.n} vertices, {graph.m} arcs) and {sidecar_path}",
         file=sys.stderr,
     )
     return EXIT_YES

@@ -14,7 +14,7 @@ import re
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import compress
-from typing import Iterable, NamedTuple
+from typing import NamedTuple
 
 WEIGHT_SCALE = 10**6
 
@@ -81,7 +81,7 @@ def _parse_weight(token: str) -> int:
     return int(whole) * WEIGHT_SCALE + (int(frac.ljust(6, "0")) if frac else 0)
 
 
-def parse_graph(source: str | Iterable[str]) -> ArcWeightedDigraph:
+def parse_graph(text: str) -> ArcWeightedDigraph:
     """Parse the line-oriented graph format.
 
     Lines: ``p dsp <n> <m>`` header (first non-comment line, exactly once),
@@ -90,7 +90,6 @@ def parse_graph(source: str | Iterable[str]) -> ArcWeightedDigraph:
     Every rule on counts, ids and weights is checked here, with the line
     that breaks it.
     """
-    lines = source.splitlines() if isinstance(source, str) else source
     n = m = None
     s = t = None
     arcs: list[Arc] = []
@@ -100,7 +99,7 @@ def parse_graph(source: str | Iterable[str]) -> ArcWeightedDigraph:
         return GraphParseError(f"line {lineno}: {msg}")
 
     new = tuple.__new__  # an Arc without the named tuple's Python-level __new__
-    for lineno, raw in enumerate(lines, start=1):
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         if "#" in raw:
             raw = raw.split("#", 1)[0]
         fields = raw.split()

@@ -27,7 +27,7 @@ from .graph import (
     shortest_distances,
 )
 
-MODES = ("fpt", "oracle", "hybrid")
+MODES = ("fpt", "hybrid")
 THRESHOLD_BASE = 3
 # Most shortest paths the oracle enumerates (see ``solve``).
 ORACLE_PATH_LIMIT = 10**5
@@ -35,11 +35,6 @@ ORACLE_PATH_LIMIT = 10**5
 
 class CertificateError(ValueError):
     """Structurally malformed certificate (distinct from a false verdict)."""
-
-
-class OracleBudgetError(RuntimeError):
-    """Oracle mode on more than ``ORACLE_PATH_LIMIT`` shortest paths: the
-    instance is too large for the oracle."""
 
 
 @dataclass(frozen=True)
@@ -102,13 +97,13 @@ def greedy_phase(dag: SpDag, k: int, d: int) -> GreedyOutcome:
 def solve(g: ArcWeightedDigraph, k: int, d: int, mode: str = "hybrid") -> SolveResult:
     """Decide whether g has k shortest s-t paths pairwise >= d apart.
 
-    ``mode`` is one of ``MODES``: "fpt" runs the paper's pipeline, "oracle"
-    the exact path enumeration, and "hybrid" the oracle up to
-    ``ORACLE_PATH_LIMIT`` shortest paths and fpt past it; oracle mode
-    raises ``OracleBudgetError`` past it.  The paths are counted once.
+    ``mode`` is one of ``MODES``: "fpt" runs the paper's pipeline, and
+    "hybrid" the exact path enumeration of ``oracle`` up to
+    ``ORACLE_PATH_LIMIT`` shortest paths and fpt past it.  The paths are
+    counted once, and past the limit none is enumerated.
 
     Returns a verified certificate on yes, its paths in the input file's
-    arc ids.  Every "no" is exact, in every mode: a failed
+    arc ids.  Every "no" is exact, in both modes: a failed
     ``colorcode.ball_search`` is exact whatever its family.  Raises
     ``ValueError`` on a negative k or d or an unknown mode.
     """
@@ -126,7 +121,7 @@ def solve(g: ArcWeightedDigraph, k: int, d: int, mode: str = "hybrid") -> SolveR
     input_arc: tuple[int, ...] = ()
     dist: list[int | None] | None = None
 
-    def finish(decision: str, found: Sequence[Path] | None) -> SolveResult:
+    def finish(found: Sequence[Path] | None) -> SolveResult:
         elapsed = int((time.monotonic() - start) * 1000)
         cert = None
         if found is not None:
@@ -136,7 +131,7 @@ def solve(g: ArcWeightedDigraph, k: int, d: int, mode: str = "hybrid") -> SolveR
             if not ok:  # pragma: no cover - internal soundness guard
                 raise RuntimeError(f"solver produced an invalid certificate: {report}")
         return SolveResult(
-            decision=decision,
+            decision="no" if found is None else "yes",
             certificate=cert,
             mode=mode,
             stats=SolveStats(
@@ -147,26 +142,20 @@ def solve(g: ArcWeightedDigraph, k: int, d: int, mode: str = "hybrid") -> SolveR
         )
 
     if k == 0:
-        return finish("yes", ())
+        return finish(())
 
     dag = build_sp_dag(g)
     input_arc, dist = dag.input_arc, dag.dist
 
-    if mode != "fpt":
+    if mode == "hybrid":
         path_count = oracle_mod.count_st_paths(dag, cap=ORACLE_PATH_LIMIT + 1)
         if path_count <= ORACLE_PATH_LIMIT:
-            found = oracle_mod.brute_solve(dag, k, d)
-            return finish("no" if found is None else "yes", found)
-        if mode == "oracle":
-            raise OracleBudgetError(
-                "instance too large for oracle: more than"
-                f" {ORACLE_PATH_LIMIT} shortest paths"
-            )
+            return finish(oracle_mod.brute_solve(dag, k, d))
 
     greedy = greedy_phase(dag, k, d)
     greedy_count = len(greedy.paths)
     if greedy.complete:
-        return finish("yes", greedy.paths)
+        return finish(greedy.paths)
 
     # Paths in different balls are d apart and a ball with r paths pairwise
     # d apart has r - 1, so filling each ball with as many needed paths as
@@ -183,9 +172,9 @@ def solve(g: ArcWeightedDigraph, k: int, d: int, mode: str = "hybrid") -> SolveR
                 need -= r
                 break
         if need == 0:
-            return finish("yes", chosen)
+            return finish(chosen)
 
-    return finish("no", None)
+    return finish(None)
 
 
 def verify_certificate(
@@ -213,8 +202,11 @@ def verify_certificate(
     once.  A wrong ``dist`` is either infeasible, and rejected, or still
     a lower bound on every s-t path, so it can reject a certificate but
     never accept one.  No SP-DAG is built, so the check shares no code
-    with the solver's preprocessing.
+    with the solver's preprocessing.  Raises ``ValueError`` on a negative
+    k or d, before the certificate is read.
     """
+    if k < 0 or d < 0:
+        raise ValueError("k and d must be nonnegative")
     _validate_certificate_shape(cert)
     if len(cert.paths) != k:
         return False, f"expected {k} paths, got {len(cert.paths)}"

@@ -8,7 +8,6 @@ from pathlib import Path
 import pytest
 
 import dspaths.cli
-import dspaths.oracle
 from conftest import DIAMOND_TEXT, parallel_routes, unit_chain
 from dspaths.cli import (
     EXIT_ERROR,
@@ -71,18 +70,16 @@ def test_negative_d_message(diamond_file, capsys):
     assert "error: k and d must be nonnegative" in capsys.readouterr().err
 
 
-def test_oracle_over_budget_enumerates_nothing(tmp_path, monkeypatch, capsys):
-    # The 10x10 grid has 184,756 shortest paths, past ORACLE_PATH_LIMIT =
-    # 10**5; the count alone decides, so no path is enumerated.
-    def fail(*args, **kwargs):
-        raise AssertionError("enumerated an over-budget instance")
-
-    monkeypatch.setattr(dspaths.oracle, "enumerate_st_paths", fail)
-    graph = tmp_path / "grid.txt"
-    graph.write_text(format_graph(gen_grid(10, 10)))
-    argv = ["solve", "-g", str(graph), "-k", "2", "-d", "2", "--mode", "oracle"]
-    assert run_cli(argv) == EXIT_TOO_LARGE
-    assert "more than 100000 shortest paths" in capsys.readouterr().err
+def test_oracle_mode_is_a_usage_error(diamond_file, tmp_path, capsys):
+    # The modes are fpt and hybrid; hybrid runs the oracle where the
+    # shortest paths are few, so no mode runs it alone.
+    cert = tmp_path / "cert.json"
+    argv = ["solve", "-g", diamond_file, "-k", "2", "-d", "4", "--mode", "oracle",
+            "--json", str(cert)]
+    assert run_cli(argv) == EXIT_ERROR
+    out, err = capsys.readouterr()
+    assert out == "" and "invalid choice: 'oracle'" in err
+    assert not cert.exists()
 
 
 def test_solve_help_lists_only_the_ask(capsys):
@@ -106,7 +103,7 @@ def test_fpt_huge_k_answers_at_once(tmp_path):
     assert json.loads(proc.stdout)["decision"] == "no"
 
 
-@pytest.mark.parametrize("mode", ("fpt", "oracle"))
+@pytest.mark.parametrize("mode", ("fpt", "hybrid"))
 def test_k_past_the_recursion_limit(tmp_path, mode):
     # Eight diamonds in series have 256 shortest paths, pairwise distinct,
     # so k = 256, d = 1 is a yes-instance whose selection picks 256 sets.
@@ -134,7 +131,7 @@ def test_radius_zero_no_is_exact(tmp_path, arcs):
     assert run_cli(argv) == EXIT_NO
 
 
-@pytest.mark.parametrize("mode", ("fpt", "oracle", "hybrid"))
+@pytest.mark.parametrize("mode", ("fpt", "hybrid"))
 def test_solve_json_verifies(diamond_file, tmp_path, mode):
     cert = str(tmp_path / "cert.json")
     argv = ["solve", "-g", diamond_file, "-k", "2", "-d", "4", "--mode", mode, "--json", cert]
@@ -227,6 +224,17 @@ def test_verify_rejects_misstated_ask(diamond_file, tmp_path, capsys):
     argv = ["verify", "-g", diamond_file, "-c", str(cert), "-k", "2", "-d", "4"]
     assert run_cli(argv) == EXIT_NO
     assert "certificate states k=7, d=99; asked k=2, d=4" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("k, d", (("-1", "4"), ("2", "-3")))
+def test_verify_rejects_a_negative_ask(diamond_file, tmp_path, capsys, k, d):
+    # A negative ask is a usage error, as it is for solve, not a rejection.
+    cert = tmp_path / "cert.json"
+    argv = ["solve", "-g", diamond_file, "-k", "2", "-d", "4", "--json", str(cert)]
+    assert run_cli(argv) == EXIT_YES
+    argv = ["verify", "-g", diamond_file, "-c", str(cert), "-k", k, "-d", d]
+    assert run_cli(argv) == EXIT_ERROR
+    assert "error: k and d must be nonnegative" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("where", ("top", "paths"))
@@ -327,6 +335,17 @@ def test_gen_sidecar_bytes(tmp_path, args, ell):
     )
 
 
+@pytest.mark.parametrize("name", ("g.json", "g.txt.json"))
+def test_gen_output_is_not_its_own_sidecar(tmp_path, capsys, name):
+    # The sidecar goes to -o with the suffix .json; on an -o that ends in
+    # .json it would replace the graph.
+    graph = tmp_path / name
+    argv = ["gen", "grid", "--width", "2", "--height", "2", "-o", str(graph)]
+    assert run_cli(argv) == EXIT_ERROR
+    assert f"error: -o {graph} is also its sidecar's path" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 # sha256 of the graph file and of its sidecar.  Each bin has capacity
 # item sum / bins, the only capacity the reduction accepts.
 BINPACK_DIGESTS = {
@@ -410,7 +429,7 @@ a 2 4 1
 """
 
 
-@pytest.mark.parametrize("mode", ("fpt", "oracle", "hybrid"))
+@pytest.mark.parametrize("mode", ("fpt", "hybrid"))
 def test_certificate_in_input_arc_ids(tmp_path, mode):
     graph, cert = tmp_path / "g.txt", tmp_path / "cert.json"
     graph.write_text(PRUNED_FIRST_TEXT)

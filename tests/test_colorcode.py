@@ -521,7 +521,7 @@ class TestSelect:
             signal.setitimer(signal.ITIMER_REAL, 0)
             signal.signal(signal.SIGALRM, previous)
 
-    @pytest.mark.parametrize("mode", ["fpt", "oracle"])
+    @pytest.mark.parametrize("mode", ["fpt", "hybrid"])
     @pytest.mark.parametrize("items, yes", [((2, 2, 2), False), ((1, 1, 1, 1), True)])
     def test_binpack_rows_at_their_asks(self, monkeypatch, mode, items, yes):
         # The kernel calls of the benchmark's bin-packing rows: the

@@ -1,7 +1,8 @@
 """Static checks of the package source: no unused imports, no unused
 private module-level names or attributes, no exception class that is
-never raised, and a ``cli`` docstring that lists exactly the exit codes
-the module defines.
+never raised, a ``cli`` docstring that lists exactly the exit codes
+the module defines, and no exit code that ``cli`` defines but never
+returns.
 Only the stdlib ``ast`` module reads the code; nothing is imported or run.
 """
 
@@ -158,6 +159,17 @@ def defined_exit_codes(tree: ast.Module) -> set[tuple[str, int]]:
     }
 
 
+def returned_names(tree: ast.Module) -> set[str]:
+    """Names that some ``return`` statement reads, anywhere in its value."""
+    return {
+        node.id
+        for ret in ast.walk(tree)
+        if isinstance(ret, ast.Return) and ret.value is not None
+        for node in ast.walk(ret.value)
+        if isinstance(node, ast.Name)
+    }
+
+
 # The package's __init__ imports to re-export, so its names are used by
 # importing them.
 @pytest.mark.parametrize("name", sorted(set(TREES) - {"__init__.py"}))
@@ -234,3 +246,22 @@ def test_exit_code_check_catches_leftovers():
     documented, defined = documented_exit_codes(tree), defined_exit_codes(tree)
     assert documented - defined == {("EXIT_HEDGED", 3), ("EXIT_NO", None)}
     assert defined - documented == {("EXIT_NO", 1), ("EXIT_TOO_LARGE", 4)}
+
+
+def test_cli_returns_every_exit_code():
+    tree = TREES["cli.py"]
+    defined = {name for name, _ in defined_exit_codes(tree)}
+    assert defined - returned_names(tree) == set()
+
+
+def test_returned_exit_code_check_catches_leftovers():
+    tree = ast.parse(
+        "EXIT_YES = 0\nEXIT_NO = 1\nEXIT_HEDGED = 3\nEXIT_TOO_LARGE = 4\n"
+        "def run(ok, big):\n"
+        "    if big:\n"
+        "        code = EXIT_TOO_LARGE\n"
+        "        return code\n"
+        "    return EXIT_YES if ok else EXIT_NO\n"
+    )
+    defined = {name for name, _ in defined_exit_codes(tree)}
+    assert defined - returned_names(tree) == {"EXIT_HEDGED", "EXIT_TOO_LARGE"}

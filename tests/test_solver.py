@@ -23,6 +23,7 @@ from dspaths.graph import (
 from dspaths.oracle import brute_solve, enumerate_st_paths
 from reference import reference_ball_phase
 from dspaths.solver import (
+    MODES,
     Certificate,
     CertificateError,
     certificate_from_json_dict,
@@ -144,12 +145,10 @@ class TestSolve:
         assert [p.arcs for p in res.certificate.paths] == [((0,))] * 4
 
     def test_modes_agree_on_diamond(self, diamond):
+        dag = build_sp_dag(diamond)
         for k, d in ((1, 0), (2, 2), (2, 4), (2, 5), (3, 1)):
-            decisions = {
-                solve(diamond, k, d, m).decision
-                for m in ("fpt", "oracle", "hybrid")
-            }
-            assert len(decisions) == 1, (k, d)
+            expected = "no" if brute_solve(dag, k, d) is None else "yes"
+            assert [solve(diamond, k, d, m).decision for m in MODES] == [expected] * len(MODES)
 
     def test_unreachable_raises(self):
         g = parse_graph("p dsp 3 1\ns 1\nt 3\na 1 2 1\n")
@@ -354,7 +353,7 @@ class TestSolve:
             return
         pytest.skip("no incomplete greedy outcome sampled")
 
-    @pytest.mark.parametrize("mode", ("fpt", "oracle"))
+    @pytest.mark.parametrize("mode", ("fpt", "hybrid"))
     def test_one_dijkstra_per_solve(self, monkeypatch, mode):
         # build_sp_dag runs it; the certificate check reads dag.dist.
         runs = []
@@ -378,7 +377,7 @@ class TestSolve:
             docs.append(json.dumps(doc, sort_keys=True))
         assert docs[0] == docs[1]
 
-    @pytest.mark.parametrize("mode", ["fpt", "hybrid", "oracle"])
+    @pytest.mark.parametrize("mode", ["fpt", "hybrid"])
     def test_negative_k_or_d_rejected(self, diamond, mode):
         with pytest.raises(ValueError, match="nonnegative"):
             solve(diamond, 2, -1, mode)
@@ -415,7 +414,7 @@ class TestProperties:
     @given(LAYERED_ASKS)
     def test_certificates_verify_and_solves_repeat(self, case):
         g, _, k, d = layered_ask(case)
-        for mode in ("fpt", "oracle"):
+        for mode in ("fpt", "hybrid"):
             docs = []
             for _ in range(2):
                 res = solve(g, k, d, mode)
@@ -550,6 +549,11 @@ class TestHybrid:
     def test_config_validation(self, diamond):
         with pytest.raises(ValueError, match="mode must be one of"):
             solve(diamond, 2, 4, mode="nope")
+
+    def test_oracle_is_no_mode(self, diamond):
+        # hybrid runs the oracle wherever the paths are few enough for it.
+        with pytest.raises(ValueError, match=r"mode must be one of \('fpt', 'hybrid'\)"):
+            solve(diamond, 2, 4, "oracle")
 
 
 class TestVerify:
