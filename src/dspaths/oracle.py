@@ -1,4 +1,4 @@
-"""Exact engine behind the oracle and hybrid solver modes.
+"""Exact engine that the hybrid solver mode runs on few shortest paths.
 
 It enumerates the arc-set mask of every s-t path of a shortest-path DAG
 and decides an instance over those masks.  The enumeration is a suffix DP
@@ -121,7 +121,10 @@ def brute_solve(dag: SpDag, k: int, d: int) -> list[Path] | None:
     the kernel finds one early; whether one exists does not depend on the
     order.  At d = 0 paths need not be distinct, so any s-t path answers
     yes.  Only the chosen masks are decoded, each distinct one once.
+    Raises ``ValueError`` on a negative k or d, as ``solver.solve`` does.
     """
+    if k < 0 or d < 0:
+        raise ValueError("k and d must be nonnegative")
     if k == 0:
         return []
     catalog = enumerate_st_paths(dag)

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import dspaths.cli
+import dspaths.oracle
 from conftest import DIAMOND_TEXT, parallel_routes, unit_chain
 from dspaths.cli import (
     EXIT_ERROR,
@@ -131,11 +132,34 @@ def test_radius_zero_no_is_exact(tmp_path, arcs):
     assert run_cli(argv) == EXIT_NO
 
 
-@pytest.mark.parametrize("mode", ("fpt", "hybrid"))
-def test_solve_json_verifies(diamond_file, tmp_path, mode):
+def mode_flag(mode, monkeypatch):
+    """The --mode that runs engine ``mode``, and a list of the asks that
+    the oracle engine gets.
+
+    "oracle" is hybrid on a graph with few shortest paths, with a spy on
+    ``brute_solve`` so that a test can check that the oracle answered.
+    """
+    if mode != "oracle":
+        return mode, None
+    asks = []
+    brute_solve = dspaths.oracle.brute_solve
+
+    def spy(dag, k, d):
+        asks.append((k, d))
+        return brute_solve(dag, k, d)
+
+    monkeypatch.setattr(dspaths.oracle, "brute_solve", spy)
+    return "hybrid", asks
+
+
+@pytest.mark.parametrize("mode", ("fpt", "oracle", "hybrid"))
+def test_solve_json_verifies(diamond_file, tmp_path, monkeypatch, mode):
     cert = str(tmp_path / "cert.json")
-    argv = ["solve", "-g", diamond_file, "-k", "2", "-d", "4", "--mode", mode, "--json", cert]
+    flag, asks = mode_flag(mode, monkeypatch)
+    argv = ["solve", "-g", diamond_file, "-k", "2", "-d", "4", "--mode", flag, "--json", cert]
     assert run_cli(argv) == EXIT_YES
+    if mode == "oracle":
+        assert asks == [(2, 4)]
     argv = ["verify", "-g", diamond_file, "-c", cert, "-k", "2", "-d", "4"]
     assert run_cli(argv) == EXIT_YES
 
@@ -429,13 +453,16 @@ a 2 4 1
 """
 
 
-@pytest.mark.parametrize("mode", ("fpt", "hybrid"))
-def test_certificate_in_input_arc_ids(tmp_path, mode):
+@pytest.mark.parametrize("mode", ("fpt", "oracle", "hybrid"))
+def test_certificate_in_input_arc_ids(tmp_path, monkeypatch, mode):
     graph, cert = tmp_path / "g.txt", tmp_path / "cert.json"
     graph.write_text(PRUNED_FIRST_TEXT)
-    argv = ["solve", "-g", str(graph), "-k", "2", "-d", "0", "--mode", mode,
+    flag, asks = mode_flag(mode, monkeypatch)
+    argv = ["solve", "-g", str(graph), "-k", "2", "-d", "0", "--mode", flag,
             "--json", str(cert)]
     assert run_cli(argv) == EXIT_YES
+    if mode == "oracle":
+        assert asks == [(2, 0)]
     assert json.loads(cert.read_text())["paths"] == [[1, 2], [1, 2]]
     argv = ["verify", "-g", str(graph), "-c", str(cert), "-k", "2", "-d", "0"]
     assert run_cli(argv) == EXIT_YES

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import itertools
 import json
 import random
@@ -377,12 +378,18 @@ class TestSolve:
             docs.append(json.dumps(doc, sort_keys=True))
         assert docs[0] == docs[1]
 
-    @pytest.mark.parametrize("mode", ["fpt", "hybrid"])
+    @pytest.mark.parametrize("mode", ["fpt", "hybrid", "oracle"])
     def test_negative_k_or_d_rejected(self, diamond, mode):
+        # "oracle" asks the engine that hybrid runs, directly: with k = -1
+        # its selection once grew without bound instead of raising.
+        if mode == "oracle":
+            ask = functools.partial(brute_solve, build_sp_dag(diamond))
+        else:
+            ask = functools.partial(solve, diamond, mode=mode)
         with pytest.raises(ValueError, match="nonnegative"):
-            solve(diamond, 2, -1, mode)
+            ask(2, -1)
         with pytest.raises(ValueError, match="nonnegative"):
-            solve(diamond, -1, 2, mode)
+            ask(-1, 2)
 
 
 # (layers, width, seed, k, d) asks on gen_layered(layers, width, 0.6, seed),
