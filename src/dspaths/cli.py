@@ -18,12 +18,20 @@ per path), ``mode``, ``graph_hash`` and ``stats`` (``greedy_paths``,
 of its ``--bins`` bins the capacity item sum / bins, the only one the
 reduction accepts.  ``gen -o X`` writes its sidecar JSON to X with the
 suffix ``.json``, so X must not end in ``.json``.
+
+``run_cli`` owns the process, so it alone touches the garbage
+collector.  Each command runs with the cyclic collector paused: parse,
+solve and verify make no reference cycles (tests/test_solver.py guards
+this), so reference counting frees all they allocate, and a collection
+would only walk their containers.  The few cycles the stdlib's JSON
+encoder leaves are freed by the first collection after the command.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import gc
 import json
 import sys
 from pathlib import Path as FsPath
@@ -187,12 +195,17 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def run_cli(argv: list[str] | None = None) -> int:
+    """Run one command and return its exit code.  The cyclic garbage
+    collector is paused while the command runs and left as it was found
+    on every exit, a ``BaseException`` included."""
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         # argparse exits 2 on usage errors and 0 on --help
         return int(exc.code or 0)
+    enabled = gc.isenabled()
+    gc.disable()
     try:
         if args.command == "solve":
             return _cmd_solve(args)
@@ -208,6 +221,9 @@ def run_cli(argv: list[str] | None = None) -> int:
     except Exception as exc:
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def main() -> None:

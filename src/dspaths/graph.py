@@ -206,7 +206,7 @@ class SpDag:
     maps its answer back to input ids once.  The renumbering is monotone,
     so every smallest-id tie-break is the same in either numbering.
     Each tuple of ``incoming`` and ``outgoing`` is in ascending id order.
-    ``dist`` is the list ``shortest_distances`` returned for the input
+    ``dist`` is the list ``shortest_distances`` returns for the input
     graph, in input vertex ids: the s-v distance, or None where v is
     unreachable.  ``solve`` hands it to ``verify_certificate``, so a solve
     runs one Dijkstra.
@@ -254,34 +254,46 @@ class SpDag:
         return verts[-1] == self.n and len(set(verts)) == len(verts)
 
 
-def shortest_distances(g: ArcWeightedDigraph) -> list[int | None]:
-    """Dijkstra from g.s: ``dist[v]`` is the shortest s-v distance, or None
-    if v is unreachable (index 0 is unused).
+def _dijkstra(
+    g: ArcWeightedDigraph,
+) -> tuple[list[int | None], list[int], list[list[Arc]]]:
+    """Dijkstra from g.s: the distances ``shortest_distances`` returns,
+    the reachable vertices in the order the search settles them, and the
+    out-arcs of each vertex in ascending id order.
 
     ``dist`` holds the tentative distances while the search runs.  A
     vertex is pushed only when its tentative distance strictly falls, and
     a popped entry that no longer holds it is skipped; weights are
     positive, so the entry that does pops once, after every shorter one,
-    and settles the vertex.
+    and settles the vertex.  Every push is farther than the entry popped
+    before it, so entries pop in (distance, id) order: the settling order.
     """
     out: list[list[Arc]] = [[] for _ in range(g.n + 1)]
     for a in g.arcs:
         out[a.tail].append(a)
     dist: list[int | None] = [None] * (g.n + 1)
     dist[g.s] = 0
+    settled: list[int] = []
     pq: list[tuple[int, int]] = [(0, g.s)]
     push, pop = heapq.heappush, heapq.heappop
     while pq:
         d, v = pop(pq)
         if d != dist[v]:
             continue
+        settled.append(v)
         for _, _, head, weight in out[v]:
             nd = d + weight
             known = dist[head]
             if known is None or nd < known:
                 dist[head] = nd
                 push(pq, (nd, head))
-    return dist
+    return dist, settled, out
+
+
+def shortest_distances(g: ArcWeightedDigraph) -> list[int | None]:
+    """Dijkstra from g.s: ``dist[v]`` is the shortest s-v distance, or None
+    if v is unreachable (index 0 is unused)."""
+    return _dijkstra(g)[0]
 
 
 def build_sp_dag(g: ArcWeightedDigraph) -> SpDag:
@@ -291,37 +303,29 @@ def build_sp_dag(g: ArcWeightedDigraph) -> SpDag:
     vertices on some tight s-t chain; the s-t paths of the result are
     exactly the shortest s-t paths of g.
     """
-    dist = shortest_distances(g)
+    dist, settled, out = _dijkstra(g)
     if dist[g.t] is None:
         raise NoShortestPathError("no shortest path exists")
 
-    tight = [
-        a
-        for a in g.arcs
-        if dist[a.tail] is not None and dist[a.head] == dist[a.tail] + a.weight
-    ]
-
-    # Dijkstra reaches each vertex over a tight arc, so every vertex with a
-    # distance is reachable from s over tight arcs; the live vertices are
-    # the ones that also reach t over tight arcs.  A tight arc into a live
-    # vertex has a live tail.
-    in_adj: list[list[int]] = [[] for _ in range(g.n + 1)]
-    for _, tail, head, _ in tight:
-        in_adj[head].append(tail)
+    # Dijkstra reaches each vertex over a tight arc, so every settled
+    # vertex is reachable from s over tight arcs; the live vertices are
+    # the ones that also reach t over tight arcs.  Positive weights make
+    # dist strictly increase along a tight arc, so the settling order is
+    # topological and one sweep against it marks every live vertex after
+    # the heads of its tight out-arcs.
     alive = bytearray(g.n + 1)
     alive[g.t] = 1
-    stack = [g.t]
-    while stack:
-        for w in in_adj[stack.pop()]:
-            if not alive[w]:
-                alive[w] = 1
-                stack.append(w)
-    surviving = [a for a in tight if alive[a.head]]
+    keep = bytearray(g.m)
+    for v in reversed(settled):
+        dv = dist[v]
+        for aid, _, head, weight in out[v]:
+            if alive[head] and dist[head] == dv + weight:
+                keep[aid] = alive[v] = 1
+    surviving = list(compress(g.arcs, keep))
 
-    # Positive weights make dist strictly increase along tight arcs, so
-    # ordering by (dist, original id) is a topological order with s first
-    # and t last.  The live ids come ascending and the sort is stable.
-    order = sorted(compress(range(g.n + 1), alive), key=dist.__getitem__)
+    # The settling order, (dist, original id), has s first and t last
+    # among the live vertices.
+    order = [v for v in settled if alive[v]]
     renum = [0] * (g.n + 1)
     for i, orig in enumerate(order, start=1):
         renum[orig] = i

@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import json
 import re
@@ -9,6 +10,7 @@ import pytest
 
 import dspaths.cli
 import dspaths.oracle
+import dspaths.solver
 from conftest import DIAMOND_TEXT, parallel_routes, unit_chain
 from dspaths.cli import (
     EXIT_ERROR,
@@ -282,6 +284,63 @@ def test_internal_error(diamond_file, monkeypatch, capsys, exc):
     monkeypatch.setattr(dspaths.cli, "solve", fail)
     assert run_cli(["solve", "-g", diamond_file, "-k", "2", "-d", "4"]) == EXIT_INTERNAL
     assert f"internal error: {type(exc).__name__}: {exc}" in capsys.readouterr().err
+
+
+@pytest.fixture
+def gc_restored():
+    """Leaves the cyclic garbage collector as the test found it."""
+    enabled = gc.isenabled()
+    yield
+    (gc.enable if enabled else gc.disable)()
+
+
+def test_solve_runs_with_the_collector_paused(diamond_file, monkeypatch, gc_restored):
+    seen = []
+
+    def spy(*args, **kwargs):
+        seen.append(gc.isenabled())
+        return dspaths.solver.solve(*args, **kwargs)
+
+    monkeypatch.setattr(dspaths.cli, "solve", spy)
+    gc.enable()
+    assert run_cli(["solve", "-g", diamond_file, "-k", "2", "-d", "4"]) == EXIT_YES
+    assert seen == [False]
+
+
+class Interrupted(BaseException):
+    """Stands for what a signal handler raises, such as a time limit."""
+
+
+# name -> (solve arguments after -g FILE, what cli.solve raises instead
+# of solving, exit code); a code of None means the exception propagates.
+EXIT_PATHS = {
+    "yes": (["-k", "2", "-d", "4"], None, EXIT_YES),
+    "no": (["-k", "2", "-d", "5"], None, EXIT_NO),
+    "usage-error": (["-k", "two", "-d", "4"], None, EXIT_ERROR),
+    "input-error": (["-k", "-1", "-d", "4"], None, EXIT_ERROR),
+    "too-large": (["-k", "2", "-d", "4"], MemoryError(), EXIT_TOO_LARGE),
+    "internal-error": (["-k", "2", "-d", "4"], RuntimeError("boom"), EXIT_INTERNAL),
+    "base-exception": (["-k", "2", "-d", "4"], Interrupted(), None),
+}
+
+
+@pytest.mark.parametrize("enabled", (True, False), ids=("gc-on", "gc-off"))
+@pytest.mark.parametrize("path", list(EXIT_PATHS))
+def test_collector_state_restored(diamond_file, monkeypatch, gc_restored, path, enabled):
+    ask, exc, code = EXIT_PATHS[path]
+    if exc is not None:
+        def fail(*args, **kwargs):
+            raise exc
+
+        monkeypatch.setattr(dspaths.cli, "solve", fail)
+    (gc.enable if enabled else gc.disable)()
+    argv = ["solve", "-g", diamond_file, *ask]
+    if code is None:
+        with pytest.raises(type(exc)):
+            run_cli(argv)
+    else:
+        assert run_cli(argv) == code
+    assert gc.isenabled() == enabled
 
 
 def test_probabilistic_no(tmp_path):

@@ -1,8 +1,8 @@
 """Static checks of the package source: no unused imports, no unused
 private module-level names or attributes, no exception class that is
 never raised, a ``cli`` docstring that lists exactly the exit codes
-the module defines, and no exit code that ``cli`` defines but never
-returns.
+the module defines, no exit code that ``cli`` defines but never
+returns, and no module but ``cli`` that touches the garbage collector.
 Only the stdlib ``ast`` module reads the code; nothing is imported or run.
 """
 
@@ -170,6 +170,17 @@ def returned_names(tree: ast.Module) -> set[str]:
     }
 
 
+def gc_uses(tree: ast.Module) -> set[int]:
+    """Lines that import the ``gc`` module or read a name ``gc``."""
+    return {
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Import) and any(a.name == "gc" for a in node.names)
+        or isinstance(node, ast.ImportFrom) and node.module == "gc"
+        or isinstance(node, ast.Name) and node.id == "gc"
+    }
+
+
 # The package's __init__ imports to re-export, so its names are used by
 # importing them.
 @pytest.mark.parametrize("name", sorted(set(TREES) - {"__init__.py"}))
@@ -265,3 +276,17 @@ def test_returned_exit_code_check_catches_leftovers():
     )
     defined = {name for name, _ in defined_exit_codes(tree)}
     assert defined - returned_names(tree) == {"EXIT_HEDGED", "EXIT_TOO_LARGE"}
+
+
+def test_only_cli_touches_the_collector():
+    # run_cli owns the process, so it alone may pause the collector; the
+    # library functions keep no global side effect.
+    assert {name for name, tree in TREES.items() if gc_uses(tree)} == {"cli.py"}
+
+
+def test_collector_check_catches_leftovers():
+    tree = ast.parse(
+        "import gc as collector\nfrom gc import disable\nimport heapq\n"
+        "def build(g):\n    gc.freeze()\n    return g.gc\n"
+    )
+    assert gc_uses(tree) == {1, 2, 5}

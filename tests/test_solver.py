@@ -1,5 +1,6 @@
 import dataclasses
 import functools
+import gc
 import itertools
 import json
 import random
@@ -357,14 +358,16 @@ class TestSolve:
     @pytest.mark.parametrize("mode", ("fpt", "hybrid"))
     def test_one_dijkstra_per_solve(self, monkeypatch, mode):
         # build_sp_dag runs it; the certificate check reads dag.dist.
+        # Every Dijkstra of the package, shortest_distances' included,
+        # runs in graph._dijkstra.
         runs = []
+        dijkstra = graph._dijkstra
 
         def counting(g):
             runs.append(g)
-            return shortest_distances(g)
+            return dijkstra(g)
 
-        monkeypatch.setattr(graph, "shortest_distances", counting)
-        monkeypatch.setattr(solver, "shortest_distances", counting)
+        monkeypatch.setattr(graph, "_dijkstra", counting)
         g = gen_grid(4, 4)
         assert solve(g, 2, 4, mode).decision == "yes"
         assert runs == [g]
@@ -561,6 +564,55 @@ class TestHybrid:
         # hybrid runs the oracle wherever the paths are few enough for it.
         with pytest.raises(ValueError, match=r"mode must be one of \('fpt', 'hybrid'\)"):
             solve(diamond, 2, 4, "oracle")
+
+
+def binpack_ask(items, bins):
+    inst = gen_binpack(BinPackingInstance(items=items, bins=bins, capacity=sum(items) // bins))
+    return inst.graph, inst.ask_k, inst.ask_d
+
+
+class TestNoReferenceCycles:
+    """cli.run_cli pauses the cyclic garbage collector for a command.
+    That is safe only while parse, solve and verify make no reference
+    cycles, so that reference counting frees all they allocate.
+    Each ask below takes one route through ``solve``, pinned by its
+    decision, greedy paths and ball searches."""
+
+    ROUTES = {
+        "greedy-complete": (lambda: (gen_layered(30, 8, 0.4, 0), 3, 10), FPT, ("yes", 3, 0)),
+        "one-ball": (lambda: binpack_ask((1, 2, 3), 2), FPT, ("yes", 1, 1)),
+        "one-ball-no": (lambda: binpack_ask((2, 2, 2), 2), FPT, ("no", 1, 1)),
+        "multi-ball": (lambda: (parallel_routes(2, 10, 1), 4, 2), FPT, ("yes", 2, 4)),
+        "multi-ball-no": (lambda: (parallel_routes(2, 9, 1), 3, 5), FPT, ("no", 2, 4)),
+        "three-balls": (lambda: (parallel_routes(3, 27, 1), 5, 2), FPT, ("yes", 3, 7)),
+        # The seeded members miss; the identity coloring finds the yes.
+        "identity-after-seeded": (lambda: (gen_layered(6, 3, 0.5, 5), 2, 9), FPT, ("yes", 1, 1)),
+        "hybrid-oracle": (lambda: (gen_grid(5, 5), 4, 6), "hybrid", ("yes", 0, 0)),
+        "hybrid-oracle-no": (lambda: binpack_ask((2, 2, 2), 2), "hybrid", ("no", 0, 0)),
+        "hybrid-fpt-fallback": (lambda: (gen_grid(10, 10), 2, 4), "hybrid", ("yes", 2, 0)),
+    }
+
+    @pytest.mark.parametrize("route", list(ROUTES))
+    def test_nothing_left_for_the_collector(self, route):
+        make, mode, expected = self.ROUTES[route]
+        g, k, d = make()
+        text = format_graph(g)
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            gc.collect()
+            g = parse_graph(text)
+            assert gc.collect() == 0, "parse_graph"
+            res = solve(g, k, d, mode)
+            assert gc.collect() == 0, "solve"
+            if res.certificate is not None:
+                assert verify_certificate(g, res.certificate, k, d) == (True, None)
+                assert gc.collect() == 0, "verify_certificate"
+        finally:
+            if enabled:
+                gc.enable()
+        stats = res.stats
+        assert (res.decision, stats.greedy_paths, stats.compositions_tried) == expected
 
 
 class TestVerify:
