@@ -9,8 +9,16 @@ vertex, only the maximal capped label sums of the s-v paths.  A vertex v
 reaches a demand vector gamma <= q exactly when one of its maximal sums
 is >= gamma in every component.  This is the multicriteria labeling
 method (Hansen 1980; Martins 1984).  With one reference the sums are
-totally ordered, so a front is its maximum alone.  Results are
-deterministic: traceback prefers the smallest arc id.
+totally ordered, so a front is its maximum alone.
+
+The pass stops at the first vertex v whose front holds (q, ..., q).
+Labels are nonnegative, so a saturated prefix stays saturated: every
+v-t continuation keeps the path >= q from every reference.  The path
+returned is the s-v prefix traced back from v with demand (q, ..., q),
+smallest arc id first, then the walk from v along each vertex's
+smallest-id out-arc.  Every vertex reaches t, so t's full front would
+hold (q, ..., q) exactly when some vertex does: the answer is None
+exactly when no vertex up to t saturates.
 
 Every vector is held as one int of r fields, w bits each (SIMD within a
 register, Lamport 1975), with w = (q + L + 1).bit_length() + 1 and L the
@@ -43,7 +51,7 @@ from __future__ import annotations
 from itertools import accumulate
 from typing import Sequence
 
-from .graph import Path, SpDag
+from .graph import Arc, Path, SpDag
 
 
 def _packed_labels(
@@ -88,32 +96,51 @@ def _maximal(vectors: list[int], guard: int) -> list[int]:
     return kept
 
 
-def _lex_smallest_path(dag: SpDag) -> Path:
-    # Every vertex reaches t, so the greedy smallest-arc walk is the
-    # lexicographically smallest arc-id sequence from s.  Sweeping the
-    # arcs in descending id leaves each vertex its smallest-id out-arc.
-    first = {arc.tail: arc for arc in reversed(dag.base.arcs)}
+def _first_arcs(dag: SpDag) -> list[Arc | None]:
+    """Each vertex's smallest-id out-arc (None at t), built once per dag
+    and kept in its instance dict, where its cached properties live too.
+    Sweeping the arcs in descending id leaves each vertex its smallest-id
+    out-arc; ``dag.outgoing`` is not built."""
+    first = dag.__dict__.get("_first_arcs")
+    if first is None:
+        first = [None] * (dag.n + 1)
+        for arc in reversed(dag.base.arcs):
+            first[arc.tail] = arc
+        dag.__dict__["_first_arcs"] = first
+    return first
+
+
+def _smallest_id_walk(dag: SpDag, v: int) -> list[int]:
+    """The walk from v to t along each vertex's smallest-id out-arc.
+    Every vertex reaches t, so from s it is the lexicographically
+    smallest s-t arc-id sequence."""
+    first = _first_arcs(dag)
     arcs = []
-    v = 1
     while v != dag.n:
         arc = first[v]
         arcs.append(arc.id)
         v = arc.head
-    return Path(tuple(arcs))
+    return arcs
 
 
 def _forward_pass(
     dag: SpDag, refs: Sequence[Path], q: int
-) -> tuple[int, int, int, list[int], list[list[int]]]:
+) -> tuple[int, int, int, list[int], list[list[int]], int]:
     """What ``_packed_labels`` returns, then each vertex's front: its
     maximal capped label sums, in descending int order, over the s-v
-    paths.  ``front[0]`` is unused.  Needs r >= 1 and q >= 1."""
+    paths; then the stop vertex.  ``front[0]`` is unused.  Needs r >= 1
+    and q >= 1.
+
+    The pass stops at the first vertex, in topological order, whose front
+    holds CAP, and returns it as the stop vertex, or t when none does.
+    CAP is the largest capped vector, so that front is exactly [CAP] and
+    the check is one comparison.  ``front`` ends at the stop vertex.
+    """
     w, guard, cap, label = _packed_labels(dag, refs, q)
     shift = w - 1
     field = (1 << w) - 1
 
-    front: list[list[int]] = [[] for _ in range(dag.n + 1)]
-    front[1] = [0]
+    front: list[list[int]] = [[], [0]]  # front[v], appended in order
     incoming = dag.incoming
     for v in range(2, dag.n + 1):
         sums = []
@@ -130,30 +157,40 @@ def _forward_pass(
             sums = [a] if ((a | guard) - b) & guard == guard else [a, b]
         elif len(sums) > 1:
             sums = _maximal(sums, guard)
-        front[v] = sums
-    return w, guard, cap, label, front
+        front.append(sums)
+        if sums[0] == cap:
+            return w, guard, cap, label, front, v
+    return w, guard, cap, label, front, dag.n
 
 
 def farthest_path(dag: SpDag, refs: Sequence[Path], q: int) -> Path | None:
     """Return a shortest path at distance >= q from every reference path,
-    or None if none exists.  Every path meets a q <= 0.
+    or None if none exists.  Every path meets a q <= 0, and then the
+    smallest-id walk from s is returned.
+
+    Otherwise the path is traced back from the stop vertex v of
+    ``_forward_pass`` with demand CAP, smallest arc id first, and goes on
+    along the smallest-id walk from v to t.  Labels are nonnegative, so a
+    path's label sums only grow along it: its s-v prefix at CAP keeps it
+    >= q from every reference, whatever its v-t part.  The asserts check
+    the whole path, continuation included.  The answer is None exactly
+    when t's front lacks CAP, since every vertex reaches t.
     """
     if not refs or q <= 0:
-        return _lex_smallest_path(dag)
+        return Path(tuple(_smallest_id_walk(dag, 1)))
 
-    w, guard, cap, label, front = _forward_pass(dag, refs, q)
+    w, guard, cap, label, front, stop = _forward_pass(dag, refs, q)
+    if front[stop][0] != cap:
+        return None
     shift = w - 1
     incoming = dag.incoming
 
     def reaches(v: int, gamma: int) -> bool:
         return any(((x | guard) - gamma) & guard == guard for x in front[v])
 
-    if not reaches(dag.n, cap):
-        return None
-
-    # Traceback, smallest arc id first.
+    # Traceback from the stop vertex, smallest arc id first.
     arcs_rev: list[int] = []
-    v, gamma = dag.n, cap
+    v, gamma = stop, cap
     while v != 1:
         for aid, tail, _, _ in incoming[v]:
             t = (gamma | guard) - label[aid]
@@ -165,7 +202,8 @@ def farthest_path(dag: SpDag, refs: Sequence[Path], q: int) -> Path | None:
                 break
         else:  # pragma: no cover - the DP guarantees a predecessor
             raise AssertionError("traceback failed")
-    path = Path(tuple(reversed(arcs_rev)))
+    arcs_rev.reverse()
+    path = Path(tuple(arcs_rev + _smallest_id_walk(dag, stop)))
     assert _check_prefix_decomposition(dag, refs, w, label, path)
     assert all(len(path.arc_set ^ ref.arc_set) >= q for ref in refs)
     return path

@@ -201,9 +201,12 @@ def verify_certificate(
     a vertex and weighs exactly dist[t]; each distinct path is checked
     once.  A wrong ``dist`` is either infeasible, and rejected, or still
     a lower bound on every s-t path, so it can reject a certificate but
-    never accept one.  No SP-DAG is built, so the check shares no code
-    with the solver's preprocessing.  Raises ``ValueError`` on a negative
-    k or d, before the certificate is read.
+    never accept one.  So soundness does not rest on how ``dist`` was
+    computed: ``shortest_distances`` is the Dijkstra that ``build_sp_dag``
+    runs too, and any ``dist`` that passes ``_is_feasible_potential`` is a
+    lower bound on the weight of every s-t path.  No SP-DAG is built here.
+    Raises ``ValueError`` on a negative k or d, before the certificate is
+    read.
     """
     if k < 0 or d < 0:
         raise ValueError("k and d must be nonnegative")
@@ -255,8 +258,9 @@ def _is_shortest_st_path(
     g: ArcWeightedDigraph, best: int, arcs: Sequence[int]
 ) -> bool:
     v, weight, seen = g.s, 0, {g.s}
+    m = g.m
     for aid in arcs:
-        if not 0 <= aid < g.m:
+        if not 0 <= aid < m:
             return False
         arc = g.arcs[aid]
         if arc.tail != v or arc.head in seen:

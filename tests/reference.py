@@ -7,10 +7,10 @@ builds every path arc by arc, which the oracle's suffix DP must match;
 ``reference_select`` is the selection search with every row built by a
 per-pair loop, and ``reference_farthest_path`` is the farthest-path DP
 with each capped label sum held as a tuple (``reference_fronts`` is its
-forward pass), its labels built one reference at a time and its first
-path walked along ``dag.outgoing``.  ``reference_ball_phase`` is the
-solver's ball phase as a search over every split of k among the greedy
-balls.
+forward pass, run over every vertex), its labels built one reference at
+a time and its walks to t taken along ``dag.outgoing``.
+``reference_ball_phase`` is the solver's ball phase as a search over
+every split of k among the greedy balls.
 They are small and obviously correct; speed does not matter here.
 """
 
@@ -108,16 +108,21 @@ def _label_columns(dag: SpDag, refs: Sequence[Path]) -> list[list[int]]:
     return columns
 
 
-def reference_first_path(dag: SpDag) -> Path:
-    """The walk along each vertex's first out-arc in ``dag.outgoing``:
-    the lexicographically smallest s-t arc-id sequence."""
+def reference_walk(dag: SpDag, v: int) -> list[int]:
+    """The walk from v to t along each vertex's first out-arc in
+    ``dag.outgoing``."""
     arcs = []
-    v = 1
     while v != dag.n:
         arc = dag.outgoing[v][0]
         arcs.append(arc.id)
         v = arc.head
-    return Path(tuple(arcs))
+    return arcs
+
+
+def reference_first_path(dag: SpDag) -> Path:
+    """The walk from s: the lexicographically smallest s-t arc-id
+    sequence."""
+    return Path(tuple(reference_walk(dag, 1)))
 
 
 def arc_labels(dag: SpDag, refs: Sequence[Path]) -> list[tuple[int, ...]]:
@@ -146,25 +151,37 @@ def reference_fronts(
     return labels, front
 
 
+def reference_stop(
+    front: list[list[tuple[int, ...]]], cap: tuple[int, ...]
+) -> int | None:
+    """The first vertex, in topological order, whose front holds cap;
+    None if no vertex's does."""
+    return next((v for v in range(1, len(front)) if cap in front[v]), None)
+
+
 def reference_farthest_path(
     dag: SpDag, refs: Sequence[Path], q: int
 ) -> Path | None:
-    """The farthest-path DP on label tuples: the same fronts, traceback
-    and tie-breaking as ``farthest_path``, with no packed arithmetic."""
+    """The farthest-path DP on label tuples, with the full fronts of
+    ``reference_fronts``: the prefix traced back from the first vertex
+    whose front holds (q, ..., q), smallest arc id first, then the walk
+    along each vertex's first out-arc to t, as ``farthest_path`` does
+    with no packed arithmetic."""
     r = len(refs)
     if r == 0 or q <= 0:
         return reference_first_path(dag)
 
     labels, front = reference_fronts(dag, refs, q)
     cap = (q,) * r
+    stop = reference_stop(front, cap)
+    if stop is None:
+        return None
 
     def reaches(v, gamma):
         return any(all(x >= g for x, g in zip(vec, gamma)) for vec in front[v])
 
-    if not reaches(dag.n, cap):
-        return None
     arcs_rev = []
-    v, gamma = dag.n, cap
+    v, gamma = stop, cap
     while v != 1:
         for arc in dag.incoming[v]:
             prev = tuple(max(0, g - l) for g, l in zip(gamma, labels[arc.id]))
@@ -174,7 +191,7 @@ def reference_farthest_path(
                 break
         else:
             raise AssertionError("traceback failed")
-    return Path(tuple(reversed(arcs_rev)))
+    return Path(tuple(reversed(arcs_rev)) + tuple(reference_walk(dag, stop)))
 
 
 def brute_ball(

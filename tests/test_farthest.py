@@ -30,6 +30,7 @@ from reference import (
     reference_farthest_path,
     reference_first_path,
     reference_fronts,
+    reference_stop,
 )
 
 FORKED_TEXT = """\
@@ -70,9 +71,9 @@ def unclamped_reference(dag, refs, q):
     return rec(dag.n, capped)
 
 
-# Greedy paths recorded with the backward demand-state search that the
-# forward pass replaced: (graph, k, d, arc lists).  The greedy phase
-# completes on each.
+# Greedy paths under the stop rule: each traced back from the first
+# vertex whose front holds (q, ..., q), then the smallest-id walk to t.
+# (graph, k, d, arc lists); the greedy phase completes on each.
 GREEDY_PINNED = {
     "grid12": (
         gen_grid(12, 12),
@@ -83,10 +84,10 @@ GREEDY_PINNED = {
              24, 49, 74, 99, 124, 149, 174, 199, 224, 249, 274, 299],
             [1, 25, 27, 29, 31, 33, 35, 37, 39, 41, 43, 45,
              48, 73, 98, 123, 148, 172, 174, 199, 224, 249, 274, 299],
-            [0, 2, 4, 6, 8, 10, 12, 15, 39, 41, 43, 45,
-             47, 49, 74, 99, 124, 149, 174, 199, 224, 249, 274, 299],
-            [0, 2, 4, 6, 8, 10, 12, 14, 16, 18, 20, 23,
-             47, 49, 74, 99, 124, 149, 174, 199, 224, 249, 274, 299],
+            [0, 3, 27, 30, 54, 56, 58, 60, 62, 64, 66, 68,
+             70, 72, 74, 99, 124, 149, 174, 199, 224, 249, 274, 299],
+            [1, 26, 50, 52, 54, 56, 58, 60, 62, 64, 66, 68,
+             70, 72, 74, 99, 124, 149, 174, 199, 224, 249, 274, 299],
         ],
     ),
     "layered0": (
@@ -95,8 +96,8 @@ GREEDY_PINNED = {
         4,
         [
             [0, 5, 13, 22, 48, 51, 72, 81, 94, 119, 123],
-            [0, 5, 15, 29, 33, 53, 67, 79, 95, 111, 123],
-            [0, 5, 14, 26, 37, 53, 67, 79, 95, 111, 123],
+            [0, 5, 15, 29, 33, 53, 67, 78, 94, 119, 123],
+            [0, 5, 14, 28, 48, 51, 72, 81, 94, 119, 123],
         ],
     ),
     "layered1": (
@@ -105,8 +106,8 @@ GREEDY_PINNED = {
         4,
         [
             [0, 2, 21, 32, 40, 57, 73, 99, 108, 130, 142],
-            [0, 2, 21, 32, 40, 59, 79, 93, 104, 126, 141],
-            [1, 10, 21, 32, 40, 59, 79, 93, 104, 126, 141],
+            [1, 9, 19, 31, 52, 62, 73, 99, 108, 130, 142],
+            [1, 10, 21, 32, 40, 57, 73, 99, 108, 130, 142],
         ],
     ),
 }
@@ -247,20 +248,44 @@ class TestPackedLabels:
         assert reference_farthest_path(dag, refs, q) == expected
 
 
+def stop_rule_asks(case):
+    """The graph of a FARTHEST_ASKS case, its references, and every q
+    from 1 to m + 1 with the full reference fronts at that q."""
+    grid, a, b, seed, r = case
+    g = gen_grid(a, b) if grid else gen_layered(a, b, 0.5, seed)
+    dag = build_sp_dag(g)
+    refs = random_walks(dag, r, random.Random(seed))
+    for q in range(1, dag.base.m + 2):
+        yield dag, refs, q, reference_fronts(dag, refs, q)[1]
+
+
 class TestFronts:
     @settings(max_examples=60, derandomize=True, deadline=None)
     @given(FARTHEST_ASKS.filter(lambda case: case[4] <= 4))
     def test_packed_fronts_match_reference(self, case):
-        # Every front, decoded field by field, is the reference's tuple
-        # front in the same order: nondominated and descending.
-        grid, a, b, seed, r = case
-        g = gen_grid(a, b) if grid else gen_layered(a, b, 0.5, seed)
-        dag = build_sp_dag(g)
-        refs = random_walks(dag, r, random.Random(seed))
-        for q in range(1, dag.base.m + 2):
-            w, _, _, _, front = _forward_pass(dag, refs, q)
-            expected = reference_fronts(dag, refs, q)[1]
-            assert [decoded(w, f, r) for f in front] == expected
+        # The pass stops at the first vertex whose reference front holds
+        # (q, ..., q), or at t, and every front up to there, decoded
+        # field by field, is the reference's tuple front in the same
+        # order: nondominated and descending.
+        for dag, refs, q, expected in stop_rule_asks(case):
+            r = len(refs)
+            w, _, _, _, front, stop = _forward_pass(dag, refs, q)
+            assert stop == (reference_stop(expected, (q,) * r) or dag.n)
+            assert [decoded(w, f, r) for f in front] == expected[: stop + 1]
+
+
+class TestStopRule:
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @given(FARTHEST_ASKS.filter(lambda case: case[4] <= 4))
+    def test_none_exactly_when_t_front_lacks_cap(self, case):
+        # The full t-front decides, although the pass may stop early; a
+        # path found lies >= q from every reference.
+        for dag, refs, q, expected in stop_rule_asks(case):
+            found = farthest_path(dag, refs, q)
+            assert (found is None) == ((q,) * len(refs) not in expected[dag.n])
+            if found is not None:
+                assert dag.is_st_path(found)
+                assert all(hamming_distance(found, ref) >= q for ref in refs)
 
 
 class TestFarthestPath:
