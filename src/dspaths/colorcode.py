@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Sequence
 
-from .graph import Arc, Path, SpDag, hamming_distance
+from .graph import Arc, Path, SpDag
 
 EXHAUSTIVE = "exhaustive-verified"
 SEEDED = "seeded-monte-carlo"
@@ -140,7 +140,6 @@ class BypassTables:
         max_size: int,
     ):
         self.dag = dag
-        self.center = center
         cverts = dag.path_vertices(center)
         if cverts[-1] != dag.n:
             raise ValueError("center must be an s-t path")
@@ -211,10 +210,7 @@ class BypassTables:
             arcs.append(arc.id)
             cur ^= self._charges[arc.id]
             v = arc.tail
-        result = Path(tuple(reversed(arcs)))
-        assert self.dag.is_st_path(result)
-        assert hamming_distance(self.center, result) == mask.bit_count()
-        return result
+        return Path(tuple(reversed(arcs)))
 
 
 # The three delta swaps that transpose an 8 x 8 bit matrix held in 64
@@ -505,15 +501,6 @@ def ball_search(
     for member in members:
         tables = BypassTables(dag, center, member, q)
         chosen = select_dissimilar_color_sets(tables.realizable_sets[::-1], r, d)
-        if chosen is None:
-            continue
-        # reconstruct asserts that each path lies c.bit_count() from the
-        # center, so the radii are read off the chosen sets.
-        paths = [tables.reconstruct(c) for c in chosen]
-        assert all(
-            hamming_distance(paths[i], paths[j]) >= (chosen[i] ^ chosen[j]).bit_count()
-            for i in range(r)
-            for j in range(i + 1, r)
-        )
-        return paths
+        if chosen is not None:
+            return [tables.reconstruct(c) for c in chosen]
     return None

@@ -51,7 +51,7 @@ from __future__ import annotations
 from itertools import accumulate
 from typing import Sequence
 
-from .graph import Arc, Path, SpDag
+from .graph import Path, SpDag
 
 
 def _packed_labels(
@@ -96,25 +96,11 @@ def _maximal(vectors: list[int], guard: int) -> list[int]:
     return kept
 
 
-def _first_arcs(dag: SpDag) -> list[Arc | None]:
-    """Each vertex's smallest-id out-arc (None at t), built once per dag
-    and kept in its instance dict, where its cached properties live too.
-    Sweeping the arcs in descending id leaves each vertex its smallest-id
-    out-arc; ``dag.outgoing`` is not built."""
-    first = dag.__dict__.get("_first_arcs")
-    if first is None:
-        first = [None] * (dag.n + 1)
-        for arc in reversed(dag.base.arcs):
-            first[arc.tail] = arc
-        dag.__dict__["_first_arcs"] = first
-    return first
-
-
 def _smallest_id_walk(dag: SpDag, v: int) -> list[int]:
     """The walk from v to t along each vertex's smallest-id out-arc.
     Every vertex reaches t, so from s it is the lexicographically
     smallest s-t arc-id sequence."""
-    first = _first_arcs(dag)
+    first = dag.first_out
     arcs = []
     while v != dag.n:
         arc = first[v]
@@ -172,9 +158,8 @@ def farthest_path(dag: SpDag, refs: Sequence[Path], q: int) -> Path | None:
     ``_forward_pass`` with demand CAP, smallest arc id first, and goes on
     along the smallest-id walk from v to t.  Labels are nonnegative, so a
     path's label sums only grow along it: its s-v prefix at CAP keeps it
-    >= q from every reference, whatever its v-t part.  The asserts check
-    the whole path, continuation included.  The answer is None exactly
-    when t's front lacks CAP, since every vertex reaches t.
+    >= q from every reference, whatever its v-t part.  The answer is None
+    exactly when t's front lacks CAP, since every vertex reaches t.
     """
     if not refs or q <= 0:
         return Path(tuple(_smallest_id_walk(dag, 1)))
@@ -203,44 +188,4 @@ def farthest_path(dag: SpDag, refs: Sequence[Path], q: int) -> Path | None:
         else:  # pragma: no cover - the DP guarantees a predecessor
             raise AssertionError("traceback failed")
     arcs_rev.reverse()
-    path = Path(tuple(arcs_rev + _smallest_id_walk(dag, stop)))
-    assert _check_prefix_decomposition(dag, refs, w, label, path)
-    assert all(len(path.arc_set ^ ref.arc_set) >= q for ref in refs)
-    return path
-
-
-def _check_prefix_decomposition(
-    dag: SpDag,
-    refs: Sequence[Path],
-    w: int,
-    label: Sequence[int],
-    path: Path,
-) -> bool:
-    """Debug check: prefix distances telescope through the packed arc
-    labels, component k of arc i being field r-1-k, w bits wide, of label[i].
-
-    After each path arc (u, v), the distance to reference k is the size
-    of the symmetric difference of the path's prefix and the reference's
-    arcs with head <= v.  Each reference is walked in path order beside
-    the path, and that size is kept as arcs join either prefix, so the
-    check is linear in the path and reference lengths.
-    """
-    arcs = dag.base.arcs
-    field = (1 << w) - 1
-    for k, ref in enumerate(reversed(refs)):  # field k: reference r-1-k
-        mine: set[int] = set()
-        theirs: set[int] = set()
-        nxt = dist = prev = 0
-        for aid in path.arcs:
-            v = arcs[aid].head
-            mine.add(aid)
-            dist += -1 if aid in theirs else 1
-            while nxt < len(ref.arcs) and arcs[ref.arcs[nxt]].head <= v:
-                other = ref.arcs[nxt]
-                theirs.add(other)
-                dist += -1 if other in mine else 1
-                nxt += 1
-            if dist != prev + (label[aid] >> w * k & field):
-                return False
-            prev = dist
-    return True
+    return Path(tuple(arcs_rev + _smallest_id_walk(dag, stop)))

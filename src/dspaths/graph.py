@@ -234,6 +234,16 @@ class SpDag:
             out[a.tail].append(a)
         return tuple(map(tuple, out))
 
+    @cached_property
+    def first_out(self) -> list[Arc | None]:
+        """Each vertex's smallest-id out-arc, None at t.  Sweeping the arcs
+        in descending id leaves each vertex its smallest-id out-arc, so
+        ``outgoing`` is not built."""
+        first: list[Arc | None] = [None] * (self.n + 1)
+        for arc in reversed(self.base.arcs):
+            first[arc.tail] = arc
+        return first
+
     def path_vertices(self, p: Path) -> list[int]:
         """Vertex sequence of a path starting at s; raises if arcs do not chain."""
         v = 1
@@ -245,13 +255,6 @@ class SpDag:
             v = arcs[aid].head
             verts.append(v)
         return verts
-
-    def is_st_path(self, p: Path) -> bool:
-        try:
-            verts = self.path_vertices(p)
-        except ValueError:
-            return False
-        return verts[-1] == self.n and len(set(verts)) == len(verts)
 
 
 def _dijkstra(

@@ -103,7 +103,8 @@ def solve(g: ArcWeightedDigraph, k: int, d: int, mode: str = "hybrid") -> SolveR
     counted once, and past the limit none is enumerated.
 
     Returns a verified certificate on yes, its paths in the input file's
-    arc ids.  Every "no" is exact, in both modes: a failed
+    arc ids: ``finish`` runs ``verify_certificate`` on it, the package's
+    one runtime self-check.  Every "no" is exact, in both modes: a failed
     ``colorcode.ball_search`` is exact whatever its family.  Raises
     ``ValueError`` on a negative k or d or an unknown mode.
     """

@@ -10,7 +10,8 @@ with each capped label sum held as a tuple (``reference_fronts`` is its
 forward pass, run over every vertex), its labels built one reference at
 a time and its walks to t taken along ``dag.outgoing``.
 ``reference_ball_phase`` is the solver's ball phase as a search over
-every split of k among the greedy balls.
+every split of k among the greedy balls.  ``is_st_path`` checks
+that a path found by the package is a simple s-t path of its dag.
 They are small and obviously correct; speed does not matter here.
 """
 
@@ -65,6 +66,15 @@ def reference_enumerate(dag: SpDag) -> tuple[list[Path], list[int]]:
         masks.append(mask)
         mask ^= 1 << prefix.pop()
     return paths, masks
+
+
+def is_st_path(dag: SpDag, p: Path) -> bool:
+    """Whether p's arcs chain from s to t without repeating a vertex."""
+    try:
+        verts = dag.path_vertices(p)
+    except ValueError:
+        return False
+    return verts[-1] == dag.n and len(set(verts)) == len(verts)
 
 
 def brute_farthest(dag: SpDag, refs: Sequence[Path], q: int) -> Path | None:
@@ -320,7 +330,7 @@ def minimal_bypass_decomposition(
     which they differ; the union of components is the symmetric difference
     and component windows overlap at most at their endpoint vertices.
     """
-    if not dag.is_st_path(center) or not dag.is_st_path(other):
+    if not is_st_path(dag, center) or not is_st_path(dag, other):
         raise ValueError("both inputs must be s-t paths of the dag")
     common = set(dag.path_vertices(center)) & set(dag.path_vertices(other))
     components: list[MinimalBypass] = []

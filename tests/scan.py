@@ -1,5 +1,5 @@
-"""The scan: fpt and hybrid checked against ``brute_solve`` on every ask
-of a set of small graph families.
+"""The scan: fpt checked against ``brute_solve`` on every ask of a set
+of small graph families.
 
 The families are ``gen_layered(L, W, p, s)`` for (L, W, p) = (4, 4, 0.6),
 (5, 4, 0.6) and (6, 3, 0.5) with s = 0..59, grids of 2..6 by 2..5,
@@ -8,17 +8,18 @@ diamonds, and five bin-packing rows.  A graph whose SP-DAG has more than
 ``PATH_LIMIT`` s-t paths is skipped.  On each graph every k of 2..5 is
 asked with every d of 1..min(m, 24) + 1, m the SP-DAG's arc count.  The
 truth of an ask is ``brute_solve`` on the SP-DAG; ``solve`` verifies every
-certificate it returns.
+certificate it returns.  Every graph has at most ``PATH_LIMIT`` paths,
+so a hybrid solve would run ``brute_solve`` itself; only fpt is asked.
 
 Every ask is counted under the route its solve took (``ROUTES``): the
-oracle, the paper's greedy phase completing, or one or several ball
-searches.  Run from the repository root:
+paper's greedy phase completing, or one or several ball searches.  Run
+from the repository root:
 
     PYTHONPATH=src:tests python tests/scan.py           # the whole scan
     PYTHONPATH=src:tests python tests/scan.py --slice   # every tenth graph
 
-It prints each disagreement, the asks and the route counts per mode, and
-exits 1 if any ask disagrees.  ``tests/test_scan.py`` runs the slice.
+It prints each disagreement, the asks and the route counts, and exits 1
+if any ask disagrees.  ``tests/test_scan.py`` runs the slice.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from conftest import parallel_routes
 from dspaths.generators import BinPackingInstance, gen_binpack, gen_grid, gen_layered
 from dspaths.graph import ArcWeightedDigraph, build_sp_dag
 from dspaths.oracle import brute_solve, count_st_paths
-from dspaths.solver import MODES, SolveResult, solve
+from dspaths.solver import SolveResult, solve
 
 PATH_LIMIT = 2000
 LAYERED = ((4, 4, 0.6), (5, 4, 0.6), (6, 3, 0.5))
@@ -44,7 +45,7 @@ BINPACK_ROWS = (
     ((2, 2, 2), 2),
     ((1, 1, 1, 1), 2),
 )
-ROUTES = ("oracle", "greedy complete", "one ball search", "several ball searches")
+ROUTES = ("greedy complete", "one ball search", "several ball searches")
 
 
 def graphs() -> Iterator[tuple[str, ArcWeightedDigraph]]:
@@ -72,17 +73,17 @@ def route(result: SolveResult) -> str:
     searches = result.stats.compositions_tried
     if searches:
         return "one ball search" if searches == 1 else "several ball searches"
-    return "greedy complete" if result.stats.greedy_paths else "oracle"
+    return "greedy complete"
 
 
-def scan(step: int = 1) -> tuple[list[str], dict[str, Counter], Counter]:
-    """Solve every ask on every step-th graph under each mode.
+def scan(step: int = 1) -> tuple[list[str], Counter, Counter]:
+    """Solve every ask on every step-th graph under fpt.
 
-    Returns the disagreements with ``brute_solve``, one line each; per
-    mode, the asks counted by route; and, under fpt, the asks counted by
-    the number of ball searches run."""
+    Returns the disagreements with ``brute_solve``, one line each; the
+    asks counted by route; and the asks counted by the number of ball
+    searches run."""
     disagreements: list[str] = []
-    routes: dict[str, Counter] = {mode: Counter() for mode in MODES}
+    routes: Counter = Counter()
     searches: Counter = Counter()
     for index, (name, g) in enumerate(graphs()):
         if index % step:
@@ -93,16 +94,14 @@ def scan(step: int = 1) -> tuple[list[str], dict[str, Counter], Counter]:
         for k in range(2, 6):
             for d in range(1, min(dag.base.m, 24) + 2):
                 truth = "no" if brute_solve(dag, k, d) is None else "yes"
-                for mode in MODES:
-                    result = solve(g, k, d, mode=mode)
-                    routes[mode][route(result)] += 1
-                    if mode == "fpt":
-                        searches[result.stats.compositions_tried] += 1
-                    if result.decision != truth:
-                        disagreements.append(
-                            f"{name} k={k} d={d}: {mode} says {result.decision},"
-                            f" brute_solve says {truth}"
-                        )
+                result = solve(g, k, d, mode="fpt")
+                routes[route(result)] += 1
+                searches[result.stats.compositions_tried] += 1
+                if result.decision != truth:
+                    disagreements.append(
+                        f"{name} k={k} d={d}: fpt says {result.decision},"
+                        f" brute_solve says {truth}"
+                    )
     return disagreements, routes, searches
 
 
@@ -117,10 +116,9 @@ def main(argv: list[str] | None = None) -> int:
     elapsed = time.perf_counter() - start
     for line in disagreements:
         print("DISAGREE", line)
-    asks = sum(routes["fpt"].values())
+    asks = sum(routes.values())
     print(f"{asks} asks, {len(disagreements)} disagreements, {elapsed:.1f} s")
-    for mode in MODES:
-        print(f"{mode}:", ", ".join(f"{r} {routes[mode][r]}" for r in ROUTES))
+    print("fpt:", ", ".join(f"{r} {routes[r]}" for r in ROUTES))
     print(
         "fpt ball searches per ask:",
         ", ".join(f"{n}: {c}" for n, c in sorted(searches.items())),

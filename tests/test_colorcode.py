@@ -33,6 +33,7 @@ from dspaths.solver import solve
 from reference import (
     brute_ball,
     brute_realizations,
+    is_st_path,
     minimal_bypass_decomposition,
     reference_select,
 )
@@ -305,7 +306,7 @@ def check_against_brute_force(dag, center, coloring, q):
     paths = []
     for c in tables.realizable_sets:
         path = tables.reconstruct(c)
-        assert dag.is_st_path(path)
+        assert is_st_path(dag, path)
         bypass = center.arc_set ^ path.arc_set
         colors = [coloring[aid] for aid in bypass]
         assert len(set(colors)) == len(colors) and mask(*colors) == c
@@ -401,7 +402,7 @@ class TestBypassTables:
         tables = BypassTables(dag, center, coloring, 4)
         for c in tables.realizable_sets:
             path = tables.reconstruct(c)
-            assert dag.is_st_path(path)
+            assert is_st_path(dag, path)
             assert hamming_distance(path, center) == c.bit_count()
             comps = minimal_bypass_decomposition(dag, center, path)
             union = set().union(*(comp.arcs for comp in comps)) if comps else set()

@@ -2,7 +2,8 @@
 private module-level names or attributes, no exception class that is
 never raised, a ``cli`` docstring that lists exactly the exit codes
 the module defines, no exit code that ``cli`` defines but never
-returns, and no module but ``cli`` that touches the garbage collector.
+returns, no module but ``cli`` that touches the garbage collector, and
+no ``assert`` statement.
 Only the stdlib ``ast`` module reads the code; nothing is imported or run.
 """
 
@@ -181,6 +182,11 @@ def gc_uses(tree: ast.Module) -> set[int]:
     }
 
 
+def assert_lines(tree: ast.Module) -> set[int]:
+    """Lines that hold an ``assert`` statement."""
+    return {node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)}
+
+
 # The package's __init__ imports to re-export, so its names are used by
 # importing them.
 @pytest.mark.parametrize("name", sorted(set(TREES) - {"__init__.py"}))
@@ -290,3 +296,22 @@ def test_collector_check_catches_leftovers():
         "def build(g):\n    gc.freeze()\n    return g.gc\n"
     )
     assert gc_uses(tree) == {1, 2, 5}
+
+
+def test_no_asserts():
+    # solve's verify_certificate is the one runtime self-check, and
+    # python -O runs the same code as python.
+    assert {name: assert_lines(tree) for name, tree in TREES.items()} == {
+        name: set() for name in TREES
+    }
+
+
+def test_assert_check_catches_leftovers():
+    tree = ast.parse(
+        "def reconstruct(path):\n"
+        "    if not path:\n"
+        "        raise AssertionError('empty')\n"
+        "    assert path[0] == 1, 'starts at s'\n"
+        "    return [p for p in path if p]\n"
+    )
+    assert assert_lines(tree) == {4}
