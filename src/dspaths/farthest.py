@@ -20,6 +20,13 @@ smallest-id out-arc.  Every vertex reaches t, so t's full front would
 hold (q, ..., q) exactly when some vertex does: the answer is None
 exactly when no vertex up to t saturates.
 
+Component k of the label of arc e = (u, v) is the size of the symmetric
+difference between {e} and the arcs of reference k whose head lies in
+topological positions u+1..v.  A label is computed, from the data of
+``_packed_labels``, only where the pass or the traceback reads it: a
+call's Python-level work is O(sum of |refs| + the in-arcs of the
+vertices up to the stop vertex), plus two C-level O(n) list passes.
+
 Every vector is held as one int of r fields, w bits each (SIMD within a
 register, Lamport 1975), with w = (q + L + 1).bit_length() + 1 and L the
 longest reference.  Reference 0 sits in the most significant field, so
@@ -56,30 +63,26 @@ from .graph import Path, SpDag
 
 def _packed_labels(
     dag: SpDag, refs: Sequence[Path], q: int
-) -> tuple[int, int, int, list[int]]:
+) -> tuple[int, int, int, list[int], int, dict[int, int]]:
     """The field width w, the guard bits H and CAP of the module docstring,
-    and every arc's packed label, component k in field r-1-k.
-
-    For arc e = (v_i, v_j), component k is the size of the symmetric
-    difference between {e} and the arcs of reference k whose head lies in
-    topological positions i+1..j: one packed prefix count of reference-arc
-    heads, plus one, less two in the field of each reference e is on.
+    then ``cnt``, ONES and ``fix``: arc (aid, u, v) has the packed label
+    ``cnt[v] - cnt[u] + ONES - fix.get(aid, 0)``, component k in field
+    r-1-k.  ``cnt`` is the packed prefix count of reference-arc heads per
+    vertex, built at C level; ONES, one in every field, counts aid itself;
+    and ``fix[aid]``, held for reference arcs only, is two in the field of
+    each reference aid is on, whose head count holds aid.
     """
     arcs = dag.base.arcs
     w = (q + max(map(len, refs)) + 1).bit_length() + 1
     heads = [0] * (dag.n + 1)
+    fix: dict[int, int] = {}
     for k, ref in enumerate(reversed(refs)):  # field k: reference r-1-k
         unit = 1 << (w * k)
         for aid in ref.arcs:
             heads[arcs[aid].head] += unit
-    cnt = list(accumulate(heads))
+            fix[aid] = fix.get(aid, 0) + 2 * unit
     ones = sum(1 << (w * k) for k in range(len(refs)))
-    label = [cnt[h] - cnt[t] + ones for _, t, h, _ in arcs]
-    for k, ref in enumerate(reversed(refs)):
-        two = 2 << (w * k)
-        for aid in ref.arcs:
-            label[aid] -= two
-    return w, ones << (w - 1), ones * q, label
+    return w, ones << (w - 1), ones * q, list(accumulate(heads)), ones, fix
 
 
 def _maximal(vectors: list[int], guard: int) -> list[int]:
@@ -111,27 +114,29 @@ def _smallest_id_walk(dag: SpDag, v: int) -> list[int]:
 
 def _forward_pass(
     dag: SpDag, refs: Sequence[Path], q: int
-) -> tuple[int, int, int, list[int], list[list[int]], int]:
-    """What ``_packed_labels`` returns, then each vertex's front: its
-    maximal capped label sums, in descending int order, over the s-v
-    paths; then the stop vertex.  ``front[0]`` is unused.  Needs r >= 1
-    and q >= 1.
+) -> tuple[tuple[int, int, int, list[int], int, dict[int, int]], list[list[int]], int]:
+    """What ``_packed_labels`` returns; each vertex's front: its maximal
+    capped label sums, in descending int order, over the s-v paths; and
+    the stop vertex.  ``front[0]`` is unused.  Needs r >= 1 and q >= 1.
 
     The pass stops at the first vertex, in topological order, whose front
     holds CAP, and returns it as the stop vertex, or t when none does.
     CAP is the largest capped vector, so that front is exactly [CAP] and
-    the check is one comparison.  ``front`` ends at the stop vertex.
+    the check is one comparison.  ``front`` ends at the stop vertex, and
+    only the in-arcs of the vertices up to it are labelled.
     """
-    w, guard, cap, label = _packed_labels(dag, refs, q)
+    packed = w, guard, cap, cnt, ones, fix = _packed_labels(dag, refs, q)
     shift = w - 1
     field = (1 << w) - 1
+    get = fix.get
 
     front: list[list[int]] = [[], [0]]  # front[v], appended in order
     incoming = dag.incoming
     for v in range(2, dag.n + 1):
         sums = []
+        top = cnt[v] + ones
         for aid, tail, _, _ in incoming[v]:
-            lab = label[aid]
+            lab = top - cnt[tail] - get(aid, 0)
             for x in front[tail]:
                 s = x + lab
                 s ^= (s ^ cap) & (((((s | guard) - cap) & guard) >> shift) * field)
@@ -145,8 +150,8 @@ def _forward_pass(
             sums = _maximal(sums, guard)
         front.append(sums)
         if sums[0] == cap:
-            return w, guard, cap, label, front, v
-    return w, guard, cap, label, front, dag.n
+            return packed, front, v
+    return packed, front, dag.n
 
 
 def farthest_path(dag: SpDag, refs: Sequence[Path], q: int) -> Path | None:
@@ -160,11 +165,12 @@ def farthest_path(dag: SpDag, refs: Sequence[Path], q: int) -> Path | None:
     path's label sums only grow along it: its s-v prefix at CAP keeps it
     >= q from every reference, whatever its v-t part.  The answer is None
     exactly when t's front lacks CAP, since every vertex reaches t.
+    Labels are computed where they are read (see the module docstring).
     """
     if not refs or q <= 0:
         return Path(tuple(_smallest_id_walk(dag, 1)))
 
-    w, guard, cap, label, front, stop = _forward_pass(dag, refs, q)
+    (w, guard, cap, cnt, ones, fix), front, stop = _forward_pass(dag, refs, q)
     if front[stop][0] != cap:
         return None
     shift = w - 1
@@ -177,8 +183,9 @@ def farthest_path(dag: SpDag, refs: Sequence[Path], q: int) -> Path | None:
     arcs_rev: list[int] = []
     v, gamma = stop, cap
     while v != 1:
+        top = cnt[v] + ones
         for aid, tail, _, _ in incoming[v]:
-            t = (gamma | guard) - label[aid]
+            t = (gamma | guard) - (top - cnt[tail] - fix.get(aid, 0))
             kept = t & guard
             prev = t & (kept - (kept >> shift))
             if reaches(tail, prev):

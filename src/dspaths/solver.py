@@ -84,7 +84,10 @@ def _threshold(dag: SpDag, k: int, d: int, i: int) -> int:
 def greedy_phase(dag: SpDag, k: int, d: int) -> GreedyOutcome:
     """Collect up to k paths, the i-th at distance >= THRESHOLD_BASE^(k-i) * d
     from all previous ones; stops at the first failure.  The first path,
-    with no previous ones, is the lexicographically smallest."""
+    with no previous ones, is the lexicographically smallest, and at d = 0,
+    where every threshold is 0, it is all k."""
+    if d == 0:
+        return GreedyOutcome(paths=(farthest_path(dag, [], 0),) * k, complete=True)
     paths: list[Path] = []
     for i in range(1, k + 1):
         found = farthest_path(dag, paths, _threshold(dag, k, d, i))

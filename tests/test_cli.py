@@ -4,6 +4,7 @@ import json
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -355,24 +356,43 @@ def test_probabilistic_no(tmp_path):
     assert json.loads(out.read_text())["decision"] == "no"
 
 
+def capped_run_cli(mb, argv):
+    """run_cli(argv) in a fresh interpreter whose address space is capped
+    at mb MB (``RLIMIT_AS``, set in that process only)."""
+    cap = (
+        "import resource; "
+        "hard = resource.getrlimit(resource.RLIMIT_AS)[1]; "
+        f"resource.setrlimit(resource.RLIMIT_AS, ({mb} * 2**20, hard)); "
+    )
+    return subprocess.run(
+        [sys.executable, "-c", cap + RUN_CLI, str(SRC), *argv],
+        capture_output=True, text=True, timeout=60,
+    )
+
+
 def test_out_of_memory_is_too_large(tmp_path):
     # The header names 4 * 10**8 vertices, and the graph layer allocates
     # a slot per vertex.  Under a 256 MB address-space cap that raises
     # MemoryError, which is a too-large input, not an internal error.
     graph = tmp_path / "huge.txt"
     graph.write_text("p dsp 400000000 1\ns 1\nt 2\na 1 2 1\n")
-    cap = (
-        "import resource; "
-        "hard = resource.getrlimit(resource.RLIMIT_AS)[1]; "
-        "resource.setrlimit(resource.RLIMIT_AS, (256 * 2**20, hard)); "
-    )
-    argv = ["solve", "-g", str(graph), "-k", "1", "-d", "0"]
-    proc = subprocess.run(
-        [sys.executable, "-c", cap + RUN_CLI, str(SRC), *argv],
-        capture_output=True, text=True, timeout=60,
-    )
+    proc = capped_run_cli(256, ["solve", "-g", str(graph), "-k", "1", "-d", "0"])
     assert proc.returncode == EXIT_TOO_LARGE, proc.stderr
     assert "error: instance too large: out of memory" in proc.stderr
+
+
+def test_huge_k_at_d_zero_is_too_large_at_once(tmp_path):
+    # At d = 0 one path answers any k, but a yes lists all k of them:
+    # k = 10**9 cannot be held under a 1 GB address-space cap, and the
+    # solve finds that out without a farthest-path call per path.
+    graph = tmp_path / "one.txt"
+    graph.write_text("p dsp 2 1\ns 1\nt 2\na 1 2 1\n")
+    argv = ["solve", "-g", str(graph), "-k", str(10**9), "-d", "0", "--mode", "fpt"]
+    start = time.monotonic()
+    proc = capped_run_cli(1024, argv)
+    assert proc.returncode == EXIT_TOO_LARGE, proc.stderr
+    assert "error: instance too large: out of memory" in proc.stderr
+    assert time.monotonic() - start < 5
 
 
 @pytest.mark.parametrize(

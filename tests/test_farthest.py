@@ -1,3 +1,4 @@
+import copy
 import random
 from dataclasses import replace
 from operator import add
@@ -177,6 +178,21 @@ def decoded(w, label, r):
     return [tuple(lab >> (w * (r - 1 - k)) & field for k in range(r)) for lab in label]
 
 
+def packed_arc_labels(dag, refs, q):
+    """Every arc's label, decoded, rebuilt from what ``_packed_labels``
+    returns by the formula its docstring states."""
+    w, _, _, cnt, ones, fix = _packed_labels(dag, refs, q)
+    label = [cnt[v] - cnt[u] + ones - fix.get(aid, 0) for aid, u, v, _ in dag.base.arcs]
+    return decoded(w, label, len(refs))
+
+
+class NoIterArcs(tuple):
+    """An arc tuple that can be indexed but not iterated."""
+
+    def __iter__(self):
+        raise AssertionError("iterated every arc")
+
+
 def width_edge_refs(span):
     """diamond_pair(span) and five references, each sharing a whole side
     with the far path long1 + long2, the one path they leave."""
@@ -203,8 +219,7 @@ class TestPackedLabels:
         refs = random_walks(dag, r, random.Random(seed))
         expected = arc_labels(dag, refs)
         for q in range(1, dag.base.m + 2):
-            w, _, _, label = _packed_labels(dag, refs, q)
-            assert decoded(w, label, r) == expected
+            assert packed_arc_labels(dag, refs, q) == expected
         # Prefix label sums are prefix distances: after each arc (u, v) of
         # an s-t path, to the reference arcs with head <= v.
         arcs = dag.base.arcs
@@ -226,11 +241,29 @@ class TestPackedLabels:
         # The far path is span + 1 from two references, so a larger q
         # has no path.
         dag, refs, far = width_edge_refs(span)
-        w, _, _, label = _packed_labels(dag, refs, q)
-        assert decoded(w, label, len(refs)) == arc_labels(dag, refs)
+        assert packed_arc_labels(dag, refs, q) == arc_labels(dag, refs)
         expected = far if q <= span + 1 else None
         assert farthest_path(dag, refs, q) == expected
         assert reference_farthest_path(dag, refs, q) == expected
+
+    @pytest.mark.parametrize("r", [1, 2, 3])
+    def test_no_call_iterates_the_arcs(self, r):
+        # With incoming and first_out built, a call reads only the arcs it
+        # reaches, and single reference arcs by index: the same answers
+        # from a dag whose arc tuple refuses iteration.
+        for dag in (build_sp_dag(gen_grid(7, 7)), build_sp_dag(gen_layered(8, 5, 0.5, r))):
+            dag.incoming, dag.first_out
+            blind = copy.copy(dag)
+            base = copy.copy(dag.base)
+            object.__setattr__(base, "arcs", NoIterArcs(dag.base.arcs))
+            object.__setattr__(blind, "base", base)
+            with pytest.raises(AssertionError):
+                list(blind.base.arcs)
+            refs = random_walks(dag, r, random.Random(r))
+            for q in range(2 * len(refs[0]) + 2):
+                found = farthest_path(blind, refs, q)
+                assert found == farthest_path(dag, refs, q)
+                assert found == reference_farthest_path(dag, refs, q)
 
 
 def stop_rule_asks(case):
@@ -254,7 +287,7 @@ class TestFronts:
         # order: nondominated and descending.
         for dag, refs, q, expected in stop_rule_asks(case):
             r = len(refs)
-            w, _, _, _, front, stop = _forward_pass(dag, refs, q)
+            (w, *_), front, stop = _forward_pass(dag, refs, q)
             assert stop == (reference_stop(expected, (q,) * r) or dag.n)
             assert [decoded(w, f, r) for f in front] == expected[: stop + 1]
 

@@ -121,6 +121,20 @@ class TestGreedy:
     def test_first_path_deterministic(self, diamond_dag):
         assert greedy_phase(diamond_dag, 1, 0).paths[0].arcs == (0, 2)
 
+    def test_d_zero_asks_farthest_path_once(self, diamond_dag, monkeypatch):
+        # Every threshold is 0, so the smallest-id walk is all k paths.
+        calls = []
+        farthest = solver.farthest_path
+
+        def counting(*args):
+            calls.append(args)
+            return farthest(*args)
+
+        monkeypatch.setattr(solver, "farthest_path", counting)
+        out = greedy_phase(diamond_dag, 5, 0)
+        assert len(calls) == 1
+        assert out.complete and [p.arcs for p in out.paths] == [(0, 2)] * 5
+
 
 class TestSolve:
     def test_k1_huge_d(self, diamond):
