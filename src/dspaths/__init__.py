@@ -34,7 +34,6 @@ from .graph import (
     build_sp_dag,
     format_graph,
     graph_hash,
-    hamming_distance,
     parse_graph,
     shortest_distances,
 )

@@ -216,14 +216,17 @@ def run_cli(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
     except MemoryError:
-        print("error: instance too large: out of memory", file=sys.stderr)
-        return EXIT_TOO_LARGE
+        # Reported below: while the handler runs, the traceback keeps the
+        # frames that filled memory alive, and a print here could fail.
+        pass
     except Exception as exc:
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
     finally:
         if enabled:
             gc.enable()
+    print("error: instance too large: out of memory", file=sys.stderr)
+    return EXIT_TOO_LARGE
 
 
 def main() -> None:

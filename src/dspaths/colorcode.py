@@ -149,11 +149,11 @@ class BypassTables:
         # rainbow window exactly when xor[v] ^ xor[u] has count[v] -
         # count[u] bits.
         head_bit = [0] * (dag.n + 1)
-        for aid, head in zip(center.arcs, cverts[1:]):
+        for aid, head in zip(center, cverts[1:]):
             head_bit[head] = 1 << (coloring[aid] - 1)
         xor = list(itertools.accumulate(head_bit, operator.xor))
         count = list(itertools.accumulate(int(b != 0) for b in head_bit))
-        charges = dict.fromkeys(center.arcs, 0)
+        charges = dict.fromkeys(center, 0)
         for a in dag.base.arcs:
             if a.id in charges:
                 continue
@@ -210,7 +210,7 @@ class BypassTables:
             arcs.append(arc.id)
             cur ^= self._charges[arc.id]
             v = arc.tail
-        return Path(tuple(reversed(arcs)))
+        return tuple(reversed(arcs))
 
 
 # The three delta swaps that transpose an 8 x 8 bit matrix held in 64

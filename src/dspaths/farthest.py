@@ -78,7 +78,7 @@ def _packed_labels(
     fix: dict[int, int] = {}
     for k, ref in enumerate(reversed(refs)):  # field k: reference r-1-k
         unit = 1 << (w * k)
-        for aid in ref.arcs:
+        for aid in ref:
             heads[arcs[aid].head] += unit
             fix[aid] = fix.get(aid, 0) + 2 * unit
     ones = sum(1 << (w * k) for k in range(len(refs)))
@@ -168,7 +168,7 @@ def farthest_path(dag: SpDag, refs: Sequence[Path], q: int) -> Path | None:
     Labels are computed where they are read (see the module docstring).
     """
     if not refs or q <= 0:
-        return Path(tuple(_smallest_id_walk(dag, 1)))
+        return tuple(_smallest_id_walk(dag, 1))
 
     (w, guard, cap, cnt, ones, fix), front, stop = _forward_pass(dag, refs, q)
     if front[stop][0] != cap:
@@ -195,4 +195,4 @@ def farthest_path(dag: SpDag, refs: Sequence[Path], q: int) -> Path | None:
         else:  # pragma: no cover - the DP guarantees a predecessor
             raise AssertionError("traceback failed")
     arcs_rev.reverse()
-    return Path(tuple(arcs_rev + _smallest_id_walk(dag, stop)))
+    return tuple(arcs_rev + _smallest_id_walk(dag, stop))

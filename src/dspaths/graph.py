@@ -1,5 +1,4 @@
-"""Input graph model, file parsing, shortest-path DAG preprocessing, and
-arc-set Hamming distance.
+"""Input graph model, file parsing and shortest-path DAG preprocessing.
 
 Weights are read as decimal text and scaled to exact integers (factor
 10**6) so that the tight-arc test of the preprocessing step is an exact
@@ -54,23 +53,8 @@ class ArcWeightedDigraph:
         return len(self.arcs)
 
 
-@dataclass(frozen=True)
-class Path:
-    """An s-v path as an ordered arc-id sequence."""
-
-    arcs: tuple[int, ...]
-
-    @cached_property
-    def arc_set(self) -> frozenset[int]:
-        return frozenset(self.arcs)
-
-    def __len__(self) -> int:
-        return len(self.arcs)
-
-
-def hamming_distance(p: Path, p2: Path) -> int:
-    """Cardinality of the symmetric difference of the two arc sets."""
-    return len(p.arc_set ^ p2.arc_set)
+# A path from s: the tuple of its arc ids, in order.
+Path = tuple[int, ...]
 
 
 def _parse_weight(token: str) -> int:
@@ -202,9 +186,10 @@ class SpDag:
     0..m-1 in ascending input id, so ``base.arcs[i]`` is arc i, and
     ``input_arc[i]`` is its id in the input file.  Every path the
     package computes on a dag (``farthest_path``, ``greedy_phase``,
-    ``ball_search``, ``brute_solve``) is in this numbering; ``solve``
-    maps its answer back to input ids once.  The renumbering is monotone,
-    so every smallest-id tie-break is the same in either numbering.
+    ``ball_search``, ``brute_solve``) is the tuple of its arc ids in this
+    numbering; ``solve`` maps its answer back to input ids once.  The
+    renumbering is monotone, so every smallest-id tie-break is the same in
+    either numbering.
     Each tuple of ``incoming`` and ``outgoing`` is in ascending id order.
     ``dist`` is the list ``shortest_distances`` returns for the input
     graph, in input vertex ids: the s-v distance, or None where v is
@@ -249,7 +234,7 @@ class SpDag:
         v = 1
         verts = [v]
         arcs = self.base.arcs
-        for aid in p.arcs:
+        for aid in p:
             if not 0 <= aid < len(arcs) or arcs[aid].tail != v:
                 raise ValueError(f"arc {aid} does not extend path at vertex {v}")
             v = arcs[aid].head

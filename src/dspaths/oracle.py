@@ -108,7 +108,7 @@ def path_of_mask(dag: SpDag, mask: int) -> Path:
         v = arc.head
     if len(arcs) != mask.bit_count():
         raise ValueError("mask holds arcs off its s-t path")
-    return Path(tuple(arcs))
+    return tuple(arcs)
 
 
 def brute_solve(dag: SpDag, k: int, d: int) -> list[Path] | None:

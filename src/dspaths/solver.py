@@ -46,8 +46,9 @@ class GreedyOutcome:
 @dataclass(frozen=True)
 class Certificate:
     """The witness for a yes: k shortest s-t paths of the graph whose
-    ``graph_hash`` is given, in its arc ids, pairwise >= d apart.  The
-    distances are not stored; ``verify_certificate`` computes them."""
+    ``graph_hash`` is given, each the tuple of its arc ids in that graph,
+    pairwise >= d apart.  The distances are not stored;
+    ``verify_certificate`` computes them."""
 
     k: int
     d: int
@@ -129,7 +130,7 @@ def solve(g: ArcWeightedDigraph, k: int, d: int, mode: str = "hybrid") -> SolveR
         elapsed = int((time.monotonic() - start) * 1000)
         cert = None
         if found is not None:
-            paths = tuple(Path(tuple([input_arc[a] for a in p.arcs])) for p in found)
+            paths = tuple(tuple([input_arc[a] for a in p]) for p in found)
             cert = Certificate(k=k, d=d, paths=paths, graph_hash=graph_hash(g))
             ok, report = verify_certificate(g, cert, k, d, dist=dist)
             if not ok:  # pragma: no cover - internal soundness guard
@@ -224,14 +225,14 @@ def verify_certificate(
     best = dist[g.t]
     if best is None and k:
         return False, "graph has no s-t path"
-    first: dict[tuple[int, ...], int] = {}  # distinct arc lists, first index
+    first: dict[Path, int] = {}  # distinct paths, first index
     for i, p in enumerate(cert.paths, start=1):
-        first.setdefault(tuple(p.arcs), i)
+        first.setdefault(p, i)
     for arcs, i in first.items():
         if not _is_shortest_st_path(g, best, arcs):
             return False, f"path {i} not a shortest path"
     if d:
-        masks = [sum(1 << a for a in p.arcs) for p in cert.paths]
+        masks = [sum(1 << a for a in p) for p in cert.paths]
         for i, mask in enumerate(masks):
             for j in range(i + 1, k):
                 apart = (mask ^ masks[j]).bit_count()
@@ -279,10 +280,10 @@ def _validate_certificate_shape(cert: Certificate) -> None:
     if not isinstance(cert, Certificate):
         raise CertificateError("not a certificate")
     _check_k_and_d(cert.k, cert.d)
-    # One check per Path object: the JSON parser shares one among equal
+    # One check per tuple object: the JSON parser shares one among equal
     # paths, so a repeated path is checked once.
     for p in {id(p): p for p in cert.paths}.values():
-        if not isinstance(p, Path) or not all(type(a) is int for a in p.arcs):
+        if type(p) is not tuple or not all(type(a) is int for a in p):
             raise CertificateError("paths must be sequences of arc ids")
 
 
@@ -303,7 +304,7 @@ def result_to_json_dict(result: SolveResult, k: int, d: int) -> dict:
         "decision": result.decision,
         "k": k,
         "d": d,
-        "paths": [list(p.arcs) for p in cert.paths] if cert else [],
+        "paths": [list(p) for p in cert.paths] if cert else [],
         "mode": result.mode,
         "graph_hash": cert.graph_hash if cert else "",
         "stats": {
@@ -318,7 +319,7 @@ def certificate_from_json_dict(data: dict) -> Certificate:
     """Parse and structurally validate a certificate JSON document.  Keys
     other than k, d, paths and graph_hash are ignored, among them the
     ``"pairwise"`` matrix that older documents carry.  Equal paths share
-    one ``Path``."""
+    one tuple."""
     if not isinstance(data, dict):
         raise CertificateError("certificate JSON must be an object")
     try:
@@ -330,17 +331,14 @@ def certificate_from_json_dict(data: dict) -> Certificate:
     if not isinstance(raw_paths, list):
         raise CertificateError("paths must be an array")
     paths = []
-    parsed: dict[tuple[int, ...], Path] = {}
+    parsed: dict[Path, Path] = {}
     for arcs in raw_paths:
         if not isinstance(arcs, list) or not all(
             type(a) is int and a >= 0 for a in arcs
         ):
             raise CertificateError("paths must be arrays of arc ids")
         key = tuple(arcs)
-        path = parsed.get(key)
-        if path is None:
-            path = parsed[key] = Path(key)
-        paths.append(path)
+        paths.append(parsed.setdefault(key, key))
     _check_k_and_d(k, d)
     return Certificate(
         k=k, d=d, paths=tuple(paths), graph_hash=str(data.get("graph_hash", ""))

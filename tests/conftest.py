@@ -46,12 +46,12 @@ def diamond_dag(diamond) -> SpDag:
 
 @pytest.fixture
 def upper() -> Path:
-    return Path((0, 2))
+    return (0, 2)
 
 
 @pytest.fixture
 def lower() -> Path:
-    return Path((1, 3))
+    return (1, 3)
 
 
 @pytest.fixture

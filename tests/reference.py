@@ -11,7 +11,8 @@ forward pass, run over every vertex), its labels built one reference at
 a time and its walks to t taken along ``dag.outgoing``.
 ``reference_ball_phase`` is the solver's ball phase as a search over
 every split of k among the greedy balls.  ``is_st_path`` checks
-that a path found by the package is a simple s-t path of its dag.
+that a path found by the package is a simple s-t path of its dag, and
+``hamming_distance`` is the distance the certificates are judged by.
 They are small and obviously correct; speed does not matter here.
 """
 
@@ -23,7 +24,7 @@ from operator import add
 from typing import Iterable, Sequence
 
 from dspaths.colorcode import ball_search
-from dspaths.graph import ArcWeightedDigraph, Path, SpDag, hamming_distance
+from dspaths.graph import ArcWeightedDigraph, Path, SpDag
 from dspaths.solver import _threshold
 
 
@@ -44,7 +45,7 @@ def reference_enumerate(dag: SpDag) -> tuple[list[Path], list[int]]:
     prefix's arc-set mask is updated on every push and pop.
     """
     if dag.n == 1:  # s == t: the empty path is the only s-t path
-        return [Path(())], [0]
+        return [()], [0]
     paths: list[Path] = []
     masks: list[int] = []
     prefix: list[int] = []
@@ -62,10 +63,15 @@ def reference_enumerate(dag: SpDag) -> tuple[list[Path], list[int]]:
         if arc.head != dag.n:
             stack.append(iter(dag.outgoing[arc.head]))
             continue
-        paths.append(Path(tuple(prefix)))
+        paths.append(tuple(prefix))
         masks.append(mask)
         mask ^= 1 << prefix.pop()
     return paths, masks
+
+
+def hamming_distance(p: Path, q: Path) -> int:
+    """Size of the symmetric difference of the two paths' arc sets."""
+    return len(set(p) ^ set(q))
 
 
 def is_st_path(dag: SpDag, p: Path) -> bool:
@@ -108,10 +114,10 @@ def _label_columns(dag: SpDag, refs: Sequence[Path]) -> list[list[int]]:
     columns = []
     for ref in refs:
         heads = [0] * (dag.n + 1)
-        for aid in ref.arcs:
+        for aid in ref:
             heads[arcs[aid].head] += 1
         cnt = list(accumulate(heads))
-        mem = ref.arc_set
+        mem = frozenset(ref)
         columns.append(
             [cnt[h] - cnt[t] + (-1 if aid in mem else 1) for aid, t, h, _ in arcs]
         )
@@ -132,7 +138,7 @@ def reference_walk(dag: SpDag, v: int) -> list[int]:
 def reference_first_path(dag: SpDag) -> Path:
     """The walk from s: the lexicographically smallest s-t arc-id
     sequence."""
-    return Path(tuple(reference_walk(dag, 1)))
+    return tuple(reference_walk(dag, 1))
 
 
 def arc_labels(dag: SpDag, refs: Sequence[Path]) -> list[tuple[int, ...]]:
@@ -201,7 +207,7 @@ def reference_farthest_path(
                 break
         else:
             raise AssertionError("traceback failed")
-    return Path(tuple(reversed(arcs_rev)) + tuple(reference_walk(dag, stop)))
+    return tuple(reversed(arcs_rev)) + tuple(reference_walk(dag, stop))
 
 
 def brute_ball(
@@ -312,11 +318,11 @@ def brute_realizations(
     ``coloring[i]`` is arc i's color."""
     found: dict[int, Path] = {}
     for p in reference_enumerate(dag)[0]:
-        bypass = center.arc_set ^ p.arc_set
+        bypass = frozenset(center) ^ frozenset(p)
         colors = {coloring[aid] for aid in bypass}
         if len(colors) == len(bypass) <= q:
             c = sum(1 << (c - 1) for c in colors)
-            if c not in found or p.arcs[::-1] < found[c].arcs[::-1]:
+            if c not in found or p[::-1] < found[c][::-1]:
                 found[c] = p
     return found
 
@@ -337,7 +343,7 @@ def minimal_bypass_decomposition(
     ci = oi = 0
     v = 1
     while v != dag.n:
-        ca, oa = center.arcs[ci], other.arcs[oi]
+        ca, oa = center[ci], other[oi]
         if ca == oa:
             v = dag.base.arcs[ca].head
             ci += 1
@@ -346,14 +352,14 @@ def minimal_bypass_decomposition(
         start = v
         arcs: set[int] = set()
         while True:
-            arc = dag.base.arcs[center.arcs[ci]]
+            arc = dag.base.arcs[center[ci]]
             arcs.add(arc.id)
             ci += 1
             if arc.head in common:
                 end = arc.head
                 break
         while True:
-            arc = dag.base.arcs[other.arcs[oi]]
+            arc = dag.base.arcs[other[oi]]
             arcs.add(arc.id)
             oi += 1
             if arc.head in common:

@@ -5,6 +5,7 @@ import re
 import subprocess
 import sys
 import time
+import weakref
 from pathlib import Path
 
 import pytest
@@ -379,6 +380,34 @@ def test_out_of_memory_is_too_large(tmp_path):
     proc = capped_run_cli(256, ["solve", "-g", str(graph), "-k", "1", "-d", "0"])
     assert proc.returncode == EXIT_TOO_LARGE, proc.stderr
     assert "error: instance too large: out of memory" in proc.stderr
+
+
+def test_out_of_memory_is_reported_after_its_frames_are_freed(diamond_file, monkeypatch):
+    # The frames of a MemoryError's traceback hold what filled memory.
+    # The message is written only after they are freed, so it cannot run
+    # out of memory itself.
+    class Filled:
+        pass
+
+    refs, freed = [], []  # freed: whether it is gone, at each stderr write
+
+    def fill(*args, **kwargs):
+        filled = Filled()
+        refs.append(weakref.ref(filled))
+        raise MemoryError
+
+    class StderrSpy:
+        def write(self, text):
+            freed.append(refs[0]() is None)
+
+        def flush(self):
+            pass
+
+    monkeypatch.setattr(dspaths.cli, "solve", fill)
+    monkeypatch.setattr(sys, "stderr", StderrSpy())
+    argv = ["solve", "-g", diamond_file, "-k", "2", "-d", "4"]
+    assert run_cli(argv) == EXIT_TOO_LARGE
+    assert freed and all(freed)
 
 
 def test_huge_k_at_d_zero_is_too_large_at_once(tmp_path):

@@ -18,9 +18,7 @@ from dspaths.graph import (
     WEIGHT_SCALE,
     Arc,
     ArcWeightedDigraph,
-    Path,
     build_sp_dag,
-    hamming_distance,
     parse_graph,
 )
 from dspaths.oracle import enumerate_st_paths
@@ -28,6 +26,7 @@ from dspaths.solver import greedy_phase
 from reference import (
     arc_labels,
     brute_farthest,
+    hamming_distance,
     is_st_path,
     reference_farthest_path,
     reference_first_path,
@@ -124,7 +123,7 @@ def random_walks(dag, count, rng):
             arc = rng.choice(dag.outgoing[v])
             arcs.append(arc.id)
             v = arc.head
-        walks.append(Path(tuple(arcs)))
+        walks.append(tuple(arcs))
     return walks
 
 
@@ -162,7 +161,7 @@ class TestArcLabels:
     def test_not_in_path_empty_window(self):
         dag = build_sp_dag(parse_graph(FORKED_TEXT))
         # arc 3 = (3, 4): its head window contains no arc of the upper route
-        assert arc_labels(dag, [Path((0, 2))])[3] == (1,)
+        assert arc_labels(dag, [(0, 2)])[3] == (1,)
 
     def test_window_with_foreign_ref_arc(self, diamond_dag, upper):
         # arc (b, t): window is all arcs into t, one of which is on the ref
@@ -198,13 +197,13 @@ def width_edge_refs(span):
     with the far path long1 + long2, the one path they leave."""
     g, ((chain1, long1), (chain2, long2)) = diamond_pair(span)
     refs = [
-        Path(chain1 + chain2),
-        Path(long1 + chain2),
-        Path(chain1 + long2),
-        Path(chain1 + chain2),
-        Path(long1 + chain2),
+        chain1 + chain2,
+        long1 + chain2,
+        chain1 + long2,
+        chain1 + chain2,
+        long1 + chain2,
     ]
-    return build_sp_dag(g), refs, Path(long1 + long2)
+    return build_sp_dag(g), refs, long1 + long2
 
 
 class TestPackedLabels:
@@ -224,12 +223,12 @@ class TestPackedLabels:
         # an s-t path, to the reference arcs with head <= v.
         arcs = dag.base.arcs
         sums, prefix = [0] * r, set()
-        for aid in random_walks(dag, 1, random.Random(seed + 1))[0].arcs:
+        for aid in random_walks(dag, 1, random.Random(seed + 1))[0]:
             v = arcs[aid].head
             prefix.add(aid)
             sums = list(map(add, sums, expected[aid]))
             assert sums == [
-                len(prefix ^ {e for e in ref.arcs if arcs[e].head <= v}) for ref in refs
+                len(prefix ^ {e for e in ref if arcs[e].head <= v}) for ref in refs
             ]
 
     @pytest.mark.parametrize(
@@ -308,7 +307,7 @@ class TestStopRule:
 
 class TestFarthestPath:
     def test_no_refs_returns_lex_smallest(self, diamond_dag):
-        assert farthest_path(diamond_dag, [], 5).arcs == (0, 2)
+        assert farthest_path(diamond_dag, [], 5) == (0, 2)
 
     @pytest.mark.parametrize("seed", range(10))
     def test_first_path_matches_outgoing_walk(self, seed):
@@ -327,7 +326,7 @@ class TestFarthestPath:
 
     def test_single_path_graph(self):
         dag = build_sp_dag(parse_graph("p dsp 3 2\ns 1\nt 3\na 1 2 1\na 2 3 1\n"))
-        only = Path((0, 1))
+        only = (0, 1)
         assert farthest_path(dag, [only], 1) is None
         assert farthest_path(dag, [only], 0) == only
 
@@ -406,7 +405,7 @@ class TestFarthestPath:
         dag = build_sp_dag(g)
         outcome = greedy_phase(dag, k, d)
         assert outcome.complete
-        assert [[dag.input_arc[a] for a in p.arcs] for p in outcome.paths] == expected
+        assert [[dag.input_arc[a] for a in p] for p in outcome.paths] == expected
 
     def test_four_references_on_15x15_grid(self):
         # q = 59 is a no-instance: a search over demand states visits all
@@ -447,7 +446,7 @@ class TestAgainstTupleDp:
         # and a sum of q and such a label must not reach a guard bit.
         # Five references leave only that path.
         dag, refs, far = width_edge_refs(8 * q)
-        long2 = far.arcs[1]
+        long2 = far[1]
         assert max(arc_labels(dag, refs)[long2]) == 8 * q + 1
         assert farthest_path(dag, refs, q) == far
         assert reference_farthest_path(dag, refs, q) == far

@@ -1,5 +1,6 @@
 """Static checks of the package source: no unused imports, no unused
-private module-level names or attributes, no exception class that is
+private module-level names or attributes, no public function, class or
+method that only tests read, no exception class that is
 never raised, a ``cli`` docstring that lists exactly the exit codes
 the module defines, no exit code that ``cli`` defines but never
 returns, no module but ``cli`` that touches the garbage collector, and
@@ -66,6 +67,37 @@ def unreferenced(trees: list[ast.Module]) -> set[str]:
         for tree in trees
         for n, node in private_definitions(tree).items()
         if used[n] == loaded_names(node)[n]
+    }
+
+
+def public_definitions(tree: ast.Module) -> dict[str, ast.stmt]:
+    """Module-level functions and classes, and the methods of those
+    classes, whose names do not start with ``_``, keyed by their dotted
+    names within the module."""
+    names = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names[node.name] = node
+        if isinstance(node, ast.ClassDef):
+            names.update(
+                (f"{node.name}.{item.name}", item)
+                for item in node.body
+                if isinstance(item, ast.FunctionDef)
+            )
+    return {n: node for n, node in names.items() if n.rpartition(".")[2][0] != "_"}
+
+
+def unread_public(trees: dict[str, ast.Module]) -> set[str]:
+    """``module.name`` of each public definition that no code reads
+    outside its own definition, bare or as an attribute.  ``__init__.py``
+    only re-exports, so what it reads does not count."""
+    modules = {name: tree for name, tree in trees.items() if name != "__init__.py"}
+    used = sum(map(loaded_names, modules.values()), Counter())
+    return {
+        f"{name.removesuffix('.py')}.{n}"
+        for name, tree in modules.items()
+        for n, node in public_definitions(tree).items()
+        if used[last := n.rpartition(".")[2]] == loaded_names(node)[last]
     }
 
 
@@ -207,6 +239,33 @@ def test_checks_catch_leftovers():
     )
     assert imported_names(tree) - set(loaded_names(tree)) == {"math", "Iterator"}
     assert unreferenced([tree]) == {"_compositions"}
+
+
+def test_public_names_read_by_the_package():
+    # A public function, class or method that only tests read belongs in
+    # the tests.
+    assert unread_public(TREES) == set()
+
+
+def test_public_name_check_catches_leftovers():
+    trees = {
+        "graph.py": ast.parse(
+            "class Path:\n"
+            "    def arc_set(self):\n"
+            "        return frozenset(self.arcs)\n"
+            "    def __len__(self):\n"
+            "        return len(self.arcs)\n"
+            "def hamming_distance(p, q):\n"
+            "    return len(p.arc_set() ^ q.arc_set())\n"
+            "def walk(v):\n"
+            "    return walk(v - 1) if v else [Path()]\n"
+            "def _reachable(v):\n"
+            "    return v\n"
+        ),
+        "cli.py": ast.parse("from .graph import Path\nprint(Path().arc_set())\n"),
+        "__init__.py": ast.parse("from . import graph\ngraph.hamming_distance\n"),
+    }
+    assert unread_public(trees) == {"graph.hamming_distance", "graph.walk"}
 
 
 def test_private_attributes_read():

@@ -15,15 +15,13 @@ from dspaths import colorcode, graph, oracle, solver
 from dspaths.generators import BinPackingInstance, gen_binpack, gen_grid, gen_layered
 from dspaths.graph import (
     NoShortestPathError,
-    Path,
     build_sp_dag,
     format_graph,
-    hamming_distance,
     parse_graph,
     shortest_distances,
 )
 from dspaths.oracle import brute_solve, enumerate_st_paths
-from reference import reference_ball_phase
+from reference import hamming_distance, reference_ball_phase
 from dspaths.solver import (
     MODES,
     Certificate,
@@ -53,14 +51,14 @@ def random_walk(g, rng):
         arc = rng.choice(out)
         arcs.append(arc.id)
         v = arc.head
-    return Path(tuple(arcs))
+    return tuple(arcs)
 
 
 def with_one_path_altered(g, paths, rng):
     """paths with one of them changed: an arc dropped, replaced by a
     random arc, or a random arc inserted."""
     i = rng.randrange(len(paths))
-    arcs = list(paths[i].arcs)
+    arcs = list(paths[i])
     how = rng.randrange(3) if arcs else 2
     if how == 0:
         del arcs[rng.randrange(len(arcs))]
@@ -68,14 +66,14 @@ def with_one_path_altered(g, paths, rng):
         arcs[rng.randrange(len(arcs))] = rng.randrange(g.m)
     else:
         arcs.insert(rng.randint(0, len(arcs)), rng.randrange(g.m))
-    return paths[:i] + (Path(tuple(arcs)),) + paths[i + 1 :]
+    return paths[:i] + (tuple(arcs),) + paths[i + 1 :]
 
 
 def tampered(g, dist, path, how):
     """A copy of g's distances, wrong in one way; path is a shortest s-t
     path of at least two arcs."""
     bad = list(dist)
-    first = g.arcs[path.arcs[0]]  # (s, v, w), v interior
+    first = g.arcs[path[0]]  # (s, v, w), v interior
     if how == "t lowered":
         bad[g.t] -= 1
     elif how == "t raised":
@@ -119,7 +117,7 @@ class TestGreedy:
         assert not out.complete and len(out.paths) == 1
 
     def test_first_path_deterministic(self, diamond_dag):
-        assert greedy_phase(diamond_dag, 1, 0).paths[0].arcs == (0, 2)
+        assert greedy_phase(diamond_dag, 1, 0).paths[0] == (0, 2)
 
     def test_d_zero_asks_farthest_path_once(self, diamond_dag, monkeypatch):
         # Every threshold is 0, so the smallest-id walk is all k paths.
@@ -133,7 +131,7 @@ class TestGreedy:
         monkeypatch.setattr(solver, "farthest_path", counting)
         out = greedy_phase(diamond_dag, 5, 0)
         assert len(calls) == 1
-        assert out.complete and [p.arcs for p in out.paths] == [(0, 2)] * 5
+        assert out.complete and list(out.paths) == [(0, 2)] * 5
 
 
 class TestSolve:
@@ -145,7 +143,7 @@ class TestSolve:
         res = solve(diamond, 2, 4, FPT)
         assert res.decision == "yes"
         assert hamming_distance(*res.certificate.paths) == 4
-        assert {p.arcs for p in res.certificate.paths} == {(0, 2), (1, 3)}
+        assert set(res.certificate.paths) == {(0, 2), (1, 3)}
 
     def test_diamond_k3_no(self, diamond):
         assert solve(diamond, 3, 1, FPT).decision == "no"
@@ -158,7 +156,7 @@ class TestSolve:
         g = parse_graph("p dsp 2 1\ns 1\nt 2\na 1 2 1\n")
         res = solve(g, 4, 0, FPT)
         assert res.decision == "yes"
-        assert [p.arcs for p in res.certificate.paths] == [((0,))] * 4
+        assert list(res.certificate.paths) == [(0,)] * 4
 
     def test_modes_agree_on_diamond(self, diamond):
         dag = build_sp_dag(diamond)
@@ -233,7 +231,7 @@ class TestSolve:
             g, k, d = gen_layered(4, 4, 0.6, int(name.removeprefix("layered"))), 3, 4
         res = solve(g, k, d, FPT)
         assert res.decision == "yes" and res.stats.greedy_paths == 1
-        assert [list(p.arcs) for p in res.certificate.paths] == self.BALL_CERTIFICATES[name]
+        assert [list(p) for p in res.certificate.paths] == self.BALL_CERTIFICATES[name]
 
     # Certificates of asks on two parallel_routes that split k = 4 over
     # both greedy balls.  A route with one diamond has two paths, so the
@@ -262,7 +260,7 @@ class TestSolve:
         res = solve(parallel_routes(2, length, diamonds), 4, d, FPT)
         assert res.decision == "yes"
         assert res.stats.greedy_paths == 2 and res.stats.compositions_tried == 4
-        paths = [list(p.arcs) for p in res.certificate.paths]
+        paths = [list(p) for p in res.certificate.paths]
         assert paths == self.MULTI_BALL_CERTIFICATES[shape]
 
     def test_three_ball_certificate_pinned(self):
@@ -273,7 +271,7 @@ class TestSolve:
         res = solve(parallel_routes(3, 27, 1), 5, 2, FPT)
         assert res.decision == "yes"
         assert res.stats.greedy_paths == 3 and res.stats.compositions_tried == 7
-        assert [list(p.arcs) for p in res.certificate.paths] == [
+        assert [list(p) for p in res.certificate.paths] == [
             [0, 2, *range(4, 29)],
             [30, 32, *range(33, 58)], [29, 31, *range(33, 58)],
             [59, 61, *range(62, 87)], [58, 60, *range(62, 87)],
@@ -326,8 +324,8 @@ class TestSolve:
                 decision, paths = reference_ball_phase(dag, greedy.paths, k, d)
             cert = res.certificate
             assert res.decision == decision, (k, d)
-            assert (cert and [p.arcs for p in cert.paths]) == (
-                paths and [tuple(dag.input_arc[a] for a in p.arcs) for p in paths]
+            assert (cert and list(cert.paths)) == (
+                paths and [tuple(dag.input_arc[a] for a in p) for p in paths]
             ), (k, d)
 
     @pytest.mark.parametrize("seed", range(12))
@@ -568,7 +566,7 @@ class TestHybrid:
     def test_long_chain_default_mode(self):
         res = solve(unit_chain(1500), 1, 0)
         assert res.decision == "yes"
-        assert res.certificate.paths[0].arcs == tuple(range(1500))
+        assert res.certificate.paths[0] == tuple(range(1500))
 
     def test_config_validation(self, diamond):
         with pytest.raises(ValueError, match="mode must be one of"):
@@ -667,7 +665,7 @@ class TestVerify:
         cert = Certificate(
             k=1,
             d=0,
-            paths=(Path((0, 3)),),  # arcs do not chain
+            paths=((0, 3),),  # arcs do not chain
             graph_hash="",
         )
         ok, report = verify_certificate(diamond, cert, 1, 0)
@@ -677,18 +675,18 @@ class TestVerify:
     def test_unknown_arc_id_rejected(self, diamond, last):
         # The diamond has arcs 0..3; arcs[-2] would be arc 2 = (2, 4), which
         # would chain after arc 0 if a negative id were taken as an index.
-        cert = Certificate(k=1, d=0, paths=(Path((0, last)),), graph_hash="")
+        cert = Certificate(k=1, d=0, paths=((0, last),), graph_hash="")
         ok, report = verify_certificate(diamond, cert, 1, 0)
         assert not ok and report == "path 1 not a shortest path"
 
     def test_longer_st_path_rejected(self, triangle):
         # arc 2 = (1, 3) of weight 3 chains from s to t; the shortest weighs 2
-        cert = Certificate(k=1, d=0, paths=(Path((2,)),), graph_hash="")
+        cert = Certificate(k=1, d=0, paths=((2,),), graph_hash="")
         ok, report = verify_certificate(triangle, cert, 1, 0)
         assert not ok and report == "path 1 not a shortest path"
 
     def test_path_stopping_before_t_rejected(self, diamond):
-        cert = Certificate(k=1, d=0, paths=(Path((0,)),), graph_hash="")
+        cert = Certificate(k=1, d=0, paths=((0,),), graph_hash="")
         ok, report = verify_certificate(diamond, cert, 1, 0)
         assert not ok and report == "path 1 not a shortest path"
 
@@ -728,23 +726,23 @@ class TestVerify:
             return check(g, best, arcs)
 
         monkeypatch.setattr(solver, "_is_shortest_st_path", recording)
-        good, bad = Path((0, 2)), Path((0, 3))
-        paths = (good, Path((0, 2)), good, bad, good, bad)
+        good, bad = (0, 2), (0, 3)
+        paths = (good, (0, 2), good, bad, good, bad)
         cert = Certificate(k=6, d=0, paths=paths, graph_hash="")
         report = "path 4 not a shortest path"
         assert verify_certificate(diamond, cert, 6, 0) == (False, report)
         assert checked == [(0, 2), (0, 3)]
 
     def test_bool_in_a_repeated_path(self, diamond):
-        # Path((False, 2)) equals Path((0, 2)), but it is its own object
+        # (False, 2) equals (0, 2), but it is its own object
         # and is type-checked as one.
-        paths = (Path((0, 2)), Path((False, 2)))
+        paths = ((0, 2), (False, 2))
         cert = Certificate(k=2, d=0, paths=paths, graph_hash="")
         with pytest.raises(CertificateError):
             verify_certificate(diamond, cert, 2, 0)
 
     @pytest.mark.parametrize(
-        "field", ({"k": True}, {"d": False}, {"paths": (Path((False, 2)),)})
+        "field", ({"k": True}, {"d": False}, {"paths": ((False, 2),)})
     )
     def test_bool_is_not_an_int(self, diamond, field):
         cert = dataclasses.replace(solve(diamond, 1, 0, FPT).certificate, **field)
