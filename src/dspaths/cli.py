@@ -19,6 +19,14 @@ of its ``--bins`` bins the capacity item sum / bins, the only one the
 reduction accepts.  ``gen -o X`` writes its sidecar JSON to X with the
 suffix ``.json``, so X must not end in ``.json``.
 
+Each command's parser is built on its first use, never at import, and
+an argv that starts with a command name is parsed once, by that
+command's parser alone.  Only an argv that names no command first (no
+argv, -h, an unknown name) builds the ``dspaths`` parser with every
+command under it.  The two give the same help and usage errors, except
+that an unrecognized argument is reported by the command's parser
+(``dspaths solve: error: ...``).
+
 ``run_cli`` owns the process, so it alone touches the garbage
 collector.  Each command runs with the cyclic collector paused: parse,
 solve and verify make no reference cycles (tests/test_solver.py guards
@@ -53,26 +61,16 @@ EXIT_TOO_LARGE = 4
 EXIT_INTERNAL = 5
 
 
-@functools.cache
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="dspaths",
-        description=(
-            "Decide and certify whether a graph has k shortest s-t paths "
-            "with pairwise arc-set Hamming distance at least d."
-        ),
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+def _solve_arguments(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("-g", "--graph", required=True, help="graph file")
+    parser.add_argument("-k", type=int, required=True, help="number of paths")
+    parser.add_argument("-d", type=int, required=True, help="pairwise distance bound")
+    parser.add_argument("--mode", choices=MODES, default="hybrid")
+    parser.add_argument("--json", metavar="OUT", help="write the certificate here")
 
-    p_solve = sub.add_parser("solve", help="run the solver")
-    p_solve.add_argument("-g", "--graph", required=True, help="graph file")
-    p_solve.add_argument("-k", type=int, required=True, help="number of paths")
-    p_solve.add_argument("-d", type=int, required=True, help="pairwise distance bound")
-    p_solve.add_argument("--mode", choices=MODES, default="hybrid")
-    p_solve.add_argument("--json", metavar="OUT", help="write the certificate here")
 
-    p_gen = sub.add_parser("gen", help="generate an instance")
-    gen_sub = p_gen.add_subparsers(dest="family", required=True)
+def _gen_arguments(parser: argparse.ArgumentParser) -> None:
+    gen_sub = parser.add_subparsers(dest="family", required=True)
 
     p_grid = gen_sub.add_parser("grid", help="lattice of east/south unit arcs")
     p_grid.add_argument("--width", type=int, required=True)
@@ -95,12 +93,42 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p_binpack.add_argument("-o", "--output", required=True)
 
-    p_verify = sub.add_parser("verify", help="check a certificate")
-    p_verify.add_argument("-g", "--graph", required=True)
-    p_verify.add_argument("-c", "--certificate", required=True)
-    p_verify.add_argument("-k", type=int, required=True)
-    p_verify.add_argument("-d", type=int, required=True)
 
+def _verify_arguments(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("-g", "--graph", required=True)
+    parser.add_argument("-c", "--certificate", required=True)
+    parser.add_argument("-k", type=int, required=True)
+    parser.add_argument("-d", type=int, required=True)
+
+
+# name -> (its line in ``dspaths -h``, what adds its arguments to a parser)
+_COMMANDS = {
+    "solve": ("run the solver", _solve_arguments),
+    "gen": ("generate an instance", _gen_arguments),
+    "verify": ("check a certificate", _verify_arguments),
+}
+
+
+@functools.cache
+def _command_parser(name: str) -> argparse.ArgumentParser:
+    """Command ``name``'s parser alone, as ``_top_parser`` gives it."""
+    parser = argparse.ArgumentParser(prog=f"dspaths {name}")
+    _COMMANDS[name][1](parser)
+    return parser
+
+
+def _top_parser() -> argparse.ArgumentParser:
+    """The ``dspaths`` parser with every command under it."""
+    parser = argparse.ArgumentParser(
+        prog="dspaths",
+        description=(
+            "Decide and certify whether a graph has k shortest s-t paths "
+            "with pairwise arc-set Hamming distance at least d."
+        ),
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (summary, add_arguments) in _COMMANDS.items():
+        add_arguments(sub.add_parser(name, help=summary))
     return parser
 
 
@@ -198,18 +226,24 @@ def run_cli(argv: list[str] | None = None) -> int:
     """Run one command and return its exit code.  The cyclic garbage
     collector is paused while the command runs and left as it was found
     on every exit, a ``BaseException`` included."""
-    parser = _build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
     try:
-        args = parser.parse_args(argv)
+        if argv and argv[0] in _COMMANDS:
+            command = argv[0]
+            args = _command_parser(command).parse_args(argv[1:])
+        else:
+            args = _top_parser().parse_args(argv)
+            command = args.command
     except SystemExit as exc:
         # argparse exits 2 on usage errors and 0 on --help
         return int(exc.code or 0)
     enabled = gc.isenabled()
     gc.disable()
     try:
-        if args.command == "solve":
+        if command == "solve":
             return _cmd_solve(args)
-        if args.command == "gen":
+        if command == "gen":
             return _cmd_gen(args)
         return _cmd_verify(args)
     except ValueError as exc:

@@ -166,9 +166,13 @@ def farthest_path(dag: SpDag, refs: Sequence[Path], q: int) -> Path | None:
     >= q from every reference, whatever its v-t part.  The answer is None
     exactly when t's front lacks CAP, since every vertex reaches t.
     Labels are computed where they are read (see the module docstring).
+    Two paths of an m-arc dag are at most m apart, so with a reference a
+    q above m is met by no path, and no pass is run.
     """
     if not refs or q <= 0:
         return tuple(_smallest_id_walk(dag, 1))
+    if q > dag.base.m:
+        return None
 
     (w, guard, cap, cnt, ones, fix), front, stop = _forward_pass(dag, refs, q)
     if front[stop][0] != cap:

@@ -1,6 +1,7 @@
 import gc
 import hashlib
 import json
+import os
 import re
 import subprocess
 import sys
@@ -91,6 +92,146 @@ def test_solve_help_lists_only_the_ask(capsys):
     assert run_cli(["solve", "--help"]) == EXIT_YES
     options = re.findall(r"^  (-{1,2}[\w-]+)", capsys.readouterr().out, re.M)
     assert options == ["-h", "-g", "-k", "-d", "--mode", "--json"]
+
+
+# (argv, exit code); GRAPH stands for a graph file.  Every argv is
+# refused or answered by argparse before any command runs.
+USAGE_ARGVS = (
+    ([], EXIT_ERROR),
+    (["frob"], EXIT_ERROR),
+    (["SOLVE"], EXIT_ERROR),
+    (["-x"], EXIT_ERROR),
+    (["-x", "solve"], EXIT_ERROR),
+    (["--", "solve", "-g", "GRAPH", "-k", "2", "-d", "4"], EXIT_ERROR),
+    (["solve"], EXIT_ERROR),
+    (["solve", "-g", "GRAPH", "-k", "2"], EXIT_ERROR),
+    (["solve", "-g", "GRAPH", "-k", "two", "-d", "4"], EXIT_ERROR),
+    (["solve", "-g", "GRAPH", "-k", "2", "-d", "4", "--extra"], EXIT_ERROR),
+    (["solve", "-g", "GRAPH", "-k", "2", "-d", "4", "extra"], EXIT_ERROR),
+    (["solve", "-x", "-g", "GRAPH", "-k", "2", "-d", "4"], EXIT_ERROR),
+    (["gen"], EXIT_ERROR),
+    (["gen", "cube"], EXIT_ERROR),
+    (["gen", "gri", "--width", "2", "--height", "2", "-o", "g.txt"], EXIT_ERROR),
+    (["gen", "grid", "--width", "3"], EXIT_ERROR),
+    (["gen", "layered", "--layers", "x", "--width", "2", "-o", "g.txt"], EXIT_ERROR),
+    (["gen", "--bogus", "grid", "--width", "2", "--height", "2", "-o", "g.txt"],
+     EXIT_ERROR),
+    (["verify"], EXIT_ERROR),
+    (["verify", "-g", "GRAPH", "-k", "2", "-d", "4"], EXIT_ERROR),
+    (["-h"], EXIT_YES),
+    (["--help", "solve"], EXIT_YES),
+    (["solve", "-h"], EXIT_YES),
+    (["solve", "-g", "GRAPH", "-k", "2", "-d", "4", "--help"], EXIT_YES),
+    (["gen", "-h"], EXIT_YES),
+    (["gen", "grid", "-h"], EXIT_YES),
+    (["gen", "layered", "-h"], EXIT_YES),
+    (["gen", "binpack", "-h"], EXIT_YES),
+    (["verify", "-h"], EXIT_YES),
+)
+
+
+@pytest.mark.parametrize(
+    "argv, code", USAGE_ARGVS, ids=[" ".join(argv) or "no-argv" for argv, _ in USAGE_ARGVS]
+)
+def test_usage_exit_codes(diamond_file, tmp_path, monkeypatch, capsys, argv, code):
+    cwd = tmp_path / "cwd"
+    cwd.mkdir()
+    monkeypatch.chdir(cwd)
+    argv = [diamond_file if arg == "GRAPH" else arg for arg in argv]
+    assert run_cli(argv) == code
+    out, err = capsys.readouterr()
+    # A usage error prints the usage line to stderr, help prints it to
+    # stdout; either way nothing else is written.
+    assert (err if code else out).startswith("usage: dspaths")
+    assert (out if code else err) == ""
+    assert list(cwd.iterdir()) == []
+
+
+# The options each help lists, as for solve in test_solve_help_lists_only_the_ask.
+HELP_OPTIONS = {
+    "": ["-h"],
+    "gen": ["-h"],
+    "gen grid": ["-h", "--width", "--height", "-o"],
+    "gen layered": ["-h", "--layers", "--width", "--arc-prob", "--seed", "-o"],
+    "gen binpack": ["-h", "--items", "--bins", "-o"],
+    "verify": ["-h", "-g", "-c", "-k", "-d"],
+}
+
+
+@pytest.mark.parametrize("command", list(HELP_OPTIONS))
+def test_help_lists_the_options(capsys, command):
+    assert run_cli([*command.split(), "--help"]) == EXIT_YES
+    out = capsys.readouterr().out
+    assert out.startswith(f"usage: {' '.join(['dspaths', *command.split()])} [-h]")
+    assert re.findall(r"^  (-{1,2}[\w-]+)", out, re.M) == HELP_OPTIONS[command]
+
+
+def test_top_level_help_lists_the_commands(capsys):
+    assert run_cli(["-h"]) == EXIT_YES
+    assert re.findall(r"^    (\w+) +(.+)$", capsys.readouterr().out, re.M) == [
+        ("solve", "run the solver"),
+        ("gen", "generate an instance"),
+        ("verify", "check a certificate"),
+    ]
+
+
+# In a fresh interpreter, counts the parsers built and the argv parses:
+# python -c COUNT_PARSERS SRC ARGV...  It prints two JSON lines: the
+# progs of the parsers built by the import, then those built by one
+# run_cli(ARGV) together with its number of parses.
+COUNT_PARSERS = (
+    "import argparse, json, sys; sys.path.insert(0, sys.argv[1]); "
+    "progs, parses = [], [0]; "
+    "init = argparse.ArgumentParser.__init__; "
+    "parse = argparse.ArgumentParser._parse_known_args; "
+    "argparse.ArgumentParser.__init__ = "
+    "lambda self, *a, **kw: (init(self, *a, **kw), progs.append(self.prog))[0]; "
+    "argparse.ArgumentParser._parse_known_args = "
+    "lambda self, *a, **kw: (parses.__setitem__(0, parses[0] + 1), parse(self, *a, **kw))[1]; "
+    "import dspaths.cli; print(json.dumps(progs)); progs.clear(); "
+    "code = dspaths.cli.run_cli(sys.argv[2:]); "
+    "print(json.dumps([code, progs, parses[0]]), file=sys.stderr)"
+)
+
+
+def test_one_solve_builds_one_parser_and_parses_once(diamond_file):
+    # Importing the CLI builds no parser, so it adds nothing to the set-up
+    # of a process; a solve builds its own parser alone and parses its
+    # argv once, with no top-level parser in front of it.
+    argv = ["solve", "-g", diamond_file, "-k", "2", "-d", "4"]
+    proc = subprocess.run(
+        [sys.executable, "-c", COUNT_PARSERS, str(SRC), *argv],
+        capture_output=True, text=True, timeout=30,
+    )
+    assert proc.returncode == 0, proc.stderr
+    at_import = json.loads(proc.stdout.splitlines()[0])
+    assert at_import == []
+    assert json.loads(proc.stderr.splitlines()[-1]) == [EXIT_YES, ["dspaths solve"], 1]
+
+
+def python_m_cli(*argv):
+    """``python -m dspaths.cli ARGV...``, which reads its own sys.argv."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(SRC), env.get("PYTHONPATH"))))
+    return subprocess.run(
+        [sys.executable, "-m", "dspaths.cli", *argv],
+        capture_output=True, text=True, timeout=30, env=env,
+    )
+
+
+def test_main_reads_sys_argv(diamond_file):
+    proc = python_m_cli("solve", "-g", diamond_file, "-k", "2", "-d", "4")
+    assert proc.returncode == EXIT_YES, proc.stderr
+    doc = json.loads(proc.stdout)
+    assert (doc["decision"], doc["k"], doc["d"]) == ("yes", 2, 4)
+
+
+def test_main_without_a_command_is_a_usage_error():
+    proc = python_m_cli()
+    assert proc.returncode == EXIT_ERROR
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("usage: dspaths [-h] {solve,gen,verify} ...\n")
+    assert "error: the following arguments are required: command" in proc.stderr
 
 
 def test_fpt_huge_k_answers_at_once(tmp_path):

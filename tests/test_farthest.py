@@ -339,6 +339,23 @@ class TestFarthestPath:
     def test_diamond_opposite(self, diamond_dag, upper, lower):
         assert farthest_path(diamond_dag, [upper], 4) == lower
 
+    @pytest.mark.parametrize("seed", range(10))
+    def test_q_above_m_runs_no_pass(self, monkeypatch, seed):
+        # Two paths of an m-arc dag are at most m apart, so no path meets
+        # a q above m, and the answer needs no forward pass.
+        def no_pass(*args):
+            raise AssertionError("forward pass entered")
+
+        dag = random_layered_dag(seed)
+        paths = enumerate_st_paths(dag).paths
+        m = dag.base.m
+        monkeypatch.setattr("dspaths.farthest._forward_pass", no_pass)
+        rng = random.Random(seed)
+        for r in (1, 2, 3):
+            refs = [rng.choice(paths) for _ in range(r)]
+            for q in (m + 1, m + 2, 2 * m + 5, 10**9):
+                assert farthest_path(dag, refs, q) is None
+
     def test_two_refs_infeasible(self, diamond_dag, upper, lower):
         assert farthest_path(diamond_dag, [upper, lower], 1) is None
 
